@@ -59,7 +59,7 @@ std::vector<exp::FigureSeries> RunWorstCaseFigure(
 /// The one main() behind every bench binary. Reads the engine config from
 /// the environment, applies any key=value overrides from argv (overrides
 /// win; see EngineConfig::ApplyOverride), creates the Engine (sizing the
-/// global pool, installing the sweep kernel) and runs `body` with the
+/// global pool) and runs `body` with the
 /// remaining pass-through arguments (argv[0] plus everything that was not
 /// a recognized override — google-benchmark flags flow through
 /// untouched). A malformed config or override prints the typed error to

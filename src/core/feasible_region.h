@@ -1,7 +1,6 @@
 #ifndef COSTSENSE_CORE_FEASIBLE_REGION_H_
 #define COSTSENSE_CORE_FEASIBLE_REGION_H_
 
-#include <bit>
 #include <cstdint>
 
 #include "common/rng.h"
@@ -9,17 +8,6 @@
 #include "core/vectors.h"
 
 namespace costsense::core {
-
-/// The mask of the vertex visited at position `rank` of a Gray-code walk:
-/// consecutive ranks yield masks differing in exactly one bit, and ranks
-/// [0, 2^d) visit every d-bit mask exactly once. The incremental sweep
-/// kernels walk vertices in this order so all plan costs update in O(n)
-/// per vertex instead of O(n * d).
-inline uint64_t GrayCode(uint64_t rank) { return rank ^ (rank >> 1); }
-
-/// The bit position that flips between GrayCode(rank - 1) and
-/// GrayCode(rank); rank must be positive.
-inline int GrayFlipBit(uint64_t rank) { return std::countr_zero(rank); }
 
 /// The feasible cost region (paper Section 3.3) as an axis-aligned box in
 /// cost space: the true cost vector is assumed to lie within
@@ -40,7 +28,7 @@ class Box {
   /// Validating factories: the same invariants as the constructors above,
   /// reported as a typed InvalidArgument instead of a process-fatal CHECK.
   /// For bounds that arrive from outside the process's own arithmetic —
-  /// checkpoint files, configuration, extraction output — where a bad
+  /// request payloads, configuration, extraction output — where a bad
   /// value must degrade one analysis, not kill the run.
   [[nodiscard]] static Result<Box> Validated(CostVector lower, CostVector upper);
   [[nodiscard]] static Result<Box> ValidatedMultiplicativeBand(const CostVector& baseline,
@@ -62,13 +50,6 @@ class Box {
   /// have dims() elements (CHECKed). Vertex-sweep loops mutate one scratch
   /// vector in place instead of allocating 2^d fresh ones.
   void VertexInto(uint64_t mask, CostVector& out) const;
-
-  /// Signed change of coordinate i when a vertex walk flips it to the
-  /// upper (`up` true) or lower bound: +/-(upper_i - lower_i). This is the
-  /// per-dimension delta of the Gray-code incremental cost update.
-  double FlipDelta(size_t i, bool up) const {
-    return up ? upper_[i] - lower_[i] : lower_[i] - upper_[i];
-  }
 
   /// Geometric center: per-dim sqrt(lower*upper) — the multiplicative
   /// midpoint, which maps back to the baseline for MultiplicativeBand

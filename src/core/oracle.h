@@ -43,8 +43,8 @@ class PlanOracle {
 /// The fallible flavor of the same interface. Real optimizer endpoints
 /// time out, flake under load, and return garbage; decorators that model
 /// or absorb those failures (runtime::resilience) speak this contract,
-/// and the drivers (discovery, vertex sweeps, extraction) degrade
-/// per-point instead of aborting a whole run on one bad reply.
+/// and the drivers (discovery, extraction) degrade per-point instead of
+/// aborting a whole run on one bad reply.
 class FalliblePlanOracle {
  public:
   virtual ~FalliblePlanOracle() = default;

@@ -1,12 +1,10 @@
 #include "core/plan_matrix.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/macros.h"
 #include "common/strings.h"
 #include "linalg/kernels.h"
-#include "linalg/simd_kernels.h"
 
 namespace costsense::core {
 
@@ -46,29 +44,18 @@ PlanMatrix::PlanMatrix(const std::vector<PlanUsage>& plans)
     : rows_(plans.size()),
       dims_(plans.empty() ? 0 : plans[0].usage.size()) {
   row_major_.resize(rows_ * dims_);
-  col_major_.resize(rows_ * dims_);
-  sums_.resize(rows_);
-  norms_.resize(rows_);
   ids_.reserve(rows_);
   for (size_t p = 0; p < rows_; ++p) {
     const PlanUsage& plan = plans[p];
     COSTSENSE_CHECK_MSG(plan.usage.size() == dims_,
                         "plan usage vectors must share one dimensionality");
     ids_.push_back(plan.plan_id);
-    double sum = 0.0;
-    double sq = 0.0;
     for (size_t i = 0; i < dims_; ++i) {
       const double u = plan.usage[i];
       COSTSENSE_CHECK_MSG(std::isfinite(u),
                           "plan usage vectors must be finite");
       row_major_[p * dims_ + i] = u;
-      col_major_[i * rows_ + p] = u;
-      sum += u;
-      sq += u * u;
     }
-    sums_[p] = sum;
-    norms_[p] = std::sqrt(sq);
-    max_norm_ = std::max(max_norm_, norms_[p]);
   }
 }
 
@@ -80,16 +67,6 @@ void PlanMatrix::BatchTotalCosts(const CostVector& c,
   if (rows_ == 0) return;
   linalg::MatVecRowMajor(row_major_.data(), rows_, dims_, c.data().data(),
                          out.data());
-}
-
-void PlanMatrix::BatchTotalCostsScreen(const CostVector& c,
-                                       std::vector<double>& out) const {
-  COSTSENSE_CHECK_MSG(c.size() == dims_ || rows_ == 0,
-                      "cost vector dims do not match plan matrix");
-  out.resize(rows_);
-  if (rows_ == 0) return;
-  linalg::MatVecRowMajorSimd(row_major_.data(), rows_, dims_, c.data().data(),
-                             out.data());
 }
 
 }  // namespace costsense::core

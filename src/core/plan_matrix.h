@@ -9,14 +9,9 @@
 
 namespace costsense::core {
 
-/// A candidate plan set flattened into structure-of-arrays form for the
-/// batched plan-cost kernels: one contiguous row-major buffer (plan p's
-/// usage vector is the p-th row) for full-vector products, plus a
-/// column-major transpose (dimension i's values across all plans are
-/// contiguous) for the Gray-code incremental sweep, which touches one
-/// dimension of every plan per vertex. Per-plan element sums and Euclidean
-/// norms are cached at construction (the dominance prescreen and bench
-/// reporting read them repeatedly).
+/// A candidate plan set flattened into one contiguous row-major buffer
+/// (plan p's usage vector is the p-th row) for the batched plan-cost
+/// kernel.
 ///
 /// BatchTotalCosts reproduces TotalCost bit for bit per plan (left-to-right
 /// accumulation; see linalg/kernels.h), so code rewritten on top of a
@@ -31,7 +26,7 @@ class PlanMatrix {
 
   /// Validating factory: the same invariants reported as a typed
   /// InvalidArgument instead of a process-fatal CHECK. For plan sets built
-  /// from an untrusted source — a faulty oracle reply, a checkpoint, a
+  /// from an untrusted source — a faulty oracle reply or a
   /// least-squares fit that went non-finite — where a garbage usage vector
   /// must fail one analysis, not abort the sweep that batched it.
   [[nodiscard]] static Result<PlanMatrix> Validated(const std::vector<PlanUsage>& plans);
@@ -44,42 +39,15 @@ class PlanMatrix {
   const std::string& plan_id(size_t p) const { return ids_[p]; }
   double at(size_t p, size_t i) const { return row_major_[p * dims_ + i]; }
 
-  /// Plan p's usage vector, contiguous, dims() long.
-  const double* row(size_t p) const { return row_major_.data() + p * dims_; }
-  /// Dimension i's usage across all plans, contiguous, rows() long.
-  const double* col(size_t i) const { return col_major_.data() + i * rows_; }
-
-  /// Cached element sum of plan p's usage vector.
-  double row_sum(size_t p) const { return sums_[p]; }
-  /// Cached Euclidean norm of plan p's usage vector.
-  double row_norm(size_t p) const { return norms_[p]; }
-  /// Cached maximum of row_norm over all plans (0 for an empty set). The
-  /// SIMD screening paths use it to size rigorous error bands around
-  /// approximate costs.
-  double max_row_norm() const { return max_norm_; }
-
   /// out[p] = U_p . c for every plan, resizing `out` to rows(). Blocked
   /// matrix-vector kernel; each entry is bit-identical to
   /// TotalCost(plans[p].usage, c).
   void BatchTotalCosts(const CostVector& c, std::vector<double>& out) const;
 
-  /// Approximate twin of BatchTotalCosts on the dispatched SIMD mat-vec
-  /// (linalg/simd_kernels.h): lane-reassociated sums, so entries carry
-  /// ~dims*eps relative error. Screen-only — callers must re-evaluate any
-  /// decision winner with BatchTotalCosts (or an exact per-row dot) before
-  /// emitting it. Falls back to the exact kernel when SIMD is compiled
-  /// out.
-  void BatchTotalCostsScreen(const CostVector& c,
-                             std::vector<double>& out) const;
-
  private:
   size_t rows_ = 0;
   size_t dims_ = 0;
   std::vector<double> row_major_;
-  std::vector<double> col_major_;
-  std::vector<double> sums_;
-  std::vector<double> norms_;
-  double max_norm_ = 0.0;
   std::vector<std::string> ids_;
 };
 

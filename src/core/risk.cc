@@ -1,13 +1,9 @@
 #include "core/risk.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
-#include "common/macros.h"
 #include "core/plan_matrix.h"
 #include "linalg/kernels.h"
-#include "linalg/simd_kernels.h"
 
 namespace costsense::core {
 
@@ -35,59 +31,13 @@ Result<RiskProfile> ComputeRiskProfile(const UsageVector& initial_usage,
   gtcs.reserve(samples);
   CostVector c(box.dims());
   std::vector<double> costs(matrix.rows());
-  std::vector<double> approx(matrix.rows());
   double sum = 0.0;
   size_t suboptimal = 0;
   size_t degenerate = 0;
-  // SIMD screening (when available and the plan set is large enough to
-  // pay for it): the vectorized mat-vec estimates every plan's cost, and
-  // only plans whose estimate lands within a rigorous error band of the
-  // estimated minimum are re-evaluated with the exact left-to-right dot.
-  // A reassociated d-term dot is off by at most ~d*eps*|U_p|*|c|
-  // (Cauchy-Schwarz over the term magnitudes); with tau an inflated bound
-  // on that error, the true minimizer's estimate is always within
-  // amin + 2*tau, so the exact minimum over the band equals the exact
-  // minimum over all plans bit for bit — every sample's gtc, and the
-  // whole profile, stays byte-identical to the unscreened path.
-  const bool screen = linalg::SimdSweepAvailable() && matrix.rows() >= 8;
-  const double tau_scale = 16.0 * static_cast<double>(box.dims()) *
-                           std::numeric_limits<double>::epsilon() *
-                           matrix.max_row_norm();
   for (size_t i = 0; i < samples; ++i) {
     box.SampleLogUniformInto(rng, c);
-    double denom;
-    if (screen) {
-      matrix.BatchTotalCostsScreen(c, approx);
-      const double amin = linalg::MinValueSimd(approx.data(), approx.size());
-      const double* cd = c.data().data();
-      const double band =
-          amin + 2.0 * tau_scale *
-                     std::sqrt(linalg::DotRaw(cd, cd, box.dims()));
-      if (!std::isfinite(band)) {
-        // Non-finite estimates void the band reasoning; evaluate exactly.
-        matrix.BatchTotalCosts(c, costs);
-        denom = costs[linalg::ArgMin(costs.data(), costs.size())];
-      } else {
-        denom = 0.0;
-        bool have = false;
-        for (size_t p = 0; p < matrix.rows(); ++p) {
-          // A NaN estimate fails this comparison and is evaluated exactly
-          // — estimates can only ever *widen* the candidate set.
-          if (approx[p] > band) continue;
-          const double exact = linalg::DotRaw(matrix.row(p), cd, box.dims());
-          if (!have || exact < denom) {
-            denom = exact;
-            have = true;
-          }
-        }
-        // A finite estimated minimum is achieved by some entry, which is
-        // inside its own band, so at least one candidate was evaluated.
-        COSTSENSE_CHECK(have);
-      }
-    } else {
-      matrix.BatchTotalCosts(c, costs);
-      denom = costs[linalg::ArgMin(costs.data(), costs.size())];
-    }
+    matrix.BatchTotalCosts(c, costs);
+    const double denom = costs[linalg::ArgMin(costs.data(), costs.size())];
     // A degenerate draw (non-positive optimal cost) is counted and
     // skipped; the profile covers the remaining draws. Aborting here would
     // let one pathological corner of the band kill a whole table run.

@@ -1,72 +1,18 @@
 #include "core/worst_case.h"
 
-#include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdio>
-#include <limits>
 #include <optional>
 
 #include "common/macros.h"
 #include "common/strings.h"
+#include "core/plan_matrix.h"
 #include "linalg/kernels.h"
-#include "linalg/simd_kernels.h"
 #include "lp/fractional.h"
-#include "runtime/resilience/checkpoint.h"
 #include "runtime/thread_pool.h"
 
 namespace costsense::core {
 namespace {
-
-/// Vertices between full recomputes in the incremental kernel. Each axpy
-/// step adds one rounding error per plan cost; refreshing every 64 steps
-/// keeps accumulated drift around 64 ulps — far inside the 1e-9 guard band
-/// that triggers exact re-evaluation of record candidates.
-constexpr uint64_t kRefreshPeriod = 64;
-
-/// Relative slack on "challenges the record": any vertex whose estimated
-/// gtc comes within this factor of the incumbent is re-evaluated exactly.
-/// Incremental drift is ~1e-13 relative, so no true record can hide below
-/// the band, and spurious re-evaluations stay vanishingly rare.
-constexpr double kRecheckGuard = 1e-9;
-
-/// Best-so-far slot for one chunk of a vertex sweep.
-struct ChunkBest {
-  double gtc = 1.0;
-  uint64_t mask = 0;
-  std::string rival;
-  bool any = false;
-  size_t degenerate = 0;
-  /// Vertices skipped because the (fallible) oracle erred there.
-  size_t failed = 0;
-};
-
-/// The serial sweep's selection rule, made order-free: a strictly larger
-/// gtc wins, and exact ties resolve to the lowest vertex *mask* (not visit
-/// order or Gray rank). An ascending-mask scan's first-strictly-greater
-/// rule picks exactly this winner, so chunked, pooled, and Gray-ordered
-/// sweeps all reproduce the serial result byte for byte.
-bool BeatsIncumbent(const ChunkBest& b, double gtc, uint64_t mask) {
-  if (!b.any) return true;
-  if (gtc != b.gtc) return gtc > b.gtc;
-  return mask < b.mask;
-}
-
-/// Splits [0, vertices) into contiguous chunks sized for the pool. With
-/// the mask tie-break above the merge is order-free, but chunks are still
-/// merged in ascending order for a deterministic degenerate-count sum.
-std::vector<std::pair<uint64_t, uint64_t>> VertexChunks(
-    uint64_t vertices, runtime::ThreadPool* pool) {
-  const uint64_t want =
-      pool == nullptr ? 1 : std::max<uint64_t>(1, 8 * pool->num_threads());
-  const uint64_t chunks = std::min<uint64_t>(vertices, want);
-  const uint64_t per = (vertices + chunks - 1) / chunks;
-  std::vector<std::pair<uint64_t, uint64_t>> out;
-  for (uint64_t lo = 0; lo < vertices; lo += per) {
-    out.emplace_back(lo, std::min(vertices, lo + per));
-  }
-  return out;
-}
 
 /// Warns the first time any sweep in this process skips degenerate
 /// vertices; per-call counts are surfaced in WorstCaseResult.
@@ -82,431 +28,43 @@ void WarnDegenerateOnce(size_t skipped) {
   }
 }
 
-/// Merges per-chunk bests into the final result. Matches the serial rule:
-/// the result only moves off its gtc=1.0 default for a strictly larger
-/// value, and equal-gtc chunks resolve to the lowest vertex mask.
-WorstCaseResult MergeChunks(const Box& box, const std::vector<ChunkBest>& best,
-                            uint64_t total_vertices) {
+/// The vertex sweep shared by both public forms. `cheapest(v, rival)`
+/// returns the optimal total cost at vertex `v` and writes the id of the
+/// plan achieving it into `rival`. Vertices are visited in ascending mask
+/// order through one scratch vector, and only a strictly larger gtc moves
+/// the record, so ties resolve to the lowest mask.
+template <typename Cheapest>
+WorstCaseResult SweepVertices(const UsageVector& initial, const Box& box,
+                              Cheapest&& cheapest) {
   WorstCaseResult out;
   out.worst_costs = box.Center();
-  out.total_vertices = total_vertices;
-  bool have = false;
-  uint64_t best_mask = 0;
-  for (const ChunkBest& b : best) {
-    out.degenerate_vertices += b.degenerate;
-    out.failed_vertices += b.failed;
-    if (!b.any) continue;
-    const bool better =
-        b.gtc > out.gtc || (have && b.gtc == out.gtc && b.mask < best_mask);
-    if (better) {
-      out.gtc = b.gtc;
-      best_mask = b.mask;
-      out.worst_rival = b.rival;
-      have = true;
+  CostVector v(box.dims());
+  std::string rival;
+  const uint64_t vertices = box.VertexCount();
+  for (uint64_t mask = 0; mask < vertices; ++mask) {
+    box.VertexInto(mask, v);
+    const double optimal = cheapest(v, rival);
+    if (optimal <= 0.0) {
+      ++out.degenerate_vertices;
+      continue;
     }
-  }
-  if (have) box.VertexInto(best_mask, out.worst_costs);
-  if (total_vertices > 0) {
-    out.coverage = static_cast<double>(total_vertices - out.failed_vertices) /
-                   static_cast<double>(total_vertices);
+    const double gtc = TotalCost(initial, v) / optimal;
+    if (gtc > out.gtc) {
+      out.gtc = gtc;
+      out.worst_costs = v;
+      out.worst_rival = rival;
+    }
   }
   WarnDegenerateOnce(out.degenerate_vertices);
   return out;
 }
 
-/// Oracle sweep over one chunk in ascending mask order (scalar kernel).
-/// The scratch vertex is rewritten in place — no per-vertex allocation.
-ChunkBest OracleChunkScalar(PlanOracle& oracle, const UsageVector& initial,
-                            const Box& box, uint64_t lo, uint64_t hi) {
-  ChunkBest b;
-  CostVector v(box.dims());
-  for (uint64_t mask = lo; mask < hi; ++mask) {
-    box.VertexInto(mask, v);
-    const OracleResult r = oracle.Optimize(v);
-    if (r.total_cost <= 0.0) {
-      ++b.degenerate;
-      continue;
-    }
-    const double gtc = TotalCost(initial, v) / r.total_cost;
-    if (BeatsIncumbent(b, gtc, mask)) {
-      b.gtc = gtc;
-      b.mask = mask;
-      b.rival = r.plan_id;
-      b.any = true;
-    }
-  }
-  return b;
-}
-
-/// Oracle sweep over one chunk in Gray-code order: the chunk seeds its own
-/// walk at GrayCode(lo) and each step rewrites exactly one coordinate of
-/// the scratch vertex. Coordinates are assigned (not accumulated), so the
-/// vertex — and every oracle answer — is bit-identical to the scalar
-/// kernel's; only the visit order differs, which the mask tie-break
-/// absorbs.
-ChunkBest OracleChunkGray(PlanOracle& oracle, const UsageVector& initial,
-                          const Box& box, uint64_t lo, uint64_t hi) {
-  ChunkBest b;
-  CostVector v(box.dims());
-  uint64_t g = GrayCode(lo);
-  box.VertexInto(g, v);
-  for (uint64_t rank = lo; rank < hi; ++rank) {
-    if (rank != lo) {
-      const int bit = GrayFlipBit(rank);
-      g ^= uint64_t{1} << bit;
-      v[bit] = (g >> bit) & 1 ? box.upper()[bit] : box.lower()[bit];
-    }
-    const OracleResult r = oracle.Optimize(v);
-    if (r.total_cost <= 0.0) {
-      ++b.degenerate;
-      continue;
-    }
-    const double gtc = TotalCost(initial, v) / r.total_cost;
-    if (BeatsIncumbent(b, gtc, g)) {
-      b.gtc = gtc;
-      b.mask = g;
-      b.rival = r.plan_id;
-      b.any = true;
-    }
-  }
-  return b;
-}
-
-/// Fallible twin of OracleChunkScalar: an erring vertex is counted and
-/// skipped; the clean vertices are evaluated exactly as the infallible
-/// kernel does, so a zero-failure chunk is byte-identical to it.
-ChunkBest FallibleOracleChunkScalar(FalliblePlanOracle& oracle,
-                                    const UsageVector& initial, const Box& box,
-                                    uint64_t lo, uint64_t hi) {
-  ChunkBest b;
-  CostVector v(box.dims());
-  for (uint64_t mask = lo; mask < hi; ++mask) {
-    box.VertexInto(mask, v);
-    const Result<OracleResult> r = oracle.TryOptimize(v);
-    if (!r.ok()) {
-      ++b.failed;
-      continue;
-    }
-    if (r->total_cost <= 0.0) {
-      ++b.degenerate;
-      continue;
-    }
-    const double gtc = TotalCost(initial, v) / r->total_cost;
-    if (BeatsIncumbent(b, gtc, mask)) {
-      b.gtc = gtc;
-      b.mask = mask;
-      b.rival = r->plan_id;
-      b.any = true;
-    }
-  }
-  return b;
-}
-
-/// Fallible twin of OracleChunkGray. Skipping a failed vertex is safe in
-/// Gray order because coordinates are assigned (not accumulated), so the
-/// walk's later vertices are unaffected.
-ChunkBest FallibleOracleChunkGray(FalliblePlanOracle& oracle,
-                                  const UsageVector& initial, const Box& box,
-                                  uint64_t lo, uint64_t hi) {
-  ChunkBest b;
-  CostVector v(box.dims());
-  uint64_t g = GrayCode(lo);
-  box.VertexInto(g, v);
-  for (uint64_t rank = lo; rank < hi; ++rank) {
-    if (rank != lo) {
-      const int bit = GrayFlipBit(rank);
-      g ^= uint64_t{1} << bit;
-      v[bit] = (g >> bit) & 1 ? box.upper()[bit] : box.lower()[bit];
-    }
-    const Result<OracleResult> r = oracle.TryOptimize(v);
-    if (!r.ok()) {
-      ++b.failed;
-      continue;
-    }
-    if (r->total_cost <= 0.0) {
-      ++b.degenerate;
-      continue;
-    }
-    const double gtc = TotalCost(initial, v) / r->total_cost;
-    if (BeatsIncumbent(b, gtc, g)) {
-      b.gtc = gtc;
-      b.mask = g;
-      b.rival = r->plan_id;
-      b.any = true;
-    }
-  }
-  return b;
-}
-
-ChunkBest FallibleOracleChunk(FalliblePlanOracle& oracle,
-                              const UsageVector& initial, const Box& box,
-                              SweepKernel kernel, uint64_t lo, uint64_t hi) {
-  return kernel == SweepKernel::kScalar
-             ? FallibleOracleChunkScalar(oracle, initial, box, lo, hi)
-             : FallibleOracleChunkGray(oracle, initial, box, lo, hi);
-}
-
-/// Plan-set sweep over one chunk in ascending mask order: batched
-/// matrix-vector costs, scratch buffers mutated in place.
-ChunkBest PlansChunkScalar(const UsageVector& initial, const PlanMatrix& m,
-                           const Box& box, uint64_t lo, uint64_t hi) {
-  ChunkBest b;
-  CostVector v(box.dims());
-  std::vector<double> costs(m.rows());
-  for (uint64_t mask = lo; mask < hi; ++mask) {
-    box.VertexInto(mask, v);
-    m.BatchTotalCosts(v, costs);
-    const size_t ci = linalg::ArgMin(costs.data(), costs.size());
-    const double cheapest = costs[ci];
-    if (cheapest <= 0.0) {
-      ++b.degenerate;
-      continue;
-    }
-    const double gtc = TotalCost(initial, v) / cheapest;
-    if (BeatsIncumbent(b, gtc, mask)) {
-      b.gtc = gtc;
-      b.mask = mask;
-      b.rival = m.plan_id(ci);
-      b.any = true;
-    }
-  }
-  return b;
-}
-
-/// Plan-set sweep over one chunk in Gray-code order. Each step flips one
-/// box coordinate, so every plan's cost changes by usage[bit] * delta: one
-/// axpy over the matrix column updates all n costs in O(n). The
-/// incrementally-maintained costs carry rounding drift, so they are only
-/// used to *screen* vertices; any vertex whose estimated gtc reaches the
-/// incumbent's guard band is re-evaluated with the exact scalar kernel,
-/// and records are accepted solely on exact values. A full recompute every
-/// kRefreshPeriod vertices bounds the drift the screen must absorb.
-ChunkBest PlansChunkGray(const UsageVector& initial, const PlanMatrix& m,
-                         const Box& box, uint64_t lo, uint64_t hi) {
-  ChunkBest b;
-  const size_t n = m.rows();
-  CostVector v(box.dims());
-  std::vector<double> costs(n);
-  std::vector<double> exact_costs(n);
-  uint64_t g = GrayCode(lo);
-  box.VertexInto(g, v);
-  m.BatchTotalCosts(v, costs);
-  double init_cost = TotalCost(initial, v);
-  double cheapest = linalg::MinValue(costs.data(), n);
-  for (uint64_t rank = lo; rank < hi; ++rank) {
-    if (rank != lo) {
-      const int bit = GrayFlipBit(rank);
-      g ^= uint64_t{1} << bit;
-      const bool up = (g >> bit) & 1;
-      v[bit] = up ? box.upper()[bit] : box.lower()[bit];
-      if (((rank - lo) % kRefreshPeriod) == 0) {
-        m.BatchTotalCosts(v, costs);
-        init_cost = TotalCost(initial, v);
-        cheapest = linalg::MinValue(costs.data(), n);
-      } else {
-        const double delta = box.FlipDelta(bit, up);
-        cheapest = linalg::AxpyMin(n, delta, m.col(bit), costs.data());
-        init_cost += initial[bit] * delta;
-      }
-    }
-    // Screen: only vertices whose estimate challenges the record (or that
-    // look degenerate — drift can push a near-zero cost across zero) pay
-    // for an exact re-evaluation.
-    const bool challenger =
-        cheapest <= 0.0 || !b.any ||
-        init_cost / cheapest > b.gtc * (1.0 - kRecheckGuard);
-    if (!challenger) continue;
-    m.BatchTotalCosts(v, exact_costs);
-    const size_t eci = linalg::ArgMin(exact_costs.data(), n);
-    const double exact_cheapest = exact_costs[eci];
-    if (exact_cheapest <= 0.0) {
-      ++b.degenerate;
-      continue;
-    }
-    const double gtc = TotalCost(initial, v) / exact_cheapest;
-    if (BeatsIncumbent(b, gtc, g)) {
-      b.gtc = gtc;
-      b.mask = g;
-      b.rival = m.plan_id(eci);
-      b.any = true;
-    }
-  }
-  return b;
-}
-
-/// SIMD twin of PlansChunkGray: the same exact re-evaluation of
-/// challengers, but the screening math runs on the dispatched vector
-/// kernels, and the walk prunes at *segment* granularity before falling
-/// back to per-flip screening.
-///
-/// Within a kRefreshPeriod-aligned segment [s, s+64) the Gray walk flips
-/// only bits 0..5 (ranks s+1..s+63 of an aligned s have at most five
-/// trailing zeros), so the segment's vertices all lie in the sub-box that
-/// fixes the high coordinates at the base vertex and lets the low six
-/// range. Plan costs are non-decreasing in every cost coordinate when the
-/// usage matrix is non-negative, so over that sub-box
-///
-///   cost_i(v) >= cost_i(corner with bits 0..5 low)   for every plan i
-///   init(v)   <= init(corner with bits 0..5 high)
-///
-/// — both bounds are attained at real vertices, making them tight. One
-/// batched mat-vec at the low corner gives floor = min_i cost_i(low), one
-/// dot at the high corner gives initmax; if floor clears a rigorous
-/// rounding band tau (Cauchy-Schwarz bound on the reassociated mat-vec,
-/// the risk-profile band argument) and initmax <= threshold * (floor -
-/// tau), every vertex in the segment has exact gtc <= b.gtc * (1 - 1e-9)
-/// < b.gtc and a strictly positive cheapest cost: the scalar kernels
-/// accept no record and count no degenerate vertex there, so the whole
-/// segment is skipped unvisited. The 1e-9 guard margin exceeds the
-/// ~dims*eps comparison rounding by four orders of magnitude — the same
-/// argument that lets the incremental kernel screen on drifted costs.
-/// Certificates are disabled entirely if any low-bit usage column or
-/// low-bit initial entry is negative (monotonicity would fail).
-///
-/// Uncertified segments run the per-flip path: AxpyScreenSimd updates the
-/// costs bit-identically to the scalar axpy and returns PlansChunkGray's
-/// screen verdict with the ratio test cross-multiplied (division-free;
-/// valid because the threshold is >= 0 and the comparison distributes
-/// over the min lanes). Records are accepted solely on exact
-/// re-evaluations, so the merged result is byte-identical to the other
-/// kernels.
-ChunkBest PlansChunkSimd(const UsageVector& initial, const PlanMatrix& m,
-                         const Box& box, uint64_t lo, uint64_t hi) {
-  ChunkBest b;
-  const size_t n = m.rows();
-  const size_t dims = box.dims();
-  const uint64_t low_mask = kRefreshPeriod - 1;  // bits a segment can flip
-  CostVector v(dims);
-  std::vector<double> costs(n);
-  std::vector<double> exact_costs(n);
-  bool certs_ok = true;
-  for (size_t bit = 0; bit < dims && (uint64_t{1} << bit) < kRefreshPeriod;
-       ++bit) {
-    if (initial[bit] < 0.0) certs_ok = false;
-    const double* col = m.col(bit);
-    for (size_t i = 0; i < n; ++i) {
-      if (col[i] < 0.0) certs_ok = false;
-    }
-  }
-  uint64_t rank = lo;
-  while (rank < hi) {
-    const uint64_t seg_end =
-        std::min<uint64_t>(hi, (rank / kRefreshPeriod + 1) * kRefreshPeriod);
-    uint64_t g = GrayCode(rank);
-    if (certs_ok && rank % kRefreshPeriod == 0 && b.any && b.gtc > 0.0) {
-      const double threshold = b.gtc * (1.0 - kRecheckGuard);
-      box.VertexInto(g & ~low_mask, v);
-      m.BatchTotalCostsScreen(v, costs);
-      const double floor = linalg::MinValueSimd(costs.data(), n);
-      // Rigorous bound on the screened mat-vec's reassociation error, so
-      // floor - tau lower-bounds every exact segment cost (tau > 0 also
-      // rules out degenerate vertices, which have no guard-band margin of
-      // their own). NaN floors or init costs fail the comparisons and
-      // fall through to the per-flip path, which owns the non-finite
-      // semantics.
-      const double eps = std::numeric_limits<double>::epsilon();
-      const double tau =
-          16.0 * static_cast<double>(dims) * eps * m.max_row_norm() *
-          std::sqrt(linalg::DotRaw(v.data().data(), v.data().data(), dims));
-      box.VertexInto(g | low_mask, v);
-      const double initmax = TotalCost(initial, v);
-      if (floor - tau > 0.0 && initmax <= threshold * (floor - tau)) {
-        rank = seg_end;
-        continue;
-      }
-    }
-    box.VertexInto(g, v);
-    m.BatchTotalCostsScreen(v, costs);
-    double init_cost = TotalCost(initial, v);
-    double threshold = b.any ? b.gtc * (1.0 - kRecheckGuard) : 0.0;
-    double cheapest = linalg::MinValueSimd(costs.data(), n);
-    bool challenger =
-        cheapest <= 0.0 || !b.any || init_cost > threshold * cheapest;
-    for (;;) {
-      if (challenger) {
-        m.BatchTotalCosts(v, exact_costs);
-        const size_t eci = linalg::ArgMin(exact_costs.data(), n);
-        const double exact_cheapest = exact_costs[eci];
-        if (exact_cheapest <= 0.0) {
-          ++b.degenerate;
-        } else {
-          const double gtc = TotalCost(initial, v) / exact_cheapest;
-          if (BeatsIncumbent(b, gtc, g)) {
-            b.gtc = gtc;
-            b.mask = g;
-            b.rival = m.plan_id(eci);
-            b.any = true;
-          }
-        }
-      }
-      if (++rank == seg_end) break;
-      const int bit = GrayFlipBit(rank);
-      g ^= uint64_t{1} << bit;
-      const bool up = (g >> bit) & 1;
-      v[bit] = up ? box.upper()[bit] : box.lower()[bit];
-      const double delta = box.FlipDelta(bit, up);
-      init_cost += initial[bit] * delta;
-      threshold = b.any ? b.gtc * (1.0 - kRecheckGuard) : 0.0;
-      challenger = linalg::AxpyScreenSimd(n, delta, m.col(bit), costs.data(),
-                                          init_cost, threshold) ||
-                   !b.any;
-    }
-  }
-  return b;
-}
-
-ChunkBest PlansChunk(const UsageVector& initial, const PlanMatrix& m,
-                     const Box& box, SweepKernel kernel, uint64_t lo,
-                     uint64_t hi) {
-  switch (kernel) {
-    case SweepKernel::kScalar:
-      return PlansChunkScalar(initial, m, box, lo, hi);
-    case SweepKernel::kIncremental:
-      return PlansChunkGray(initial, m, box, lo, hi);
-    case SweepKernel::kSimd:
-      return PlansChunkSimd(initial, m, box, lo, hi);
-  }
-  COSTSENSE_CHECK(false);  // unreachable
-  return ChunkBest{};
-}
-
 }  // namespace
-
-namespace {
-/// The process-default kernel; relaxed atomics suffice because the knob
-/// is installed once at engine creation, before sweeps start.
-std::atomic<SweepKernel> g_default_kernel{SweepKernel::kIncremental};
-}  // namespace
-
-SweepKernel EffectiveSweepKernel(SweepKernel requested) {
-  if (requested == SweepKernel::kSimd && !linalg::SimdSweepAvailable()) {
-    return SweepKernel::kIncremental;
-  }
-  return requested;
-}
-
-SweepKernel DefaultSweepKernel() {
-  return g_default_kernel.load(std::memory_order_relaxed);
-}
-
-void SetDefaultSweepKernel(SweepKernel kernel) {
-  g_default_kernel.store(kernel, std::memory_order_relaxed);
-}
-
-Result<WorstCaseResult> WorstCaseByVertexSweep(PlanOracle& oracle,
-                                               const UsageVector& initial_usage,
-                                               const Box& box, size_t max_dims,
-                                               runtime::ThreadPool* pool) {
-  return WorstCaseByVertexSweep(oracle, initial_usage, box,
-                                DefaultSweepKernel(), max_dims, pool);
-}
 
 Result<WorstCaseResult> WorstCaseByVertexSweep(PlanOracle& oracle,
                                                const UsageVector& initial_usage,
                                                const Box& box,
-                                               SweepKernel kernel,
-                                               size_t max_dims,
-                                               runtime::ThreadPool* pool) {
+                                               size_t max_dims) {
   if (box.dims() != initial_usage.size()) {
     return Status::InvalidArgument("usage vector dims do not match box");
   }
@@ -516,139 +74,34 @@ Result<WorstCaseResult> WorstCaseByVertexSweep(PlanOracle& oracle,
         "method instead",
         box.dims(), box.dims()));
   }
-  const uint64_t vertices = box.VertexCount();
-  const auto chunks = VertexChunks(vertices, pool);
-  std::vector<ChunkBest> best(chunks.size());
-  const Status pool_status =
-      runtime::ForEachIndex(pool, chunks.size(), [&](size_t k) {
-    best[k] = kernel == SweepKernel::kScalar
-                  ? OracleChunkScalar(oracle, initial_usage, box,
-                                      chunks[k].first, chunks[k].second)
-                  : OracleChunkGray(oracle, initial_usage, box,
-                                    chunks[k].first, chunks[k].second);
-    return Status::Ok();
-  });
-  COSTSENSE_CHECK(pool_status.ok());  // bodies always return Ok
-  return MergeChunks(box, best, vertices);
-}
-
-Result<WorstCaseResult> WorstCaseByVertexSweep(
-    FalliblePlanOracle& oracle, const UsageVector& initial_usage,
-    const Box& box, size_t max_dims, runtime::ThreadPool* pool,
-    runtime::resilience::SweepCheckpoint* checkpoint) {
-  return WorstCaseByVertexSweep(oracle, initial_usage, box,
-                                DefaultSweepKernel(), max_dims, pool,
-                                checkpoint);
-}
-
-Result<WorstCaseResult> WorstCaseByVertexSweep(
-    FalliblePlanOracle& oracle, const UsageVector& initial_usage,
-    const Box& box, SweepKernel kernel, size_t max_dims,
-    runtime::ThreadPool* pool,
-    runtime::resilience::SweepCheckpoint* checkpoint) {
-  if (box.dims() != initial_usage.size()) {
-    return Status::InvalidArgument("usage vector dims do not match box");
-  }
-  if (box.dims() > max_dims) {
-    return Status::FailedPrecondition(StrFormat(
-        "vertex sweep over %zu dims needs 2^%zu oracle calls; use the LP "
-        "method instead",
-        box.dims(), box.dims()));
-  }
-  const uint64_t vertices = box.VertexCount();
-
-  if (checkpoint == nullptr) {
-    const auto chunks = VertexChunks(vertices, pool);
-    std::vector<ChunkBest> best(chunks.size());
-    const Status pool_status =
-        runtime::ForEachIndex(pool, chunks.size(), [&](size_t k) {
-      best[k] = FallibleOracleChunk(oracle, initial_usage, box, kernel,
-                                    chunks[k].first, chunks[k].second);
-      return Status::Ok();
-    });
-    COSTSENSE_CHECK(pool_status.ok());  // bodies always return Ok
-    return MergeChunks(box, best, vertices);
-  }
-
-  // Checkpointed path: the sweep runs on the checkpoint's fixed block grid
-  // rather than the pool-sized chunking, so stored blocks line up across
-  // runs at any thread count. Each stored block replaces its oracle calls
-  // with the recorded reduction; each freshly-clean block is recorded for
-  // the next attempt.
-  const uint64_t block_size = checkpoint->block_size();
-  const uint64_t num_blocks = (vertices + block_size - 1) / block_size;
-  std::vector<ChunkBest> best(num_blocks);
-  const Status pool_status =
-      runtime::ForEachIndex(pool, num_blocks, [&](size_t k) {
-    const uint64_t lo = static_cast<uint64_t>(k) * block_size;
-    const uint64_t hi = std::min(vertices, lo + block_size);
-    runtime::resilience::SweepBlockResult stored;
-    if (checkpoint->Lookup(k, &stored)) {
-      ChunkBest& b = best[k];
-      b.gtc = stored.gtc;
-      b.mask = stored.mask;
-      b.rival = stored.rival;
-      b.any = stored.any;
-      b.degenerate = stored.degenerate;
-      return Status::Ok();
-    }
-    best[k] = FallibleOracleChunk(oracle, initial_usage, box, kernel, lo, hi);
-    if (best[k].failed == 0) {
-      runtime::resilience::SweepBlockResult r;
-      r.gtc = best[k].gtc;
-      r.mask = best[k].mask;
-      r.rival = best[k].rival;
-      r.any = best[k].any;
-      r.degenerate = best[k].degenerate;
-      checkpoint->Store(k, std::move(r));
-    }
-    return Status::Ok();
-  });
-  COSTSENSE_CHECK(pool_status.ok());  // bodies always return Ok
-  return MergeChunks(box, best, vertices);
+  return SweepVertices(initial_usage, box,
+                       [&](const CostVector& v, std::string& rival) {
+                         OracleResult r = oracle.Optimize(v);
+                         rival = std::move(r.plan_id);
+                         return r.total_cost;
+                       });
 }
 
 WorstCaseResult WorstCaseOverPlansByVertices(const UsageVector& initial_usage,
                                              const std::vector<PlanUsage>& plans,
-                                             const Box& box,
-                                             runtime::ThreadPool* pool) {
-  return WorstCaseOverPlansByVertices(initial_usage, plans, box,
-                                      DefaultSweepKernel(), pool);
-}
-
-WorstCaseResult WorstCaseOverPlansByVertices(const UsageVector& initial_usage,
-                                             const std::vector<PlanUsage>& plans,
-                                             const Box& box, SweepKernel kernel,
-                                             runtime::ThreadPool* pool) {
-  const PlanMatrix matrix(plans);
-  return WorstCaseOverPlanMatrix(initial_usage, matrix, box, kernel, pool);
-}
-
-WorstCaseResult WorstCaseOverPlanMatrix(const UsageVector& initial_usage,
-                                        const PlanMatrix& plans,
-                                        const Box& box, SweepKernel kernel,
-                                        runtime::ThreadPool* pool) {
-  if (plans.rows() == 0) {
-    // An empty candidate set makes every vertex vacuous (the serial scan
-    // skipped them all); keep the default result.
+                                             const Box& box) {
+  if (plans.empty()) {
+    // An empty candidate set makes every vertex vacuous; keep the default
+    // result.
     WorstCaseResult out;
     out.worst_costs = box.Center();
     return out;
   }
-  const uint64_t vertices = box.VertexCount();
-  const auto chunks = VertexChunks(vertices, pool);
-  // Resolve once per sweep: a kSimd request on a host without AVX2 runs
-  // the incremental kernel (identical results by contract).
-  const SweepKernel effective = EffectiveSweepKernel(kernel);
-  std::vector<ChunkBest> best(chunks.size());
-  const Status pool_status =
-      runtime::ForEachIndex(pool, chunks.size(), [&](size_t k) {
-    best[k] = PlansChunk(initial_usage, plans, box, effective,
-                         chunks[k].first, chunks[k].second);
-    return Status::Ok();
-  });
-  COSTSENSE_CHECK(pool_status.ok());  // bodies always return Ok
-  return MergeChunks(box, best, vertices);
+  const PlanMatrix matrix(plans);
+  std::vector<double> costs(matrix.rows());
+  return SweepVertices(initial_usage, box,
+                       [&](const CostVector& v, std::string& rival) {
+                         matrix.BatchTotalCosts(v, costs);
+                         const size_t ci =
+                             linalg::ArgMin(costs.data(), costs.size());
+                         rival = matrix.plan_id(ci);
+                         return costs[ci];
+                       });
 }
 
 // GCC 12 falsely reports free-nonheap-object when the Result<T> variant's

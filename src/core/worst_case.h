@@ -7,16 +7,11 @@
 #include "common/status.h"
 #include "core/feasible_region.h"
 #include "core/oracle.h"
-#include "core/plan_matrix.h"
 #include "core/vectors.h"
 
 namespace costsense::runtime {
 class ThreadPool;
 }  // namespace costsense::runtime
-
-namespace costsense::runtime::resilience {
-class SweepCheckpoint;
-}  // namespace costsense::runtime::resilience
 
 namespace costsense::core {
 
@@ -32,62 +27,18 @@ struct WorstCaseResult {
   /// Id (or index rendered as text) of the rival plan that is optimal at
   /// the worst point, when known.
   std::string worst_rival;
-  /// Vertices skipped because the optimal total cost there was
-  /// non-positive (degenerate: a zero-usage plan, or an oracle reporting a
-  /// zero estimate). Nonzero counts are also warned once to stderr; the
-  /// reported maximum covers only the remaining vertices.
+  /// Vertices the vertex sweep skipped because the optimal total cost
+  /// there was non-positive (degenerate: a zero-usage plan, or an oracle
+  /// reporting a zero estimate). Nonzero counts are also warned once to
+  /// stderr; the reported maximum covers only the remaining vertices.
   size_t degenerate_vertices = 0;
-  /// Vertex coverage accounting. `total_vertices` is the sweep's intended
-  /// vertex count; `failed_vertices` is how many the fallible overloads
-  /// skipped because the oracle erred after its internal retries (always 0
-  /// against an infallible oracle); `coverage` is their ratio evaluated /
-  /// total. A coverage below 1.0 marks the result as an explicit partial
-  /// view: the true maximum may hide among the failed vertices.
-  uint64_t total_vertices = 0;
-  uint64_t failed_vertices = 0;
-  double coverage = 1.0;
 };
 
-/// Vertex-sweep evaluation strategy, selected process-wide via
-/// SetDefaultSweepKernel (engine::Engine::Create installs the
-/// COSTSENSE_KERNEL choice from its typed config; the default is
-/// incremental) or per call via the explicit overloads. All kernels
-/// return identical results — the incremental and simd kernels
-/// re-evaluate candidate record vertices with the scalar kernel before
-/// accepting them — so the knob is a fallback/ablation switch, not a
-/// semantic one.
-enum class SweepKernel {
-  /// Full O(n * d) cost re-derivation at every vertex, in ascending mask
-  /// order (the seed implementation, minus its allocation churn).
-  kScalar,
-  /// Gray-code vertex walk: consecutive vertices differ in one coordinate,
-  /// so all n plan costs update in O(n) via one column axpy. Drift from
-  /// incremental updates is bounded by a full recompute every 64 vertices
-  /// and by exact re-evaluation of any vertex that challenges the record.
-  kIncremental,
-  /// The incremental walk with its screening math (column axpy + running
-  /// minimum, and the periodic full recompute) on the explicit AVX2
-  /// kernels of linalg/simd_kernels.h. Record candidates still go through
-  /// the same exact scalar re-evaluation, so results stay byte-identical.
-  /// On hosts without AVX2 (or builds with COSTSENSE_SIMD=OFF) this
-  /// resolves to kIncremental — see EffectiveSweepKernel. Oracle-backed
-  /// sweeps have no batched plan math to vectorize, so there kSimd and
-  /// kIncremental are the same code path.
-  kSimd,
-};
-
-/// The kernel that will actually run for `requested`: kSimd resolves to
-/// kIncremental when linalg::SimdSweepAvailable() is false (no AVX2 at
-/// runtime, or SIMD compiled out); everything else maps to itself. Benches
-/// and tests use this to label measurements honestly.
-SweepKernel EffectiveSweepKernel(SweepKernel requested);
-
-/// The process-default kernel used by the kernel-less overloads below.
-SweepKernel DefaultSweepKernel();
-
-/// Installs the process-default kernel. Called by engine::Engine::Create;
-/// sweeps already in flight keep the kernel they started with.
-void SetDefaultSweepKernel(SweepKernel kernel);
+// Two methods solve the same problem. The LP method is the one every
+// figure, the analysis server and the robust-plan search use. The vertex
+// sweep is the paper-literal reference the tests check the LP against:
+// one plain pass over the 2^d box vertices in ascending mask order, where
+// a strictly larger gtc wins, so ties resolve to the lowest mask.
 
 /// Paper-faithful worst-case analysis (Section 6.1): evaluates the global
 /// relative cost of the plan with usage vector `initial_usage` at *every*
@@ -95,75 +46,16 @@ void SetDefaultSweepKernel(SweepKernel kernel);
 /// total cost at each vertex. Correct by the paper's Observation 2 (the
 /// linear-fractional objective is vertex-maximized). Costs 2^dims oracle
 /// calls; refuses boxes with more than `max_dims` dimensions.
-///
-/// When `pool` is non-null the vertex sweep fans out over it (the oracle
-/// must then be safe to call concurrently — runtime::CachingOracle over
-/// blackbox::NarrowOptimizer qualifies) and the result is bit-identical to
-/// the serial sweep: ties between vertices resolve to the lowest mask no
-/// matter how the sweep is chunked or ordered.
-[[nodiscard]] Result<WorstCaseResult> WorstCaseByVertexSweep(PlanOracle& oracle,
-                                               const UsageVector& initial_usage,
-                                               const Box& box,
-                                               size_t max_dims = 20,
-                                               runtime::ThreadPool* pool =
-                                                   nullptr);
-
-/// As above with an explicit kernel (tests and ablations; normal callers
-/// use the configured default).
-[[nodiscard]] Result<WorstCaseResult> WorstCaseByVertexSweep(PlanOracle& oracle,
-                                               const UsageVector& initial_usage,
-                                               const Box& box,
-                                               SweepKernel kernel,
-                                               size_t max_dims = 20,
-                                               runtime::ThreadPool* pool =
-                                                   nullptr);
-
-/// Fallible-oracle overloads with graceful degradation: a vertex whose
-/// oracle call errs (after whatever retries the stack performs) is skipped
-/// and counted in failed_vertices / coverage instead of aborting the
-/// sweep. Against an oracle that never errors the result is byte-identical
-/// to the infallible sweep.
-///
-/// When `checkpoint` is non-null the sweep runs on the checkpoint's fixed
-/// block grid (independent of pool chunking, so a checkpoint taken at one
-/// thread count resumes at any other): blocks already stored are reused
-/// without re-probing, and blocks that complete with no failed vertex are
-/// stored for the next attempt. A degraded run therefore re-pays only its
-/// failed and unreached blocks on resume, with the oracle cache absorbing
-/// the clean vertices inside re-run blocks.
 [[nodiscard]] Result<WorstCaseResult> WorstCaseByVertexSweep(
-    FalliblePlanOracle& oracle, const UsageVector& initial_usage,
-    const Box& box, size_t max_dims = 20, runtime::ThreadPool* pool = nullptr,
-    runtime::resilience::SweepCheckpoint* checkpoint = nullptr);
-
-/// As above with an explicit kernel.
-[[nodiscard]] Result<WorstCaseResult> WorstCaseByVertexSweep(
-    FalliblePlanOracle& oracle, const UsageVector& initial_usage,
-    const Box& box, SweepKernel kernel, size_t max_dims = 20,
-    runtime::ThreadPool* pool = nullptr,
-    runtime::resilience::SweepCheckpoint* checkpoint = nullptr);
+    PlanOracle& oracle, const UsageVector& initial_usage, const Box& box,
+    size_t max_dims = 20);
 
 /// Worst case over a *known* candidate plan set, by sweeping box vertices
 /// and computing the optimum by dot products (no oracle calls). Exact when
-/// `plans` contains every candidate optimal plan of the region. Fans out
-/// over `pool` when non-null, with serial-identical results.
+/// `plans` contains every candidate optimal plan of the region.
 WorstCaseResult WorstCaseOverPlansByVertices(
     const UsageVector& initial_usage, const std::vector<PlanUsage>& plans,
-    const Box& box, runtime::ThreadPool* pool = nullptr);
-
-/// As above with an explicit kernel.
-WorstCaseResult WorstCaseOverPlansByVertices(
-    const UsageVector& initial_usage, const std::vector<PlanUsage>& plans,
-    const Box& box, SweepKernel kernel, runtime::ThreadPool* pool = nullptr);
-
-/// The batched core of WorstCaseOverPlansByVertices: sweeps against a
-/// prebuilt PlanMatrix so repeated sweeps over one plan set (delta sweeps,
-/// benches) skip the flattening cost. The matrix's dims must match the
-/// box.
-WorstCaseResult WorstCaseOverPlanMatrix(const UsageVector& initial_usage,
-                                        const PlanMatrix& plans,
-                                        const Box& box, SweepKernel kernel,
-                                        runtime::ThreadPool* pool = nullptr);
+    const Box& box);
 
 /// Worst case over a known candidate plan set by exact linear-fractional
 /// programming: for each rival plan b, maximize (U0 . C)/(B . C) over the

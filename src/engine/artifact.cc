@@ -112,9 +112,6 @@ Status TextRenderer::Finish() {
 // JsonWriter
 // ---------------------------------------------------------------------------
 
-JsonWriter::JsonWriter(std::string path, ArtifactChain chain)
-    : path_(std::move(path)), chain_(chain) {}
-
 void JsonWriter::WriteFigure(const std::string& title,
                              const std::vector<exp::FigureSeries>& series) {
   std::string line =
@@ -154,26 +151,6 @@ void JsonWriter::WriteRunMetrics(
   buffer_ += line;
 }
 
-void JsonWriter::EnsureChain() {
-  if (top_ != nullptr) return;
-  file_ = std::make_unique<runtime::sink::FileSink>(
-      path_, runtime::sink::FileSink::Mode::kAppend);
-  top_ = file_.get();
-  switch (chain_) {
-    case ArtifactChain::kPlain:
-      break;
-    case ArtifactChain::kBuffered:
-      batch_ = std::make_unique<runtime::sink::BufferSink>(*top_,
-                                                           size_t{4} * 1024);
-      top_ = batch_.get();
-      break;
-    case ArtifactChain::kCompressed:
-      compress_ = std::make_unique<runtime::sink::BlockCompressSink>(*top_);
-      top_ = compress_.get();
-      break;
-  }
-}
-
 Status JsonWriter::Wrap(Status st) const {
   if (st.ok()) return st;
   return Status(st.code(), "artifact sidecar " + path_ + ": " + st.message());
@@ -181,9 +158,12 @@ Status JsonWriter::Wrap(Status st) const {
 
 Status JsonWriter::Flush() {
   if (buffer_.empty()) return Status::Ok();
-  EnsureChain();
-  Status st = top_->Write(buffer_);
-  if (st.ok()) st = top_->Flush();
+  if (file_ == nullptr) {
+    file_ = std::make_unique<runtime::sink::FileSink>(
+        path_, runtime::sink::FileSink::Mode::kAppend);
+  }
+  Status st = file_->Write(buffer_);
+  if (st.ok()) st = file_->Flush();
   if (!st.ok()) return Wrap(std::move(st));  // buffer kept for a retry
   buffer_.clear();
   return Status::Ok();
@@ -192,13 +172,10 @@ Status JsonWriter::Flush() {
 Status JsonWriter::Finish() {
   Status st = Flush();
   if (!st.ok()) return st;
-  if (top_ == nullptr) return Status::Ok();  // nothing ever flushed
-  st = top_->Close();
-  // A later Flush rebuilds a fresh chain appending after these bytes, so
-  // batch runs accumulate exactly as the historical fopen("a") did.
-  top_ = nullptr;
-  compress_.reset();
-  batch_.reset();
+  if (file_ == nullptr) return Status::Ok();  // nothing ever flushed
+  st = file_->Close();
+  // A later Flush reopens the file appending after these bytes, so batch
+  // runs accumulate exactly as the historical fopen("a") did.
   file_.reset();
   return Wrap(std::move(st));
 }
@@ -248,8 +225,7 @@ std::unique_ptr<ArtifactWriter> MakeArtifactWriter(const EngineConfig& config) {
   if (config.artifact_json_path.empty()) return text;
   std::vector<std::unique_ptr<ArtifactWriter>> sinks;
   sinks.push_back(std::move(text));
-  sinks.push_back(std::make_unique<JsonWriter>(config.artifact_json_path,
-                                               config.artifact_chain));
+  sinks.push_back(std::make_unique<JsonWriter>(config.artifact_json_path));
   return std::make_unique<MultiWriter>(std::move(sinks));
 }
 

@@ -10,7 +10,6 @@
 #include "engine/config.h"
 #include "exp/figure_runner.h"
 #include "runtime/metrics.h"
-#include "runtime/sink/compress.h"
 #include "runtime/sink/stages.h"
 
 namespace costsense::engine {
@@ -92,13 +91,7 @@ class TextRenderer final : public ArtifactWriter {
 /// machine-diffable without scraping stdout.
 class JsonWriter final : public ArtifactWriter {
  public:
-  /// `chain` selects the stages the sidecar bytes travel through on
-  /// Flush: kPlain writes straight to the append file, kBuffered batches
-  /// through a coalescing stage (byte-identical output), kCompressed
-  /// writes the deterministic block-stream form (decode with
-  /// runtime::sink::DecompressBlocks to recover identical bytes).
-  explicit JsonWriter(std::string path,
-                      ArtifactChain chain = ArtifactChain::kPlain);
+  explicit JsonWriter(std::string path) : path_(std::move(path)) {}
 
   void WriteFigure(const std::string& title,
                    const std::vector<exp::FigureSeries>& series) override;
@@ -113,20 +106,14 @@ class JsonWriter final : public ArtifactWriter {
   const std::string& buffered() const { return buffer_; }
 
  private:
-  /// Builds the configured stage stack (bottom-up over unique_ptrs so the
-  /// stages have stable addresses); top_ is the chain entry. No-op when
-  /// already built.
-  void EnsureChain();
-  /// Tags a chain error with the sidecar path for the caller.
+  /// Tags a file error with the sidecar path for the caller.
   [[nodiscard]] Status Wrap(Status st) const;
 
   const std::string path_;
-  const ArtifactChain chain_;
   std::string buffer_;
+  /// The append file, opened on the first Flush with data and released
+  /// by Finish.
   std::unique_ptr<runtime::sink::FileSink> file_;
-  std::unique_ptr<runtime::sink::BufferSink> batch_;
-  std::unique_ptr<runtime::sink::BlockCompressSink> compress_;
-  runtime::sink::Sink* top_ = nullptr;
 };
 
 /// Fans every artifact out to several sinks in order.

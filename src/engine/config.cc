@@ -18,11 +18,9 @@ struct Knob {
 
 constexpr Knob kKnobs[] = {
     {"threads", "COSTSENSE_THREADS"},
-    {"kernel", "COSTSENSE_KERNEL"},
     {"quick", "COSTSENSE_QUICK"},
     {"bench_json", "COSTSENSE_BENCH_JSON"},
     {"artifact_json", "COSTSENSE_ARTIFACT_JSON"},
-    {"artifact_chain", "COSTSENSE_ARTIFACT_CHAIN"},
     {"cache_entries", "COSTSENSE_CACHE_ENTRIES"},
     {"cache_shards", "COSTSENSE_CACHE_SHARDS"},
     {"fault_rate", "COSTSENSE_FAULT_RATE"},
@@ -35,6 +33,24 @@ constexpr Knob kKnobs[] = {
     {"serve_stats_interval_ms", "COSTSENSE_SERVE_STATS_INTERVAL_MS"},
     {"serve_drain_timeout_ms", "COSTSENSE_SERVE_DRAIN_TIMEOUT_MS"},
     {"serve_idle_timeout_ms", "COSTSENSE_SERVE_IDLE_TIMEOUT_MS"},
+};
+
+/// Environment variables of removed features, with what replaced them.
+/// FromEnv refuses a set one: ignoring it would silently hand a script
+/// something other than what it asked for (plain JSON where it expected a
+/// compressed sidecar, say).
+struct RetiredKnob {
+  const char* env_name;
+  const char* reason;
+};
+
+constexpr RetiredKnob kRetiredKnobs[] = {
+    {"COSTSENSE_KERNEL",
+     "the vertex-sweep kernels were removed; every worst case is solved by "
+     "the LP method"},
+    {"COSTSENSE_ARTIFACT_CHAIN",
+     "the sidecar sink chains were removed; the sidecar is always plain "
+     "JSON lines"},
 };
 
 [[nodiscard]] Status BadValue(std::string_view source, std::string_view value,
@@ -72,68 +88,6 @@ constexpr Knob kKnobs[] = {
   return Status::Ok();
 }
 
-[[nodiscard]] Status ParseKernel(std::string_view source,
-                                 std::string_view value,
-                                 core::SweepKernel* out) {
-  if (value == "scalar") {
-    *out = core::SweepKernel::kScalar;
-    return Status::Ok();
-  }
-  if (value == "incremental") {
-    *out = core::SweepKernel::kIncremental;
-    return Status::Ok();
-  }
-  if (value == "simd") {
-    // Accepted on every host: the sweep resolves kSimd to the incremental
-    // kernel at run time when AVX2 is unavailable (identical results by
-    // contract), so the knob never needs host-specific validation.
-    *out = core::SweepKernel::kSimd;
-    return Status::Ok();
-  }
-  return BadValue(source, value, "\"scalar\", \"incremental\" or \"simd\"");
-}
-
-[[nodiscard]] Status ParseChain(std::string_view source,
-                                std::string_view value, ArtifactChain* out) {
-  if (value == "plain") {
-    *out = ArtifactChain::kPlain;
-    return Status::Ok();
-  }
-  if (value == "buffered") {
-    *out = ArtifactChain::kBuffered;
-    return Status::Ok();
-  }
-  if (value == "compressed") {
-    *out = ArtifactChain::kCompressed;
-    return Status::Ok();
-  }
-  return BadValue(source, value, "\"plain\", \"buffered\" or \"compressed\"");
-}
-
-const char* ChainName(ArtifactChain chain) {
-  switch (chain) {
-    case ArtifactChain::kPlain:
-      return "plain";
-    case ArtifactChain::kBuffered:
-      return "buffered";
-    case ArtifactChain::kCompressed:
-      return "compressed";
-  }
-  return "plain";  // unreachable
-}
-
-const char* KernelName(core::SweepKernel kernel) {
-  switch (kernel) {
-    case core::SweepKernel::kScalar:
-      return "scalar";
-    case core::SweepKernel::kIncremental:
-      return "incremental";
-    case core::SweepKernel::kSimd:
-      return "simd";
-  }
-  return "incremental";  // unreachable
-}
-
 /// Quick mode keeps its documented env semantics: any set, non-empty value
 /// other than "0" turns it on ("COSTSENSE_QUICK=1 ./fig5..." and
 /// "COSTSENSE_QUICK=yes" both work; "0" and "" mean off). Never an error.
@@ -151,7 +105,6 @@ bool ParseQuick(std::string_view value) {
     // non-numeric is a typed error, not a silent fallback.
     return ParseSize(source, value, 0, &config->threads);
   }
-  if (key == "kernel") return ParseKernel(source, value, &config->kernel);
   if (key == "quick") {
     config->quick = ParseQuick(value);
     return Status::Ok();
@@ -163,9 +116,6 @@ bool ParseQuick(std::string_view value) {
   if (key == "artifact_json") {
     config->artifact_json_path = std::string(value);
     return Status::Ok();
-  }
-  if (key == "artifact_chain") {
-    return ParseChain(source, value, &config->artifact_chain);
   }
   if (key == "cache_entries") {
     return ParseSize(source, value, 1, &config->cache.max_entries);
@@ -218,6 +168,12 @@ Result<EngineConfig> EngineConfig::FromEnv() {
 }
 
 Result<EngineConfig> EngineConfig::FromEnv(const EnvLookup& lookup) {
+  for (const RetiredKnob& retired : kRetiredKnobs) {
+    if (lookup(retired.env_name) != nullptr) {
+      return Status::InvalidArgument(StrFormat(
+          "%s is no longer supported: %s", retired.env_name, retired.reason));
+    }
+  }
   EngineConfig config;
   for (const Knob& knob : kKnobs) {
     const char* value = lookup(knob.env_name);
@@ -253,11 +209,9 @@ std::vector<std::pair<std::string, std::string>> EngineConfig::KnobTable()
     const {
   std::vector<std::pair<std::string, std::string>> rows;
   rows.emplace_back("threads", StrFormat("%zu", threads));
-  rows.emplace_back("kernel", KernelName(kernel));
   rows.emplace_back("quick", quick ? "1" : "0");
   rows.emplace_back("bench_json", bench_json_path);
   rows.emplace_back("artifact_json", artifact_json_path);
-  rows.emplace_back("artifact_chain", ChainName(artifact_chain));
   rows.emplace_back("cache_entries", StrFormat("%zu", cache.max_entries));
   rows.emplace_back("cache_shards", StrFormat("%zu", cache.shards));
   rows.emplace_back("fault_rate", StrFormat("%g", fault_rate));

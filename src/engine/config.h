@@ -8,18 +8,10 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/worst_case.h"
 #include "runtime/oracle_cache.h"
 #include "runtime/oracle_stack.h"
 
 namespace costsense::engine {
-
-/// How artifact sidecar bytes travel to disk. Every choice produces the
-/// same logical content; "buffered" batches small writes through a
-/// coalescing stage and "compressed" adds the deterministic block
-/// compressor, so the sidecar is a block stream instead of raw JSON
-/// lines (decode with runtime::sink::DecompressBlocks).
-enum class ArtifactChain { kPlain, kBuffered, kCompressed };
 
 /// The one typed run configuration for every costsense entry point.
 ///
@@ -34,15 +26,10 @@ enum class ArtifactChain { kPlain, kBuffered, kCompressed };
 ///
 ///   threads        COSTSENSE_THREADS        integer; 0/unset = hardware
 ///                                           concurrency
-///   kernel         COSTSENSE_KERNEL         "scalar" | "incremental" |
-///                                           "simd" (falls back to
-///                                           incremental without AVX2)
 ///   quick          COSTSENSE_QUICK          unset/""/"0" off, else on
 ///   bench_json     COSTSENSE_BENCH_JSON     perf-JSON append path
 ///   artifact_json  COSTSENSE_ARTIFACT_JSON  structured-artifact sidecar
 ///                                           path (JSON lines)
-///   artifact_chain COSTSENSE_ARTIFACT_CHAIN sidecar sink chain: "plain" |
-///                                           "buffered" | "compressed"
 ///   cache_entries  COSTSENSE_CACHE_ENTRIES  oracle-cache entry bound >= 1
 ///   cache_shards   COSTSENSE_CACHE_SHARDS   oracle-cache shard count >= 1
 ///   fault_rate     COSTSENSE_FAULT_RATE     injected fault rate in [0, 1]
@@ -67,11 +54,14 @@ enum class ArtifactChain { kPlain, kBuffered, kCompressed };
 ///   serve_idle_timeout_ms COSTSENSE_SERVE_IDLE_TIMEOUT_MS
 ///                                           server: idle-session watchdog
 ///                                           reclaim threshold, 0 = off
+///
+/// Retired knobs (the sweep-kernel and sidecar-chain variables, listed in
+/// config.cc) name features that no longer exist. FromEnv refuses either
+/// one when set, so a script written for them fails at startup instead of
+/// silently getting other behavior.
 struct EngineConfig {
   /// Concurrency level; 0 means hardware concurrency at pool build time.
   size_t threads = 0;
-  /// Vertex-sweep kernel installed as the process default.
-  core::SweepKernel kernel = core::SweepKernel::kIncremental;
   /// Quick mode: representative query subset + light discovery sampling.
   bool quick = false;
   /// Appended with one perf-JSON line per bench run when non-empty.
@@ -79,9 +69,6 @@ struct EngineConfig {
   /// Structured artifact sidecar (series/tables/metrics as JSON lines)
   /// written when non-empty; figure stdout is unaffected.
   std::string artifact_json_path;
-  /// Sink chain the sidecar bytes travel through (stdout always goes
-  /// straight to the stream — its bytes are golden-compared).
-  ArtifactChain artifact_chain = ArtifactChain::kPlain;
   /// Memoizing oracle-cache sizing for the per-query stacks.
   runtime::OracleCacheOptions cache;
   /// Resilience budgets for stacks built with the fault tier enabled.
@@ -115,11 +102,12 @@ struct EngineConfig {
   using EnvLookup = std::function<const char*(const char* name)>;
 
   /// Parses the process environment. kInvalidArgument on any malformed
-  /// COSTSENSE_* value, naming the variable and the offending text.
+  /// COSTSENSE_* value, naming the variable and the offending text, and on
+  /// any set retired knob, naming it.
   [[nodiscard]] static Result<EngineConfig> FromEnv();
   [[nodiscard]] static Result<EngineConfig> FromEnv(const EnvLookup& lookup);
 
-  /// Applies one "key=value" override (e.g. "threads=3", "kernel=scalar").
+  /// Applies one "key=value" override (e.g. "threads=3", "quick=1").
   /// Overrides use the same parsers as FromEnv and win over it; unknown
   /// keys and malformed values are kInvalidArgument.
   [[nodiscard]] Status ApplyOverride(std::string_view assignment);

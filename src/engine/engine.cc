@@ -2,14 +2,11 @@
 
 #include <utility>
 
-#include "core/worst_case.h"
-
 namespace costsense::engine {
 
 Result<Engine> Engine::Create(EngineConfig config) {
   Status st = runtime::ConfigureGlobalThreadCount(config.threads);
   if (!st.ok()) return st;
-  core::SetDefaultSweepKernel(config.kernel);
   return Engine(std::move(config));
 }
 

@@ -13,15 +13,15 @@ namespace costsense::engine {
 
 /// The unified analysis engine: one configured entry point that every
 /// driver builds its pipeline from. Creating an Engine applies the
-/// config's process-wide settings (global thread-pool size, default sweep
-/// kernel) and hands out the composable pieces — oracle-stack builders
-/// and artifact sinks — so no entry point assembles them ad hoc.
+/// config's process-wide setting (the global thread-pool size) and hands
+/// out the composable pieces — oracle-stack builders and artifact sinks —
+/// so no entry point assembles them ad hoc.
 class Engine {
  public:
-  /// Applies `config` to the process: sizes the global thread pool and
-  /// installs the default sweep kernel. kFailedPrecondition when the
-  /// global pool was already built at a different size (the config can no
-  /// longer take effect — fail loudly instead of running mis-sized).
+  /// Applies `config` to the process: sizes the global thread pool.
+  /// kFailedPrecondition when the global pool was already built at a
+  /// different size (the config can no longer take effect — fail loudly
+  /// instead of running mis-sized).
   [[nodiscard]] static Result<Engine> Create(EngineConfig config);
 
   const EngineConfig& config() const { return config_; }

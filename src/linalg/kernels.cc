@@ -4,15 +4,17 @@
 
 namespace costsense::linalg {
 
+namespace {
+
+/// Left-to-right dot product over raw buffers: the rounding of
+/// Dot(Vector, Vector).
 double DotRaw(const double* a, const double* b, size_t n) {
   double s = 0.0;
   for (size_t i = 0; i < n; ++i) s += a[i] * b[i];
   return s;
 }
 
-void Axpy(size_t n, double alpha, const double* x, double* y) {
-  for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
+}  // namespace
 
 void MatVecRowMajor(const double* a, size_t rows, size_t cols,
                     const double* x, double* out) {
@@ -38,60 +40,6 @@ void MatVecRowMajor(const double* a, size_t rows, size_t cols,
   for (; r < rows; ++r) {
     out[r] = DotRaw(a + r * cols, x, cols);
   }
-}
-
-namespace {
-
-inline double Min4(double m0, double m1, double m2, double m3) {
-  const double a = m0 < m1 ? m0 : m1;
-  const double b = m2 < m3 ? m2 : m3;
-  return a < b ? a : b;
-}
-
-}  // namespace
-
-double AxpyMin(size_t n, double alpha, const double* x, double* y) {
-  COSTSENSE_CHECK(n > 0);
-  double m0 = y[0] + alpha * x[0];
-  y[0] = m0;
-  double m1 = m0, m2 = m0, m3 = m0;
-  size_t i = 1;
-  for (; i + 4 <= n; i += 4) {
-    const double v0 = y[i + 0] + alpha * x[i + 0];
-    const double v1 = y[i + 1] + alpha * x[i + 1];
-    const double v2 = y[i + 2] + alpha * x[i + 2];
-    const double v3 = y[i + 3] + alpha * x[i + 3];
-    y[i + 0] = v0;
-    y[i + 1] = v1;
-    y[i + 2] = v2;
-    y[i + 3] = v3;
-    m0 = v0 < m0 ? v0 : m0;
-    m1 = v1 < m1 ? v1 : m1;
-    m2 = v2 < m2 ? v2 : m2;
-    m3 = v3 < m3 ? v3 : m3;
-  }
-  for (; i < n; ++i) {
-    const double v = y[i] + alpha * x[i];
-    y[i] = v;
-    m0 = v < m0 ? v : m0;
-  }
-  return Min4(m0, m1, m2, m3);
-}
-
-double MinValue(const double* x, size_t n) {
-  COSTSENSE_CHECK(n > 0);
-  double m0 = x[0], m1 = x[0], m2 = x[0], m3 = x[0];
-  size_t i = 1;
-  for (; i + 4 <= n; i += 4) {
-    m0 = x[i + 0] < m0 ? x[i + 0] : m0;
-    m1 = x[i + 1] < m1 ? x[i + 1] : m1;
-    m2 = x[i + 2] < m2 ? x[i + 2] : m2;
-    m3 = x[i + 3] < m3 ? x[i + 3] : m3;
-  }
-  for (; i < n; ++i) {
-    m0 = x[i] < m0 ? x[i] : m0;
-  }
-  return Min4(m0, m1, m2, m3);
 }
 
 size_t ArgMin(const double* x, size_t n) {

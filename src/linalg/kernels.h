@@ -6,7 +6,7 @@
 namespace costsense::linalg {
 
 /// Low-level dense kernels over raw double buffers, used by the batched
-/// plan-cost layer (core::PlanMatrix) and the Gray-code vertex sweeps.
+/// plan-cost layer (core::PlanMatrix).
 ///
 /// Bit-compatibility contract: every kernel that reduces along a vector
 /// accumulates strictly left to right, the same order as Dot(). Batched
@@ -14,30 +14,12 @@ namespace costsense::linalg {
 /// they replace; the speedup comes from contiguous storage, shared loads
 /// and the removal of per-call allocation, not from reassociation.
 
-/// Dot product over raw buffers; identical rounding to Dot(Vector, Vector).
-double DotRaw(const double* a, const double* b, size_t n);
-
-/// y[i] += alpha * x[i] for i in [0, n). Element-wise (no reduction), so it
-/// vectorizes freely without changing any result bit.
-void Axpy(size_t n, double alpha, const double* x, double* y);
-
 /// out[r] = A[r] . x for a row-major matrix A of shape rows x cols. Rows
 /// are processed in blocks of four that share each x[j] load; each row's
-/// accumulation stays left-to-right (bit-identical to DotRaw per row).
+/// accumulation stays left-to-right, so each entry has the same rounding
+/// as Dot(Vector, Vector) on that row.
 void MatVecRowMajor(const double* a, size_t rows, size_t cols,
                     const double* x, double* out);
-
-/// Axpy and a min-reduction fused into one pass: updates y and returns its
-/// new smallest element. The updated values are bit-identical to Axpy's;
-/// the minimum is reduced over four independent lanes, which is still the
-/// exact min (min is associative and commutative) but breaks the
-/// loop-carried compare dependency that an index-tracking scan would pin
-/// to one element per cycle. n must be positive.
-double AxpyMin(size_t n, double alpha, const double* x, double* y);
-
-/// Smallest element of x, same four-lane reduction as AxpyMin. n must be
-/// positive.
-double MinValue(const double* x, size_t n);
 
 /// Index of the smallest element, lowest index on ties — the same winner a
 /// serial first-strictly-less scan selects. n must be positive.

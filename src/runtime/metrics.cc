@@ -25,10 +25,9 @@ double RuntimeMetrics::TotalWallMs() const {
 std::string RuntimeMetrics::Render() const {
   std::string out = StrFormat(
       "runtime: threads=%zu tasks=%zu queue_high_water=%zu "
-      "cache: hits=%zu misses=%zu evictions=%zu entries=%zu hit_rate=%.3f "
-      "degenerate_vertices=%zu\n",
+      "cache: hits=%zu misses=%zu evictions=%zu entries=%zu hit_rate=%.3f\n",
       threads, tasks_run, queue_high_water, cache_hits, cache_misses,
-      cache_evictions, cache_entries, CacheHitRate(), degenerate_vertices);
+      cache_evictions, cache_entries, CacheHitRate());
   if (oracle_attempts > 0 || faults_injected > 0 || degraded_points > 0) {
     out += StrFormat(
         "resilience: attempts=%zu retries=%zu failures=%zu "
@@ -51,14 +50,12 @@ std::string RuntimeMetrics::ToJsonLine(
       "\"tasks_run\":%zu,\"queue_high_water\":%zu,"
       "\"cache_hits\":%zu,\"cache_misses\":%zu,\"cache_evictions\":%zu,"
       "\"cache_entries\":%zu,\"cache_hit_rate\":%.4f,"
-      "\"degenerate_vertices\":%zu,"
       "\"oracle_attempts\":%zu,\"oracle_retries\":%zu,"
       "\"oracle_failures\":%zu,\"faults_injected\":%zu,"
       "\"degraded_points\":%zu,\"coverage\":%.6f",
       bench_name.c_str(), threads, TotalWallMs(), tasks_run, queue_high_water,
       cache_hits, cache_misses, cache_evictions, cache_entries,
-      CacheHitRate(),
-      degenerate_vertices, oracle_attempts, oracle_retries, oracle_failures,
+      CacheHitRate(), oracle_attempts, oracle_retries, oracle_failures,
       faults_injected, degraded_points, coverage);
   for (const auto& [name, ms] : phase_wall_ms) {
     out += StrFormat(",\"%s_ms\":%.1f", name.c_str(), ms);

@@ -46,9 +46,6 @@ struct RuntimeMetrics {
   /// Entries resident in the oracle cache(s) at snapshot time. For a
   /// long-lived server this is the cross-request warm-cache footprint.
   size_t cache_entries = 0;
-  /// Degenerate vertices (non-positive optimal cost) skipped by worst-case
-  /// vertex sweeps during the run; summed from WorstCaseResult counters.
-  size_t degenerate_vertices = 0;
   /// Resilience-tier accounting (all zero when the tier is off): oracle
   /// attempts including retries, retry attempts, calls that failed after
   /// the whole retry budget, fault events the injector delivered, probe

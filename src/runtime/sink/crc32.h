@@ -8,8 +8,8 @@ namespace costsense::runtime::sink {
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over `data`. The checksum
 /// behind every framed record in the repo: cache-store snapshot records
-/// and compressed sidecar blocks both carry it so a torn write or flipped
-/// bit is detected before a single stale byte can reach an analysis.
+/// carry it so a torn write or flipped bit is detected before a single
+/// stale byte can reach an analysis.
 uint32_t Crc32(std::string_view data);
 
 }  // namespace costsense::runtime::sink

@@ -15,7 +15,7 @@ namespace costsense::runtime::sink {
 /// Contract:
 ///
 ///   Write(span)  Appends `span` to the stream. Byte-oriented stages
-///                (buffer, compressor, file) treat the stream as one byte
+///                (file, stdio, socket) treat the stream as one byte
 ///                sequence and MUST produce output that depends only on
 ///                the concatenated bytes plus the Flush/Close points,
 ///                never on how writes were chunked. Record-oriented
@@ -33,7 +33,7 @@ namespace costsense::runtime::sink {
 ///
 /// Chains compose by reference: a stage holds `Sink&` to its downstream
 /// neighbour and owns nothing, so a chain is built bottom-up on the stack
-/// (file, then compressor over it, then buffer over that) and torn down
+/// (an atomic file, then CRC framing over it) and torn down
 /// by a single Close on the top stage. Stages are not thread-safe; a
 /// chain belongs to one producer, which is also what keeps the emitted
 /// bytes deterministic.

@@ -62,59 +62,6 @@ Status StdioSink::Flush() {
 }
 
 // ---------------------------------------------------------------------------
-// BufferSink
-// ---------------------------------------------------------------------------
-
-BufferSink::BufferSink(Sink& down, size_t capacity)
-    : down_(down), capacity_(capacity == 0 ? 1 : capacity) {
-  buffer_.reserve(capacity_);
-}
-
-Status BufferSink::Drain() {
-  if (buffer_.empty()) return Status::Ok();
-  const Status st = down_.Write(buffer_);
-  buffer_.clear();
-  return st;
-}
-
-Status BufferSink::Write(std::string_view span) {
-  if (closed_) return ClosedError("buffer");
-  // A span that alone exceeds the capacity bypasses the buffer (after
-  // draining, to keep byte order): copying it in only to flush it back
-  // out would double the memory traffic for no batching gain.
-  if (span.size() >= capacity_) {
-    Status st = Drain();
-    if (!st.ok()) return st;
-    return down_.Write(span);
-  }
-  if (buffer_.size() + span.size() > capacity_) {
-    const Status st = Drain();
-    if (!st.ok()) return st;
-  }
-  buffer_.append(span);
-  return Status::Ok();
-}
-
-Status BufferSink::Flush() {
-  if (closed_) return ClosedError("buffer");
-  const Status st = Drain();
-  if (!st.ok()) return st;
-  return down_.Flush();
-}
-
-Status BufferSink::Close() {
-  if (closed_) return Status::Ok();
-  closed_ = true;
-  const Status st = Drain();
-  if (!st.ok()) {
-    const Status ignored = down_.Close();
-    (void)ignored;  // the drain failure is the primary error
-    return st;
-  }
-  return down_.Close();
-}
-
-// ---------------------------------------------------------------------------
 // CrcFrameSink
 // ---------------------------------------------------------------------------
 

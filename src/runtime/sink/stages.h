@@ -44,28 +44,6 @@ class StdioSink final : public Sink {
   std::FILE* stream_;
 };
 
-/// Bounded coalescing buffer: gathers small writes into `capacity`-byte
-/// batches before forwarding, so a chain that ends in a file or socket
-/// pays one downstream call per batch instead of one per artifact line.
-/// Byte-transparent — the downstream sees the same byte sequence, just
-/// chunked differently, which byte-oriented stages must not care about.
-class BufferSink final : public Sink {
- public:
-  BufferSink(Sink& down, size_t capacity);
-
-  [[nodiscard]] Status Write(std::string_view span) override;
-  [[nodiscard]] Status Flush() override;
-  [[nodiscard]] Status Close() override;
-
- private:
-  [[nodiscard]] Status Drain();
-
-  Sink& down_;
-  const size_t capacity_;
-  std::string buffer_;
-  bool closed_ = false;
-};
-
 /// Record framing: each Write() becomes one downstream record
 ///
 ///   u32 body length (big-endian) | u32 CRC32(body) | body bytes

@@ -186,7 +186,7 @@ TEST(BoxValidatedTest, AcceptsGoodBoundsAndMatchesConstructor) {
 
 TEST(BoxValidatedTest, RejectsBadBoundsWithTypedStatus) {
   // Each violation is a typed InvalidArgument, not a process abort: these
-  // bounds may arrive from checkpoints or config rather than local math.
+  // bounds may arrive from requests or config rather than local math.
   EXPECT_EQ(Box::Validated(CostVector{2.0}, CostVector{1.0}).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(Box::Validated(CostVector{0.0}, CostVector{1.0}).status().code(),

@@ -1,49 +1,21 @@
-// Tests for the batched plan-cost kernel layer: PlanMatrix layout, the
-// Gray-code vertex walk, bit-exact equivalence between the scalar and
-// incremental sweep kernels (serial and pooled), and the sort-by-sum
-// dominance prescreen. Equivalence is asserted with EXPECT_EQ on doubles
-// on purpose: the kernels promise byte-identical results, not merely
-// close ones.
+// Tests for the batched plan-cost layer and the plain vertex sweep: the
+// PlanMatrix layout, bit-exact agreement between both vertex-sweep forms
+// and a naive per-vertex reference, and the sort-by-sum dominance
+// prescreen. Agreement is asserted with EXPECT_EQ on doubles on purpose:
+// the sweep promises byte-identical results, not merely close ones.
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cmath>
-#include <cstring>
 #include <limits>
-#include <set>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/dominance.h"
 #include "core/plan_matrix.h"
 #include "core/worst_case.h"
-#include "engine/config.h"
-#include "linalg/kernels.h"
-#include "linalg/simd_kernels.h"
-#include "runtime/thread_pool.h"
 #include "tests/core/fake_oracle.h"
 
 namespace costsense::core {
 namespace {
-
-/// ctest registers this binary twice, with COSTSENSE_KERNEL=scalar and
-/// =incremental. Engine::Create normally installs the env choice as the
-/// process default; tests have no engine, so this global environment
-/// performs the same installation before any test runs — the kernel-less
-/// default overloads below then exercise both kernels across the two
-/// registrations.
-class KernelConfigEnvironment : public ::testing::Environment {
- public:
-  void SetUp() override {
-    const Result<engine::EngineConfig> config =
-        engine::EngineConfig::FromEnv();
-    ASSERT_TRUE(config.ok()) << config.status().ToString();
-    SetDefaultSweepKernel(config->kernel);
-  }
-};
-
-const ::testing::Environment* const kKernelEnv =
-    ::testing::AddGlobalTestEnvironment(new KernelConfigEnvironment);
 
 std::vector<PlanUsage> RandomPlans(Rng& rng, size_t dims, size_t count) {
   std::vector<PlanUsage> plans;
@@ -64,10 +36,10 @@ Box RandomBox(Rng& rng, size_t dims) {
   return Box::MultiplicativeBand(base, rng.LogUniform(1.5, 100.0));
 }
 
-/// Reference implementation: the pre-kernel serial sweep over a known plan
-/// set, in ascending mask order with per-vertex dot products, plus the
-/// degenerate-vertex counter. Both kernels must reproduce this byte for
-/// byte.
+/// Reference implementation: the serial sweep over a known plan set, in
+/// ascending mask order with per-vertex dot products and fresh vertex
+/// vectors, plus the degenerate-vertex counter. The library sweep must
+/// reproduce this byte for byte.
 WorstCaseResult NaivePlansSweep(const UsageVector& initial,
                                 const std::vector<PlanUsage>& plans,
                                 const Box& box) {
@@ -127,22 +99,7 @@ void ExpectSameResult(const WorstCaseResult& want, const WorstCaseResult& got) {
   EXPECT_EQ(want.degenerate_vertices, got.degenerate_vertices);
 }
 
-TEST(GrayCodeTest, VisitsEveryMaskOnceFlippingOneBitPerStep) {
-  constexpr size_t kDims = 10;
-  std::set<uint64_t> seen;
-  for (uint64_t rank = 0; rank < (uint64_t{1} << kDims); ++rank) {
-    const uint64_t g = GrayCode(rank);
-    EXPECT_TRUE(seen.insert(g).second) << "mask revisited at rank " << rank;
-    if (rank > 0) {
-      const uint64_t diff = g ^ GrayCode(rank - 1);
-      EXPECT_EQ(std::popcount(diff), 1);
-      EXPECT_EQ(diff, uint64_t{1} << GrayFlipBit(rank));
-    }
-  }
-  EXPECT_EQ(seen.size(), uint64_t{1} << kDims);
-}
-
-TEST(GrayCodeTest, VertexIntoMatchesVertexAndFlipDelta) {
+TEST(BoxTest, VertexIntoMatchesVertex) {
   Rng rng(7);
   const Box box = RandomBox(rng, 6);
   CostVector scratch(box.dims());
@@ -150,13 +107,9 @@ TEST(GrayCodeTest, VertexIntoMatchesVertexAndFlipDelta) {
     box.VertexInto(mask, scratch);
     EXPECT_EQ(scratch, box.Vertex(mask));
   }
-  for (size_t i = 0; i < box.dims(); ++i) {
-    EXPECT_EQ(box.FlipDelta(i, true), box.upper()[i] - box.lower()[i]);
-    EXPECT_EQ(box.FlipDelta(i, false), box.lower()[i] - box.upper()[i]);
-  }
 }
 
-TEST(PlanMatrixTest, LayoutSumsNormsAndBatchedCosts) {
+TEST(PlanMatrixTest, LayoutAndBatchedCosts) {
   Rng rng(11);
   const auto plans = RandomPlans(rng, 5, 9);
   const PlanMatrix m(plans);
@@ -164,16 +117,9 @@ TEST(PlanMatrixTest, LayoutSumsNormsAndBatchedCosts) {
   ASSERT_EQ(m.dims(), size_t{5});
   for (size_t p = 0; p < m.rows(); ++p) {
     EXPECT_EQ(m.plan_id(p), plans[p].plan_id);
-    double sum = 0.0;
     for (size_t i = 0; i < m.dims(); ++i) {
       EXPECT_EQ(m.at(p, i), plans[p].usage[i]);
-      EXPECT_EQ(m.row(p)[i], plans[p].usage[i]);
-      EXPECT_EQ(m.col(i)[p], plans[p].usage[i]);
-      sum += plans[p].usage[i];
     }
-    EXPECT_EQ(m.row_sum(p), sum);
-    EXPECT_DOUBLE_EQ(m.row_norm(p) * m.row_norm(p),
-                     linalg::Dot(plans[p].usage, plans[p].usage));
   }
   // Batched costs must be bit-identical to per-plan TotalCost.
   const Box box = RandomBox(rng, 5);
@@ -195,29 +141,19 @@ TEST(PlanMatrixTest, EmptyPlanSet) {
 
   Rng rng(3);
   const Box box = RandomBox(rng, 3);
-  const WorstCaseResult r = WorstCaseOverPlanMatrix(
-      UsageVector{1.0, 1.0, 1.0}, m, box, SweepKernel::kIncremental);
+  const WorstCaseResult r =
+      WorstCaseOverPlansByVertices(UsageVector{1.0, 1.0, 1.0}, {}, box);
   EXPECT_EQ(r.gtc, 1.0);
   EXPECT_EQ(r.degenerate_vertices, size_t{0});
 }
 
-TEST(SweepKernelTest, DefaultKernelFollowsEngineConfig) {
-  // The global test environment above installed the typed config's
-  // kernel; the process default must reflect it.
-  const Result<engine::EngineConfig> config = engine::EngineConfig::FromEnv();
-  ASSERT_TRUE(config.ok()) << config.status().ToString();
-  EXPECT_EQ(DefaultSweepKernel(), config->kernel);
-}
-
-TEST(SweepKernelTest, PlanSweepKernelsMatchNaiveSerialAndPooled) {
+TEST(VertexSweepTest, PlanSweepMatchesNaiveReference) {
   Rng rng(123);
-  runtime::ThreadPool pool(3);
   for (int t = 0; t < 40; ++t) {
     const size_t dims = 2 + rng.Index(9);  // up to 10 dims = 1024 vertices
     auto plans = RandomPlans(rng, dims, 1 + rng.Index(12));
     // Occasionally add an all-zero plan: its cost is exactly 0 at every
-    // vertex, so the whole sweep is degenerate and must be counted as such
-    // by every kernel.
+    // vertex, so the whole sweep is degenerate and must be counted as such.
     if (t % 7 == 0) {
       plans.push_back({"zero", UsageVector(dims)});
     }
@@ -228,26 +164,15 @@ TEST(SweepKernelTest, PlanSweepKernelsMatchNaiveSerialAndPooled) {
     if (t % 7 == 0) {
       EXPECT_EQ(want.degenerate_vertices, box.VertexCount());
     }
-    for (SweepKernel kernel : {SweepKernel::kScalar, SweepKernel::kIncremental,
-                               SweepKernel::kSimd}) {
-      ExpectSameResult(
-          want, WorstCaseOverPlansByVertices(initial, plans, box, kernel));
-      ExpectSameResult(want, WorstCaseOverPlansByVertices(initial, plans, box,
-                                                          kernel, &pool));
-    }
-    // The config-selected default overload must agree too (it is one of
-    // the three kernels, all already shown equal to the reference).
-    ExpectSameResult(want,
-                     WorstCaseOverPlansByVertices(initial, plans, box));
+    ExpectSameResult(want, WorstCaseOverPlansByVertices(initial, plans, box));
   }
 }
 
-TEST(SweepKernelTest, PlanSweepKernelsMatchWithNegativeUsages) {
-  // Negative usage entries break the cost monotonicity the simd kernel's
-  // segment certificates rely on; the kernel must detect them and fall
-  // back to per-flip screening, still byte-identical to the reference.
+TEST(VertexSweepTest, PlanSweepMatchesWithNegativeUsages) {
+  // Negative usage entries make plan costs non-monotone in the cost
+  // vector; the sweep makes no monotonicity assumption and must still
+  // match the reference byte for byte.
   Rng rng(456);
-  runtime::ThreadPool pool(3);
   for (int t = 0; t < 10; ++t) {
     const size_t dims = 4 + rng.Index(6);
     auto plans = RandomPlans(rng, dims, 2 + rng.Index(10));
@@ -258,184 +183,13 @@ TEST(SweepKernelTest, PlanSweepKernelsMatchWithNegativeUsages) {
     }
     const Box box = RandomBox(rng, dims);
     const UsageVector& initial = plans[0].usage;
-    const WorstCaseResult want = NaivePlansSweep(initial, plans, box);
-    for (SweepKernel kernel : {SweepKernel::kScalar, SweepKernel::kIncremental,
-                               SweepKernel::kSimd}) {
-      ExpectSameResult(
-          want, WorstCaseOverPlansByVertices(initial, plans, box, kernel));
-      ExpectSameResult(want, WorstCaseOverPlansByVertices(initial, plans, box,
-                                                          kernel, &pool));
-    }
+    ExpectSameResult(NaivePlansSweep(initial, plans, box),
+                     WorstCaseOverPlansByVertices(initial, plans, box));
   }
 }
 
-TEST(SweepKernelTest, SimdKernelMatchesAtCertificateScale) {
-  // Big enough (64 aligned segments, a real plan set) that the simd
-  // kernel's segment certificates actually fire; the result must still be
-  // byte-identical to the scalar reference, serial and pooled.
-  Rng rng(0xcafe);
-  runtime::ThreadPool pool(3);
-  const size_t dims = 12;
-  const auto plans = RandomPlans(rng, dims, 64);
-  const Box box = RandomBox(rng, dims);
-  const UsageVector& initial = plans[0].usage;
-  const WorstCaseResult want =
-      WorstCaseOverPlansByVertices(initial, plans, box, SweepKernel::kScalar);
-  ExpectSameResult(want, WorstCaseOverPlansByVertices(initial, plans, box,
-                                                      SweepKernel::kSimd));
-  ExpectSameResult(want, WorstCaseOverPlansByVertices(
-                             initial, plans, box, SweepKernel::kSimd, &pool));
-}
-
-TEST(SweepKernelTest, SimdRequestResolvesToARealKernel) {
-  EXPECT_EQ(EffectiveSweepKernel(SweepKernel::kScalar), SweepKernel::kScalar);
-  EXPECT_EQ(EffectiveSweepKernel(SweepKernel::kIncremental),
-            SweepKernel::kIncremental);
-  const SweepKernel resolved = EffectiveSweepKernel(SweepKernel::kSimd);
-  if (linalg::SimdSweepAvailable()) {
-    EXPECT_EQ(resolved, SweepKernel::kSimd);
-  } else {
-    EXPECT_EQ(resolved, SweepKernel::kIncremental);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Property tests for the SIMD primitives themselves (linalg/simd_kernels.h):
-// every length hits a different tail shape (the AVX2 paths peel 16-wide,
-// 4-wide and scalar remainders), buffers are deliberately mis-aligned, and
-// NaN / infinity / signed-zero values are injected to pin down the documented
-// result contracts against the scalar twins.
-// ---------------------------------------------------------------------------
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-
-/// Random value with occasional non-finite and signed-zero spice.
-double SpicedValue(Rng& rng) {
-  const double roll = rng.Uniform();
-  if (roll < 0.04) return kNaN;
-  if (roll < 0.08) return rng.Uniform() < 0.5 ? kInf : -kInf;
-  if (roll < 0.14) return rng.Uniform() < 0.5 ? 0.0 : -0.0;
-  const double mag = rng.LogUniform(1e-3, 1e3);
-  return rng.Uniform() < 0.5 ? mag : -mag;
-}
-
-TEST(SimdPrimitiveTest, AxpyMinMatchesScalarOnTailsUnalignedAndNonFinite) {
-  Rng rng(2024);
-  // Lengths cover every remainder class of the 16-wide main loop and the
-  // 4-wide cleanup, plus a couple of large sizes.
-  for (size_t n = 1; n <= 40; ++n) {
-    for (size_t offset : {size_t{0}, size_t{1}, size_t{3}}) {
-      // Over-allocate and index off the start so the working pointers are
-      // not 32-byte aligned; the kernels take unaligned loads by contract.
-      std::vector<double> xbuf(n + offset), ybuf(n + offset);
-      for (size_t i = 0; i < n; ++i) {
-        xbuf[offset + i] = SpicedValue(rng);
-        ybuf[offset + i] = SpicedValue(rng);
-      }
-      const double alpha = SpicedValue(rng);
-      std::vector<double> want_y(ybuf), got_y(ybuf);
-      const double want_min =
-          linalg::AxpyMin(n, alpha, xbuf.data() + offset,
-                          want_y.data() + offset);
-      const double got_min =
-          linalg::AxpyMinSimd(n, alpha, xbuf.data() + offset,
-                              got_y.data() + offset);
-      // Updated y[] values must be bit-identical (same mul + add per lane).
-      EXPECT_EQ(0, std::memcmp(want_y.data(), got_y.data(),
-                               want_y.size() * sizeof(double)))
-          << "n=" << n << " offset=" << offset;
-      // The minimum matches as a value: NaN iff NaN, else equal (a zero
-      // minimum may differ in sign, and EXPECT_EQ treats +-0 as equal —
-      // exactly the documented freedom).
-      if (std::isnan(want_min)) {
-        EXPECT_TRUE(std::isnan(got_min)) << "n=" << n << " offset=" << offset;
-      } else {
-        EXPECT_EQ(want_min, got_min) << "n=" << n << " offset=" << offset;
-      }
-    }
-  }
-}
-
-TEST(SimdPrimitiveTest, MinValueMatchesScalarOnTailsUnalignedAndNonFinite) {
-  Rng rng(2025);
-  for (size_t n = 1; n <= 40; ++n) {
-    for (size_t offset : {size_t{0}, size_t{1}, size_t{2}}) {
-      std::vector<double> buf(n + offset);
-      for (size_t i = 0; i < n; ++i) buf[offset + i] = SpicedValue(rng);
-      const double want = linalg::MinValue(buf.data() + offset, n);
-      const double got = linalg::MinValueSimd(buf.data() + offset, n);
-      if (std::isnan(want)) {
-        EXPECT_TRUE(std::isnan(got)) << "n=" << n << " offset=" << offset;
-      } else {
-        EXPECT_EQ(want, got) << "n=" << n << " offset=" << offset;
-      }
-    }
-  }
-}
-
-TEST(SimdPrimitiveTest, AxpyScreenVerdictEqualsFormulaOnScalarMin) {
-  Rng rng(2026);
-  for (int t = 0; t < 400; ++t) {
-    const size_t n = 1 + rng.Index(48);
-    const size_t offset = rng.Index(4);
-    std::vector<double> xbuf(n + offset), ybuf(n + offset);
-    for (size_t i = 0; i < n; ++i) {
-      xbuf[offset + i] = SpicedValue(rng);
-      ybuf[offset + i] = SpicedValue(rng);
-    }
-    const double alpha = SpicedValue(rng);
-    // The sweep only ever passes threshold >= 0 (gtc * (1 - guard) with
-    // gtc >= 0) and a finite or NaN init_cost; cover zero thresholds too.
-    const double threshold =
-        rng.Uniform() < 0.2 ? 0.0 : rng.LogUniform(1e-6, 1e6);
-    const double init_cost =
-        rng.Uniform() < 0.1 ? kNaN : SpicedValue(rng);
-    std::vector<double> want_y(ybuf), got_y(ybuf);
-    const double want_min = linalg::AxpyMin(n, alpha, xbuf.data() + offset,
-                                            want_y.data() + offset);
-    const bool want =
-        want_min <= 0.0 || init_cost > threshold * want_min;
-    const bool got =
-        linalg::AxpyScreenSimd(n, alpha, xbuf.data() + offset,
-                               got_y.data() + offset, init_cost, threshold);
-    EXPECT_EQ(want, got) << "n=" << n << " offset=" << offset
-                         << " min=" << want_min << " init=" << init_cost
-                         << " thr=" << threshold;
-    EXPECT_EQ(0, std::memcmp(want_y.data(), got_y.data(),
-                             want_y.size() * sizeof(double)))
-        << "n=" << n << " offset=" << offset;
-  }
-}
-
-TEST(SimdPrimitiveTest, ScreenOnlyKernelsStayWithinReassociationError) {
-  // DotRawSimd / MatVecRowMajorSimd are estimates by contract — they only
-  // feed screening. Against well-conditioned same-signed inputs they must
-  // stay within a small multiple of n * eps relative error of the exact
-  // left-to-right kernels.
-  Rng rng(2027);
-  for (int t = 0; t < 50; ++t) {
-    const size_t rows = 1 + rng.Index(20);
-    const size_t cols = 1 + rng.Index(24);
-    std::vector<double> a(rows * cols), x(cols), want(rows), got(rows);
-    for (double& v : a) v = rng.LogUniform(1e-2, 1e2);
-    for (double& v : x) v = rng.LogUniform(1e-2, 1e2);
-    linalg::MatVecRowMajor(a.data(), rows, cols, x.data(), want.data());
-    linalg::MatVecRowMajorSimd(a.data(), rows, cols, x.data(), got.data());
-    const double tol = 16.0 * static_cast<double>(cols) *
-                       std::numeric_limits<double>::epsilon();
-    for (size_t r = 0; r < rows; ++r) {
-      EXPECT_NEAR(got[r] / want[r], 1.0, tol) << "row " << r;
-    }
-    const double dot_want = linalg::DotRaw(a.data(), x.data(), cols);
-    const double dot_got = linalg::DotRawSimd(a.data(), x.data(), cols);
-    EXPECT_NEAR(dot_got / dot_want, 1.0, tol);
-  }
-}
-
-TEST(SweepKernelTest, OracleSweepKernelsMatchNaiveSerialAndPooled) {
+TEST(VertexSweepTest, OracleSweepMatchesNaiveReference) {
   Rng rng(321);
-  runtime::ThreadPool pool(3);
   for (int t = 0; t < 20; ++t) {
     const size_t dims = 2 + rng.Index(7);
     auto plans = RandomPlans(rng, dims, 2 + rng.Index(6));
@@ -447,21 +201,12 @@ TEST(SweepKernelTest, OracleSweepKernelsMatchNaiveSerialAndPooled) {
 
     FakeOracle ref_oracle(plans, /*white_box=*/false);
     const WorstCaseResult want = NaiveOracleSweep(ref_oracle, initial, box);
-    for (SweepKernel kernel : {SweepKernel::kScalar, SweepKernel::kIncremental,
-                               SweepKernel::kSimd}) {
-      FakeOracle serial_oracle(plans, false);
-      const Result<WorstCaseResult> serial =
-          WorstCaseByVertexSweep(serial_oracle, initial, box, kernel);
-      ASSERT_TRUE(serial.ok());
-      ExpectSameResult(want, *serial);
-      EXPECT_EQ(serial_oracle.calls(), box.VertexCount());
-
-      FakeOracle pooled_oracle(plans, false);
-      const Result<WorstCaseResult> pooled = WorstCaseByVertexSweep(
-          pooled_oracle, initial, box, kernel, /*max_dims=*/20, &pool);
-      ASSERT_TRUE(pooled.ok());
-      ExpectSameResult(want, *pooled);
-    }
+    FakeOracle oracle(plans, /*white_box=*/false);
+    const Result<WorstCaseResult> got =
+        WorstCaseByVertexSweep(oracle, initial, box);
+    ASSERT_TRUE(got.ok());
+    ExpectSameResult(want, *got);
+    EXPECT_EQ(oracle.calls(), box.VertexCount());
   }
 }
 

@@ -104,76 +104,6 @@ TEST(JsonWriterTest, FinishAppendsAndClearsTheBuffer) {
   std::remove(path.c_str());
 }
 
-TEST(JsonWriterTest, EveryChainCarriesTheSameSidecarBytes) {
-  // The chain knob picks the stages, never the content: the buffered
-  // chain's file is byte-identical to the plain one, and the compressed
-  // chain's file decodes back to exactly those bytes.
-  const std::string base = testing::TempDir() + "artifact_test_chain_";
-  const std::string plain_path = base + "plain.jsonl";
-  const std::string buffered_path = base + "buffered.jsonl";
-  const std::string compressed_path = base + "compressed.jsonl.z";
-  for (const std::string& p : {plain_path, buffered_path, compressed_path}) {
-    std::remove(p.c_str());
-  }
-  const auto emit = [](JsonWriter& writer) {
-    writer.WriteFigure("Figure 5", {SampleSeries()});
-    writer.WriteTextBlock("row 1\nrow 2\n");
-    runtime::RuntimeMetrics metrics;
-    metrics.threads = 3;
-    writer.WriteRunMetrics("fig5", metrics, {{"queries", 1.0}});
-  };
-  JsonWriter plain(plain_path, ArtifactChain::kPlain);
-  emit(plain);
-  ASSERT_TRUE(plain.Finish().ok());
-  JsonWriter buffered(buffered_path, ArtifactChain::kBuffered);
-  emit(buffered);
-  ASSERT_TRUE(buffered.Finish().ok());
-  JsonWriter compressed(compressed_path, ArtifactChain::kCompressed);
-  emit(compressed);
-  ASSERT_TRUE(compressed.Finish().ok());
-
-  const std::string plain_bytes = ReadFile(plain_path);
-  ASSERT_FALSE(plain_bytes.empty());
-  EXPECT_EQ(ReadFile(buffered_path), plain_bytes);
-  const std::string compressed_bytes = ReadFile(compressed_path);
-  EXPECT_NE(compressed_bytes, plain_bytes);
-  EXPECT_EQ(compressed_bytes.substr(0, 4), "CSKB");
-  const Result<std::string> decoded =
-      runtime::sink::DecompressBlocks(compressed_bytes);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(*decoded, plain_bytes);
-
-  for (const std::string& p : {plain_path, buffered_path, compressed_path}) {
-    std::remove(p.c_str());
-  }
-}
-
-TEST(JsonWriterTest, CompressedSidecarAccumulatesAcrossRuns) {
-  // Append mode holds for the compressed chain too: each run appends its
-  // own block stream and the concatenation decodes as one stream.
-  const std::string path = testing::TempDir() + "artifact_test_accum.jsonl.z";
-  std::remove(path.c_str());
-  {
-    JsonWriter writer(path, ArtifactChain::kCompressed);
-    writer.WriteTextBlock("first");
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  {
-    JsonWriter writer(path, ArtifactChain::kCompressed);
-    writer.WriteTextBlock("second");
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  const Result<std::string> decoded =
-      runtime::sink::DecompressBlocks(ReadFile(path));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  const size_t first = decoded->find("first");
-  const size_t second = decoded->find("second");
-  EXPECT_NE(first, std::string::npos);
-  EXPECT_NE(second, std::string::npos);
-  EXPECT_LT(first, second);
-  std::remove(path.c_str());
-}
-
 TEST(JsonWriterTest, UnwritablePathIsATypedError) {
   JsonWriter writer("/nonexistent-dir/sidecar.jsonl");
   writer.WriteTextBlock("x");

@@ -25,11 +25,9 @@ TEST(EngineConfigTest, EmptyEnvironmentYieldsDefaults) {
   const Result<EngineConfig> config = EngineConfig::FromEnv(MapLookup(env));
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   EXPECT_EQ(config->threads, 0u);  // 0 = hardware concurrency
-  EXPECT_EQ(config->kernel, core::SweepKernel::kIncremental);
   EXPECT_FALSE(config->quick);
   EXPECT_TRUE(config->bench_json_path.empty());
   EXPECT_TRUE(config->artifact_json_path.empty());
-  EXPECT_EQ(config->artifact_chain, ArtifactChain::kPlain);
   EXPECT_EQ(config->cache.shards, runtime::OracleCacheOptions{}.shards);
   EXPECT_EQ(config->cache.max_entries,
             runtime::OracleCacheOptions{}.max_entries);
@@ -40,11 +38,9 @@ TEST(EngineConfigTest, EmptyEnvironmentYieldsDefaults) {
 TEST(EngineConfigTest, ParsesEveryKnobFromEnv) {
   const std::map<std::string, std::string> env = {
       {"COSTSENSE_THREADS", "3"},
-      {"COSTSENSE_KERNEL", "scalar"},
       {"COSTSENSE_QUICK", "1"},
       {"COSTSENSE_BENCH_JSON", "/tmp/bench.jsonl"},
       {"COSTSENSE_ARTIFACT_JSON", "/tmp/artifacts.jsonl"},
-      {"COSTSENSE_ARTIFACT_CHAIN", "compressed"},
       {"COSTSENSE_CACHE_ENTRIES", "1024"},
       {"COSTSENSE_CACHE_SHARDS", "4"},
       {"COSTSENSE_FAULT_RATE", "0.25"},
@@ -53,11 +49,9 @@ TEST(EngineConfigTest, ParsesEveryKnobFromEnv) {
   const Result<EngineConfig> config = EngineConfig::FromEnv(MapLookup(env));
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   EXPECT_EQ(config->threads, 3u);
-  EXPECT_EQ(config->kernel, core::SweepKernel::kScalar);
   EXPECT_TRUE(config->quick);
   EXPECT_EQ(config->bench_json_path, "/tmp/bench.jsonl");
   EXPECT_EQ(config->artifact_json_path, "/tmp/artifacts.jsonl");
-  EXPECT_EQ(config->artifact_chain, ArtifactChain::kCompressed);
   EXPECT_EQ(config->cache.max_entries, 1024u);
   EXPECT_EQ(config->cache.shards, 4u);
   EXPECT_EQ(config->fault_rate, 0.25);
@@ -81,8 +75,6 @@ TEST(EngineConfigTest, QuickKeepsItsDocumentedEnvSemantics) {
 TEST(EngineConfigTest, MalformedValuesAreTypedErrorsNamingTheVariable) {
   const std::map<std::string, std::string> bad = {
       {"COSTSENSE_THREADS", "banana"},
-      {"COSTSENSE_KERNEL", "vectorized"},
-      {"COSTSENSE_ARTIFACT_CHAIN", "zip"},
       {"COSTSENSE_CACHE_ENTRIES", "0"},
       {"COSTSENSE_CACHE_SHARDS", "-2"},
       {"COSTSENSE_FAULT_RATE", "1.5"},
@@ -102,15 +94,53 @@ TEST(EngineConfigTest, MalformedValuesAreTypedErrorsNamingTheVariable) {
   }
 }
 
+TEST(EngineConfigTest, RetiredKernelKnobIsRefused) {
+  // The vertex-sweep kernel choice is gone. A set variable is refused by
+  // name, whatever its value, instead of being silently ignored.
+  const std::map<std::string, std::string> env = {
+      {"COSTSENSE_KERNEL", "scalar"}};
+  const Result<EngineConfig> config = EngineConfig::FromEnv(MapLookup(env));
+  ASSERT_FALSE(config.ok());
+  EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(config.status().message().find("COSTSENSE_KERNEL"),
+            std::string::npos)
+      << config.status().ToString();
+}
+
+TEST(EngineConfigTest, RetiredArtifactChainKnobIsRefused) {
+  // The sidecar chains are gone; a script expecting a compressed sidecar
+  // must fail at startup, not quietly get plain JSON lines.
+  const std::map<std::string, std::string> env = {
+      {"COSTSENSE_ARTIFACT_CHAIN", "compressed"}};
+  const Result<EngineConfig> config = EngineConfig::FromEnv(MapLookup(env));
+  ASSERT_FALSE(config.ok());
+  EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(config.status().message().find("COSTSENSE_ARTIFACT_CHAIN"),
+            std::string::npos)
+      << config.status().ToString();
+}
+
+TEST(EngineConfigTest, RetiredOverrideKeysAreUnknown) {
+  EngineConfig config;
+  for (const char* assignment : {"kernel=scalar", "artifact_chain=plain"}) {
+    const Status st = config.ApplyOverride(assignment);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << assignment;
+    EXPECT_NE(st.message().find("unknown engine config key"),
+              std::string::npos)
+        << st.ToString();
+    EXPECT_FALSE(EngineConfig::IsOverride(assignment)) << assignment;
+  }
+}
+
 TEST(EngineConfigTest, OverridesWinOverEnvironment) {
   const std::map<std::string, std::string> env = {
-      {"COSTSENSE_THREADS", "2"}, {"COSTSENSE_KERNEL", "incremental"}};
+      {"COSTSENSE_THREADS", "2"}, {"COSTSENSE_QUICK", "0"}};
   Result<EngineConfig> config = EngineConfig::FromEnv(MapLookup(env));
   ASSERT_TRUE(config.ok());
   EXPECT_TRUE(config->ApplyOverride("threads=5").ok());
-  EXPECT_TRUE(config->ApplyOverride("kernel=scalar").ok());
+  EXPECT_TRUE(config->ApplyOverride("quick=1").ok());
   EXPECT_EQ(config->threads, 5u);
-  EXPECT_EQ(config->kernel, core::SweepKernel::kScalar);
+  EXPECT_TRUE(config->quick);
 }
 
 TEST(EngineConfigTest, OverrideErrorsAreTyped) {
@@ -141,11 +171,9 @@ TEST(EngineConfigTest, IsOverrideRecognizesOnlyKnobKeys) {
 
 void ExpectSameConfig(const EngineConfig& a, const EngineConfig& b) {
   EXPECT_EQ(a.threads, b.threads);
-  EXPECT_EQ(a.kernel, b.kernel);
   EXPECT_EQ(a.quick, b.quick);
   EXPECT_EQ(a.bench_json_path, b.bench_json_path);
   EXPECT_EQ(a.artifact_json_path, b.artifact_json_path);
-  EXPECT_EQ(a.artifact_chain, b.artifact_chain);
   EXPECT_EQ(a.cache.max_entries, b.cache.max_entries);
   EXPECT_EQ(a.cache.shards, b.cache.shards);
   EXPECT_EQ(a.fault_rate, b.fault_rate);
@@ -158,21 +186,15 @@ TEST(EngineConfigTest, KnobTableRoundTripsEveryKnob) {
   // and the override parsers from drifting apart.
   EngineConfig original;
   original.threads = 6;
-  original.kernel = core::SweepKernel::kScalar;
   original.quick = true;
   original.bench_json_path = "/tmp/b.jsonl";
   original.artifact_json_path = "/tmp/a.jsonl";
-  original.artifact_chain = ArtifactChain::kCompressed;
   original.cache.max_entries = 512;
   original.cache.shards = 2;
   original.fault_rate = 0.125;  // exact in binary, round-trips through %g
   original.max_retries = 9;
 
-  EngineConfig simd = original;
-  simd.kernel = core::SweepKernel::kSimd;
-  simd.artifact_chain = ArtifactChain::kBuffered;
-
-  for (const EngineConfig& seed : {original, simd, EngineConfig()}) {
+  for (const EngineConfig& seed : {original, EngineConfig()}) {
     EngineConfig rebuilt;
     for (const auto& [key, value] : seed.KnobTable()) {
       const Status st = rebuilt.ApplyOverride(key + "=" + value);

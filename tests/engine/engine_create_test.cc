@@ -72,8 +72,6 @@ TEST(EngineCreateTest, MalformedEnvironmentIsInvalidArgument) {
   } kCases[] = {
       {"COSTSENSE_THREADS", "banana"},
       {"COSTSENSE_THREADS", "-2"},
-      {"COSTSENSE_KERNEL", "quantum"},
-      {"COSTSENSE_KERNEL", "avx512"},
       {"COSTSENSE_CACHE_ENTRIES", "0"},
       {"COSTSENSE_CACHE_SHARDS", "zero"},
       {"COSTSENSE_FAULT_RATE", "1.5"},
@@ -98,7 +96,6 @@ TEST(EngineCreateTest, WellFormedEnvironmentReachesTheEngine) {
   const size_t built = runtime::ThreadPool::Global().num_threads();
   const Result<EngineConfig> config = EngineConfig::FromEnv(MapEnv({
       {"COSTSENSE_THREADS", std::to_string(built)},
-      {"COSTSENSE_KERNEL", "scalar"},
       {"COSTSENSE_SERVE_INFLIGHT", "2"},
       {"COSTSENSE_SERVE_QUEUE", "0"},
       {"COSTSENSE_SERVE_DEADLINE_MS", "250"},
@@ -111,23 +108,29 @@ TEST(EngineCreateTest, WellFormedEnvironmentReachesTheEngine) {
   EXPECT_EQ(config->serve_socket, "/tmp/alt.sock");
   const Result<Engine> engine = Engine::Create(*config);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  EXPECT_EQ(engine->config().kernel, core::SweepKernel::kScalar);
+  EXPECT_EQ(engine->config().serve_inflight, 2u);
 }
 
-TEST(EngineCreateTest, SimdKernelParsesAndReachesTheEngine) {
-  // "simd" is a valid kernel name on every host; hosts without AVX2
-  // resolve it to the incremental path at sweep time (EffectiveSweepKernel),
-  // not at config-parse or engine-construction time.
-  const size_t built = runtime::ThreadPool::Global().num_threads();
-  const Result<EngineConfig> config = EngineConfig::FromEnv(MapEnv({
-      {"COSTSENSE_THREADS", std::to_string(built)},
-      {"COSTSENSE_KERNEL", "simd"},
-  }));
-  ASSERT_TRUE(config.ok()) << config.status().ToString();
-  EXPECT_EQ(config->kernel, core::SweepKernel::kSimd);
-  const Result<Engine> engine = Engine::Create(*config);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  EXPECT_EQ(engine->config().kernel, core::SweepKernel::kSimd);
+TEST(EngineCreateTest, RetiredKernelKnobNeverReachesTheEngine) {
+  // A set COSTSENSE_KERNEL is refused at parse time, so no engine is ever
+  // created from a config that silently dropped it.
+  const Result<EngineConfig> config =
+      EngineConfig::FromEnv(MapEnv({{"COSTSENSE_KERNEL", "simd"}}));
+  ASSERT_FALSE(config.ok());
+  EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(config.status().message().find("COSTSENSE_KERNEL"),
+            std::string::npos)
+      << config.status().ToString();
+}
+
+TEST(EngineCreateTest, RetiredArtifactChainKnobNeverReachesTheEngine) {
+  const Result<EngineConfig> config = EngineConfig::FromEnv(
+      MapEnv({{"COSTSENSE_ARTIFACT_CHAIN", "buffered"}}));
+  ASSERT_FALSE(config.ok());
+  EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(config.status().message().find("COSTSENSE_ARTIFACT_CHAIN"),
+            std::string::npos)
+      << config.status().ToString();
 }
 
 }  // namespace

@@ -1,23 +1,21 @@
 # Golden-stdout regression check, run as `cmake -P` from ctest:
 #
 #   cmake -DBINARY=<figure binary> -DEXPECTED=<committed .stdout>
-#         [-DKERNEL=scalar|incremental] [-DTHREADS=N]
-#         [-DACTUAL_OUT=<dump path>] -P run_golden.cmake
+#         [-DTHREADS=N] [-DARTIFACT_JSON=<sidecar path>]
+#         [-DCACHE_PATH=<snapshot path>] [-DACTUAL_OUT=<dump path>]
+#         -P run_golden.cmake
 #
-# Runs the binary in quick mode under the requested kernel/thread config
-# and byte-compares its stdout against the committed expectation. This is
-# the executable form of the engine's central contract: figure/table
-# stdout is a pure function of the experiment, identical across thread
-# counts, sweep kernels and (absorbed) faults — stderr carries everything
-# else. A mismatch dumps the actual bytes next to the build for diffing.
+# Runs the binary in quick mode at the requested thread count and
+# byte-compares its stdout against the committed expectation. This is the
+# executable form of the engine's central contract: figure/table stdout is
+# a pure function of the experiment, identical across thread counts and
+# (absorbed) faults — stderr carries everything else. A mismatch dumps the
+# actual bytes next to the build for diffing.
 if(NOT DEFINED BINARY OR NOT DEFINED EXPECTED)
   message(FATAL_ERROR "usage: cmake -DBINARY=... -DEXPECTED=... -P run_golden.cmake")
 endif()
 
 set(ENV{COSTSENSE_QUICK} "1")
-if(DEFINED KERNEL)
-  set(ENV{COSTSENSE_KERNEL} "${KERNEL}")
-endif()
 if(DEFINED THREADS)
   set(ENV{COSTSENSE_THREADS} "${THREADS}")
 endif()
@@ -28,12 +26,6 @@ if(DEFINED ARTIFACT_JSON)
   file(MAKE_DIRECTORY "${artifact_dir}")
   file(REMOVE "${ARTIFACT_JSON}")
   set(ENV{COSTSENSE_ARTIFACT_JSON} "${ARTIFACT_JSON}")
-endif()
-# Optionally pick the sidecar sink chain (plain/buffered/compressed). The
-# chain shapes the sidecar file only; the byte-compared stdout must not
-# move, which is exactly what these entries prove.
-if(DEFINED ARTIFACT_CHAIN)
-  set(ENV{COSTSENSE_ARTIFACT_CHAIN} "${ARTIFACT_CHAIN}")
 endif()
 
 # Optionally turn the persistent oracle-cache snapshot on. The binary runs

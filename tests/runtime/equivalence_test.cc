@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "core/worst_case.h"
 #include "exp/figure_runner.h"
 #include "exp/report.h"
 #include "runtime/thread_pool.h"
@@ -80,36 +79,6 @@ TEST(EquivalenceTest, SerialAndParallelFigureOutputsAreIdentical) {
     EXPECT_EQ(a.table, b.table);  // byte-identical, not just numerically close
     EXPECT_EQ(a.csv, b.csv);
   }
-}
-
-TEST(EquivalenceTest, EveryKernelAndPoolProducesIdenticalFigureBytes) {
-  // The full kernel x threads matrix over a real figure pipeline: the
-  // scalar, incremental and simd sweep kernels must render byte-identical
-  // tables and CSVs, serial and pooled. This is the determinism claim the
-  // golden suite samples — here it is asserted pairwise in-process.
-  // (On hosts without AVX2 the simd column degrades to incremental, which
-  // only makes the assertion weaker, never flaky.)
-  const core::SweepKernel saved = core::DefaultSweepKernel();
-  ThreadPool serial(1);
-  ThreadPool parallel(3);
-  const std::vector<int> queries = {19};
-
-  core::SetDefaultSweepKernel(core::SweepKernel::kScalar);
-  const FigureOutput want =
-      RunFigure(&serial, storage::LayoutPolicy::kSharedDevice, queries);
-  for (core::SweepKernel kernel :
-       {core::SweepKernel::kScalar, core::SweepKernel::kIncremental,
-        core::SweepKernel::kSimd}) {
-    core::SetDefaultSweepKernel(kernel);
-    for (ThreadPool* pool : {&serial, &parallel}) {
-      const FigureOutput got =
-          RunFigure(pool, storage::LayoutPolicy::kSharedDevice, queries);
-      EXPECT_EQ(want.plan_ids, got.plan_ids);
-      EXPECT_EQ(want.table, got.table);
-      EXPECT_EQ(want.csv, got.csv);
-    }
-  }
-  core::SetDefaultSweepKernel(saved);
 }
 
 TEST(EquivalenceTest, RepeatedParallelRunsAreIdentical) {

@@ -2,8 +2,7 @@
 // deterministic at any thread count and probe order, bounded retry absorbs
 // fault bursts byte-identically, exhausted budgets degrade with exact
 // accounting (driver-side degraded counts reconcile against the injector's
-// own fault log), and checkpointed sweeps resume without re-probing clean
-// work.
+// own fault log).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,8 +15,6 @@
 #include "core/feasible_region.h"
 #include "core/oracle.h"
 #include "core/usage_extraction.h"
-#include "core/worst_case.h"
-#include "runtime/resilience/checkpoint.h"
 #include "runtime/resilience/clock.h"
 #include "runtime/resilience/fault_injector.h"
 #include "runtime/resilience/resilient_oracle.h"
@@ -347,171 +344,6 @@ TEST(ResilientOracleTest, BackoffScheduleIsDeterministic) {
   const uint64_t second = run();
   EXPECT_GT(first, 0u);
   EXPECT_EQ(first, second);
-}
-
-// ---------------------------------------------------------------------------
-// Fallible vertex sweeps.
-
-struct SweepFixture {
-  std::vector<PlanUsage> plans = MakePlans(8, 6);
-  Box box = Box::MultiplicativeBand(CostVector(8, 1.0), 50.0);
-  UsageVector initial = plans[0].usage;
-};
-
-TEST(FallibleSweepTest, MatchesInfallibleSweepWhenNothingFaults) {
-  SweepFixture fx;
-  for (core::SweepKernel kernel :
-       {core::SweepKernel::kScalar, core::SweepKernel::kIncremental}) {
-    for (size_t threads : {size_t{1}, size_t{3}}) {
-      ThreadPool pool(threads);
-      FakeOracle base_a(fx.plans, /*white_box=*/false);
-      const Result<core::WorstCaseResult> want = core::WorstCaseByVertexSweep(
-          base_a, fx.initial, fx.box, kernel, 20, &pool);
-      ASSERT_TRUE(want.ok());
-
-      FakeOracle base_b(fx.plans, /*white_box=*/false);
-      core::InfallibleOracleAdapter adapter(base_b);
-      const Result<core::WorstCaseResult> got = core::WorstCaseByVertexSweep(
-          adapter, fx.initial, fx.box, kernel, 20, &pool);
-      ASSERT_TRUE(got.ok());
-
-      EXPECT_EQ(got->gtc, want->gtc);
-      EXPECT_EQ(got->worst_costs, want->worst_costs);
-      EXPECT_EQ(got->worst_rival, want->worst_rival);
-      EXPECT_EQ(got->failed_vertices, 0u);
-      EXPECT_EQ(got->total_vertices, fx.box.VertexCount());
-      EXPECT_EQ(got->coverage, 1.0);
-    }
-  }
-}
-
-TEST(FallibleSweepTest, ZeroBudgetDegradationAccountsEveryFault) {
-  SweepFixture fx;
-  FakeOracle base(fx.plans, /*white_box=*/false);
-  FaultInjectionOptions faults;
-  faults.fault_rate = 0.3;
-  FaultInjectingOracle injector(base, faults);
-  ResilientOracleOptions retry;
-  retry.max_retries = 0;
-  ResilientOracle resilient(injector, retry);
-
-  const Result<core::WorstCaseResult> r = core::WorstCaseByVertexSweep(
-      resilient, fx.initial, fx.box, core::SweepKernel::kScalar, 20);
-  ASSERT_TRUE(r.ok());  // degraded, not failed
-  const FaultLog log = injector.log();
-  EXPECT_GT(r->failed_vertices, 0u);
-  EXPECT_EQ(r->failed_vertices, log.faults);
-  EXPECT_EQ(r->failed_vertices, resilient.stats().failures);
-  EXPECT_EQ(r->total_vertices, fx.box.VertexCount());
-  EXPECT_EQ(r->coverage,
-            static_cast<double>(r->total_vertices - r->failed_vertices) /
-                static_cast<double>(r->total_vertices));
-  EXPECT_LT(r->coverage, 1.0);
-}
-
-TEST(FallibleSweepTest, CheckpointResumeRepaysOnlyFailedBlocks) {
-  SweepFixture fx;
-  FakeOracle clean(fx.plans, /*white_box=*/false);
-  const Result<core::WorstCaseResult> want = core::WorstCaseByVertexSweep(
-      clean, fx.initial, fx.box, core::SweepKernel::kScalar, 20);
-  ASSERT_TRUE(want.ok());
-
-  FakeOracle base(fx.plans, /*white_box=*/false);
-  ManualClock clock;
-  FaultInjectionOptions faults;
-  // Low enough that a decent fraction of 16-vertex blocks complete clean
-  // (0.95^16 ~= 44%), high enough that several blocks fail.
-  faults.fault_rate = 0.05;
-  FaultInjectingOracle injector(base, faults, &clock);
-
-  // First attempt: no retry budget, so faulted vertices fail and their
-  // blocks stay unstored.
-  ResilientOracleOptions no_retry;
-  no_retry.max_retries = 0;
-  ResilientOracle degraded(injector, no_retry, &clock);
-  SweepCheckpoint ckpt(16);
-  const uint64_t num_blocks =
-      (fx.box.VertexCount() + ckpt.block_size() - 1) / ckpt.block_size();
-  const Result<core::WorstCaseResult> first = core::WorstCaseByVertexSweep(
-      degraded, fx.initial, fx.box, core::SweepKernel::kScalar, 20,
-      /*pool=*/nullptr, &ckpt);
-  ASSERT_TRUE(first.ok());
-  EXPECT_LT(first->coverage, 1.0);
-  EXPECT_LT(ckpt.blocks(), num_blocks);
-  EXPECT_GT(ckpt.blocks(), 0u);
-
-  // Snapshot/restore survives the trip bit-for-bit.
-  const std::string snapshot = ckpt.Serialize();
-  Result<SweepCheckpoint> loaded = SweepCheckpoint::Deserialize(snapshot);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->blocks(), ckpt.blocks());
-  EXPECT_EQ(loaded->block_size(), ckpt.block_size());
-
-  // Resume with an adequate retry budget against the same injector: only
-  // the failed blocks re-probe (stored blocks cost zero oracle calls), and
-  // the finished result is byte-identical to the fault-free sweep.
-  ResilientOracleOptions with_retry;
-  with_retry.max_retries = 5;
-  ResilientOracle recovering(injector, with_retry, &clock);
-  const size_t calls_before = base.calls();
-  SweepCheckpoint resumed = std::move(loaded).value();
-  const Result<core::WorstCaseResult> second = core::WorstCaseByVertexSweep(
-      recovering, fx.initial, fx.box, core::SweepKernel::kScalar, 20,
-      /*pool=*/nullptr, &resumed);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second->coverage, 1.0);
-  EXPECT_EQ(second->gtc, want->gtc);
-  EXPECT_EQ(second->worst_costs, want->worst_costs);
-  EXPECT_EQ(second->worst_rival, want->worst_rival);
-  EXPECT_EQ(resumed.blocks(), num_blocks);
-  EXPECT_LT(base.calls() - calls_before, fx.box.VertexCount());
-}
-
-TEST(CheckpointTest, SerializeRoundTripPreservesBlocksExactly) {
-  SweepCheckpoint ckpt(64);
-  SweepBlockResult a;
-  a.gtc = 1.0 + 1e-16;  // bit pattern that %g would destroy
-  a.mask = 0xdeadbeefULL;
-  a.rival = "nested loop (orders x lineitem)";  // spaces survive
-  a.any = true;
-  a.degenerate = 7;
-  ckpt.Store(3, a);
-  SweepBlockResult b;  // defaults: no record in this block
-  ckpt.Store(9, b);
-
-  Result<SweepCheckpoint> loaded = SweepCheckpoint::Deserialize(
-      ckpt.Serialize());
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->block_size(), 64u);
-  SweepBlockResult got;
-  ASSERT_TRUE(loaded->Lookup(3, &got));
-  EXPECT_EQ(got.gtc, a.gtc);
-  EXPECT_EQ(got.mask, a.mask);
-  EXPECT_EQ(got.rival, a.rival);
-  EXPECT_EQ(got.any, a.any);
-  EXPECT_EQ(got.degenerate, a.degenerate);
-  ASSERT_TRUE(loaded->Lookup(9, &got));
-  EXPECT_FALSE(got.any);
-  EXPECT_FALSE(loaded->Lookup(4, &got));
-}
-
-TEST(CheckpointTest, MalformedSnapshotsAreTypedErrors) {
-  EXPECT_EQ(SweepCheckpoint::Deserialize("").status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(SweepCheckpoint::Deserialize("not-a-checkpoint v1 block_size=4\n")
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(SweepCheckpoint::Deserialize(
-                "costsense-sweep-checkpoint v99 block_size=4\n")
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(SweepCheckpoint::Deserialize(
-                "costsense-sweep-checkpoint v1 block_size=4\ngarbage line\n")
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,8 @@
 // Tests of the composable sink stages: the Write/Flush/Close contract
 // (post-Close use is a typed kFailedPrecondition, double Close is a
-// no-op), byte-transparency of the coalescing buffer under arbitrary
-// chunkings, CRC record framing against the shared Crc32, the atomic
-// file stage's publish/abort crash contract, and the deterministic block
-// compressor — round trips across input shapes, chunking invariance,
-// Flush-cut streams, and the whole corruption matrix of the decoder.
+// no-op), CRC record framing against the shared Crc32, the atomic file
+// stage's publish/abort crash contract, and a stacked chain torn down by
+// one Close.
 #include "runtime/sink/stages.h"
 
 #include <gtest/gtest.h>
@@ -14,9 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "runtime/sink/compress.h"
 #include "runtime/sink/crc32.h"
 
 namespace costsense::runtime::sink {
@@ -38,18 +34,6 @@ std::string BigEndian32(uint32_t v) {
   std::string out;
   for (int shift = 24; shift >= 0; shift -= 8) {
     out.push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-  return out;
-}
-
-/// Deterministic incompressible-ish bytes (no libc rand; lint rule R1).
-std::string NoiseBytes(size_t n) {
-  std::string out;
-  out.reserve(n);
-  uint64_t state = 0x9e3779b97f4a7c15ull;
-  for (size_t i = 0; i < n; ++i) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    out.push_back(static_cast<char>(state >> 56));
   }
   return out;
 }
@@ -83,51 +67,6 @@ TEST(StringSinkTest, AppendsAndEnforcesTheCloseContract) {
   EXPECT_EQ(late.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(late.message().find("after Close"), std::string::npos);
   EXPECT_EQ(out, "abcd");  // the refused write left no bytes behind
-}
-
-// ---------------------------------------------------------------------------
-// BufferSink: transparent coalescing
-// ---------------------------------------------------------------------------
-
-TEST(BufferSinkTest, ByteTransparentUnderAnyChunking) {
-  const std::string payload =
-      "line one\nline two\nline three is a bit longer\n";
-  // Reference: the raw bytes, no buffer stage.
-  for (const size_t chunk : {size_t{1}, size_t{3}, size_t{64}}) {
-    std::string out;
-    StringSink leaf(&out);
-    BufferSink buffer(leaf, /*capacity=*/8);
-    for (size_t pos = 0; pos < payload.size(); pos += chunk) {
-      ASSERT_TRUE(
-          buffer.Write(std::string_view(payload).substr(pos, chunk)).ok());
-    }
-    ASSERT_TRUE(buffer.Close().ok());
-    EXPECT_EQ(out, payload) << "chunk=" << chunk;
-  }
-}
-
-TEST(BufferSinkTest, OversizedSpansBypassWithoutReordering) {
-  std::string out;
-  StringSink leaf(&out);
-  BufferSink buffer(leaf, /*capacity=*/4);
-  ASSERT_TRUE(buffer.Write("ab").ok());  // buffered
-  const std::string big(32, 'z');        // larger than capacity
-  ASSERT_TRUE(buffer.Write(big).ok());
-  ASSERT_TRUE(buffer.Write("cd").ok());
-  ASSERT_TRUE(buffer.Close().ok());
-  EXPECT_EQ(out, "ab" + big + "cd");
-}
-
-TEST(BufferSinkTest, FlushDrainsThePartialBatch) {
-  std::string out;
-  StringSink leaf(&out);
-  BufferSink buffer(leaf, /*capacity=*/8);
-  ASSERT_TRUE(buffer.Write("abc").ok());
-  EXPECT_TRUE(out.empty());  // below capacity: nothing forwarded yet
-  ASSERT_TRUE(buffer.Flush().ok());
-  EXPECT_EQ(out, "abc");  // the checkpoint pushed the partial batch down
-  ASSERT_TRUE(buffer.Close().ok());
-  EXPECT_EQ(out, "abc");
 }
 
 // ---------------------------------------------------------------------------
@@ -213,150 +152,26 @@ TEST(AtomicFileSinkTest, UnwritableDirectoryIsATypedError) {
 }
 
 // ---------------------------------------------------------------------------
-// Block compressor
-// ---------------------------------------------------------------------------
-
-TEST(CompressTest, RoundTripsEveryInputShape) {
-  std::string repetitive;
-  for (int i = 0; i < 500; ++i) repetitive += "abcabcabc ";
-  std::string multi_block;  // forces several 64 KiB blocks
-  while (multi_block.size() < 3 * kCompressBlockBytes / 2) {
-    multi_block += "delta=100 gtc=1.25 plan=p_idx\n";
-  }
-  const std::vector<std::string> shapes = {
-      "", "a", "abcd", repetitive, NoiseBytes(1000), multi_block};
-  for (const std::string& raw : shapes) {
-    const std::string packed = CompressToBlocks(raw);
-    const Result<std::string> unpacked = DecompressBlocks(packed);
-    ASSERT_TRUE(unpacked.ok())
-        << "size=" << raw.size() << ": " << unpacked.status().ToString();
-    EXPECT_EQ(*unpacked, raw) << "size=" << raw.size();
-  }
-  // Compression actually compresses the compressible shape.
-  EXPECT_LT(CompressToBlocks(repetitive).size(), repetitive.size() / 2);
-}
-
-TEST(CompressTest, OutputIsDeterministicAndChunkingInvariant) {
-  std::string raw;
-  while (raw.size() < kCompressBlockBytes + 1000) {
-    raw += "query=Q19 delta=1000 worst=p_seq gtc=2.5\n";
-  }
-  const std::string reference = CompressToBlocks(raw);
-  EXPECT_EQ(CompressToBlocks(raw), reference);  // byte-identical repeat
-
-  for (const size_t chunk : {size_t{1}, size_t{37}, size_t{4096}}) {
-    std::string out;
-    StringSink leaf(&out);
-    BlockCompressSink compress(leaf);
-    for (size_t pos = 0; pos < raw.size(); pos += chunk) {
-      ASSERT_TRUE(
-          compress.Write(std::string_view(raw).substr(pos, chunk)).ok());
-    }
-    ASSERT_TRUE(compress.Close().ok());
-    EXPECT_EQ(out, reference) << "chunk=" << chunk;
-  }
-}
-
-TEST(CompressTest, FlushCutsABlockThatStillDecodes) {
-  const std::string head = "first checkpointed half\n";
-  const std::string tail = "bytes written after the checkpoint\n";
-  std::string out;
-  StringSink leaf(&out);
-  BlockCompressSink compress(leaf);
-  ASSERT_TRUE(compress.Write(head).ok());
-  ASSERT_TRUE(compress.Flush().ok());
-  // The checkpoint left a complete, decodable prefix on the wire.
-  const Result<std::string> at_checkpoint = DecompressBlocks(out);
-  ASSERT_TRUE(at_checkpoint.ok()) << at_checkpoint.status().ToString();
-  EXPECT_EQ(*at_checkpoint, head);
-
-  ASSERT_TRUE(compress.Write(tail).ok());
-  ASSERT_TRUE(compress.Close().ok());
-  const Result<std::string> full = DecompressBlocks(out);
-  ASSERT_TRUE(full.ok()) << full.status().ToString();
-  EXPECT_EQ(*full, head + tail);
-}
-
-TEST(CompressTest, PostCloseUseIsATypedError) {
-  std::string out;
-  StringSink leaf(&out);
-  BlockCompressSink compress(leaf);
-  ASSERT_TRUE(compress.Write("x").ok());
-  ASSERT_TRUE(compress.Close().ok());
-  ASSERT_TRUE(compress.Close().ok());  // idempotent
-  EXPECT_EQ(compress.Write("y").code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(compress.Flush().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(CompressTest, DecoderRejectsEveryCorruptionClass) {
-  std::string raw;
-  for (int i = 0; i < 200; ++i) raw += "some mildly repetitive payload ";
-  const std::string good = CompressToBlocks(raw);
-  ASSERT_TRUE(DecompressBlocks(good).ok());
-
-  struct Case {
-    const char* name;
-    std::string bytes;
-  };
-  std::string bad_magic = good;
-  bad_magic[0] = 'X';
-  std::string raw_len_lie = good;
-  raw_len_lie[7] = static_cast<char>(raw_len_lie[7] + 1);
-  std::string huge_raw_len = good;  // past the block bound: never allocated
-  huge_raw_len[4] = static_cast<char>(0xff);
-  std::string comp_len_lie = good;
-  comp_len_lie[11] = static_cast<char>(comp_len_lie[11] ^ 0x01);
-  std::string crc_flip = good;
-  crc_flip[13] = static_cast<char>(crc_flip[13] ^ 0x40);
-  std::string body_flip = good;
-  body_flip[20] = static_cast<char>(body_flip[20] ^ 0x01);
-
-  const std::vector<Case> cases = {
-      {"truncated header", good.substr(0, 9)},
-      {"bad magic", bad_magic},
-      {"raw length lie", raw_len_lie},
-      {"huge raw length", huge_raw_len},
-      {"compressed length lie", comp_len_lie},
-      {"crc flip", crc_flip},
-      {"body bit flip", body_flip},
-      {"truncated tail", good.substr(0, good.size() - 1)},
-      {"trailing garbage", good + "x"},
-  };
-  for (const Case& c : cases) {
-    const Result<std::string> r = DecompressBlocks(c.bytes);
-    ASSERT_FALSE(r.ok()) << c.name;
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << c.name;
-    EXPECT_NE(r.status().message().find("compressed block stream"),
-              std::string::npos)
-        << c.name << ": " << r.status().ToString();
-  }
-}
-
-// ---------------------------------------------------------------------------
-// A full chain: buffer over compressor over CRC-framed atomic file
+// A full chain: CRC framing over an atomic file
 // ---------------------------------------------------------------------------
 
 TEST(ChainTest, StackedStagesComposeAndTearDownWithOneClose) {
   const std::string path = testing::TempDir() + "sink_test_chain.bin";
   std::remove(path.c_str());
-  std::string payload;
-  for (int i = 0; i < 300; ++i) payload += "chained artifact line\n";
-
+  std::string want;
   {
     AtomicFileSink file(path);
-    BlockCompressSink compress(file);
-    BufferSink buffer(compress, /*capacity=*/64);
-    for (size_t pos = 0; pos < payload.size(); pos += 10) {
-      ASSERT_TRUE(
-          buffer.Write(std::string_view(payload).substr(pos, 10)).ok());
+    CrcFrameSink frames(file);
+    for (int i = 0; i < 50; ++i) {
+      const std::string record = "chained artifact line " + std::to_string(i);
+      ASSERT_TRUE(frames.Write(record).ok());
+      want += BigEndian32(static_cast<uint32_t>(record.size())) +
+              BigEndian32(Crc32(record)) + record;
     }
-    ASSERT_TRUE(buffer.Close().ok());  // closes the whole stack
+    ASSERT_TRUE(frames.Close().ok());  // closes the whole stack
   }
-  const Result<std::string> decoded = DecompressBlocks(ReadFile(path));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(*decoded, payload);
-  // The buffer stage must not have changed the compressed bytes either.
-  EXPECT_EQ(ReadFile(path), CompressToBlocks(payload));
+  EXPECT_EQ(ReadFile(path), want);
+  EXPECT_FALSE(FileExists(path + ".tmp"));
   std::remove(path.c_str());
 }
 

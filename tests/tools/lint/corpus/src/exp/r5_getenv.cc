@@ -10,7 +10,7 @@ const char* kDoc = "never call getenv(NAME) directly";
 
 const char* AmbientKnob() { return std::getenv("COSTSENSE_THREADS"); }
 
-const char* HardenedKnob() { return secure_getenv("COSTSENSE_KERNEL"); }
+const char* HardenedKnob() { return secure_getenv("COSTSENSE_FAULT_RATE"); }
 
 const char* Suppressed() {
   // costsense-lint: allow(R5, "fixture demonstrating a justified suppression")

@@ -184,15 +184,15 @@ TEST(RulesTest, R6BansIntrinsicsOutsideLinalgSimd) {
   // Include line fires once; the vector type and the call fire on line 2.
   const auto findings = AnalyzeSource("src/core/worst_case.cc", src);
   EXPECT_EQ(CountRule(findings, Rule::kRawIntrinsics), 3);
-  EXPECT_EQ(CountRule(AnalyzeSource("bench/micro_kernels.cc", src),
+  EXPECT_EQ(CountRule(AnalyzeSource("bench/micro_worstcase.cc", src),
                       Rule::kRawIntrinsics),
             3);
   EXPECT_EQ(CountRule(AnalyzeSource("tests/core/kernels_test.cc", src),
                       Rule::kRawIntrinsics),
             3);
-  // The sanctioned tree: both the dispatch header and the implementation.
-  EXPECT_TRUE(AnalyzeSource("src/linalg/simd_kernels.cc", src).empty());
-  EXPECT_TRUE(AnalyzeSource("src/linalg/simd_kernels.h", src).empty());
+  // The sanctioned tree: headers and implementations alike.
+  EXPECT_TRUE(AnalyzeSource("src/linalg/simd_dot.cc", src).empty());
+  EXPECT_TRUE(AnalyzeSource("src/linalg/simd_dot.h", src).empty());
   // SSE-era prefixes and types are the same rule.
   EXPECT_EQ(CountRule(AnalyzeSource("src/opt/plan.cc",
                                     "__m128i v = _mm_setzero_si128();\n"),
@@ -204,10 +204,10 @@ TEST(RulesTest, R6BansIntrinsicsOutsideLinalgSimd) {
                     "// costsense-lint: allow(R6, \"measured, documented\")\n"
                     "__m256i v = _mm256_setzero_si256();\n")
           .empty());
-  // Names that merely mention simd stay clean: the dispatched API itself
-  // must not trip the rule at call sites.
+  // Names that merely mention simd stay clean: a linalg kernel API must
+  // not trip the rule at call sites.
   EXPECT_TRUE(AnalyzeSource("src/core/risk.cc",
-                            "double m = linalg::MinValueSimd(x, n);\n")
+                            "double m = linalg::DotSimd(x, y, n);\n")
                   .empty());
 }
 

@@ -11,9 +11,7 @@
 #      configuration is broken (e.g. unparseable layers.toml)
 #   5  AddressSanitizer build or its test subset failed
 #   6  ThreadSanitizer build or its test subset failed
-#   7  streaming-sink stage failed: figure stdout is not byte-identical
-#      across artifact sink chains, the compressed sidecar is missing,
-#      or the protocol fuzz smoke found a violation
+#   7  the protocol fuzz smoke found a violation
 #
 # The sanitizer stages rebuild into their own trees (build-asan,
 # build-tsan) and run the label subsets the root CMakeLists documents for
@@ -45,25 +43,7 @@ stage "lint gate (--format json)"
   --root "$ROOT/tests" \
   --root "$ROOT/tools" || exit 4
 
-stage "streaming sinks (chain equivalence + protocol fuzz smoke)"
-STREAM_TMP="$(mktemp -d)"
-trap 'rm -rf "$STREAM_TMP"' EXIT
-env COSTSENSE_QUICK=1 COSTSENSE_ARTIFACT_CHAIN=plain \
-  "$ROOT/build/bench/fig5_shared_device" \
-  >"$STREAM_TMP/plain.out" 2>/dev/null || exit 7
-env COSTSENSE_QUICK=1 COSTSENSE_ARTIFACT_CHAIN=compressed \
-  COSTSENSE_ARTIFACT_JSON="$STREAM_TMP/sidecar.jsonl.z" \
-  "$ROOT/build/bench/fig5_shared_device" \
-  >"$STREAM_TMP/compressed.out" 2>/dev/null || exit 7
-if ! cmp -s "$STREAM_TMP/plain.out" "$STREAM_TMP/compressed.out"; then
-  echo "costsense-ci: figure stdout differs between plain and compressed" \
-       "artifact chains" >&2
-  exit 7
-fi
-if [ ! -s "$STREAM_TMP/sidecar.jsonl.z" ]; then
-  echo "costsense-ci: compressed artifact sidecar missing or empty" >&2
-  exit 7
-fi
+stage "protocol fuzz smoke"
 "$ROOT/build/tools/fuzz/protocol_fuzz" seed=7 iters=1500 \
   deadline_ms=120000 >/dev/null || exit 7
 

@@ -35,11 +35,10 @@
 ///       environment is read, so every knob is typed, validated and visible
 ///       in one config struct.
 ///   R6  raw SIMD intrinsics (`_mm*`, `__m128/__m256/__m512`, the
-///       `*intrin.h` headers) are banned outside `src/linalg/simd*`: the
-///       dispatched kernels in linalg/simd_kernels.h are the one place
-///       per-ISA code lives, so every other file stays portable and the
-///       bit-compatibility contracts are auditable in one translation
-///       unit.
+///       `*intrin.h` headers) are banned outside `src/linalg/simd*`, the
+///       one place per-ISA code may live, so every other file stays
+///       portable and any vector kernel's bit-compatibility contract is
+///       auditable in one place.
 ///   R7  the `#include` graph over `src/` must respect the layer manifest
 ///       (`tools/lint/layers.toml`): a module may only include modules its
 ///       manifest entry names, undeclared modules and includes of

@@ -478,8 +478,7 @@ std::vector<Finding> AnalyzeSource(const std::string& virtual_path,
   const bool getenv_sanctioned =
       pc.root == PathClass::kSrc && StartsWith(pc.rel, "engine/config.");
   // Per-ISA code is quarantined: only src/linalg/simd* may spell raw
-  // intrinsics; everything else reaches them through the dispatched
-  // linalg/simd_kernels.h API.
+  // intrinsics, so any vector kernel lives behind one linalg API.
   const bool intrinsics_sanctioned =
       pc.root == PathClass::kSrc && StartsWith(pc.rel, "linalg/simd");
 
@@ -556,8 +555,8 @@ std::vector<Finding> AnalyzeSource(const std::string& virtual_path,
             {virtual_path, t.line, t.col, Rule::kRawIntrinsics,
              "'" + t.text +
                  "' is a raw SIMD intrinsic outside src/linalg/simd* (R6); "
-                 "call through the dispatched kernels in "
-                 "linalg/simd_kernels.h so portability and the "
+                 "put per-ISA code behind a linalg kernel under "
+                 "src/linalg/simd* so portability and the "
                  "bit-compatibility contracts stay centralized",
              ""});
       }
