@@ -37,21 +37,33 @@ void EmitBenchJson(const engine::EngineConfig& config,
                    const std::vector<std::pair<std::string, double>>& extra) {
   const std::string line = metrics.ToJsonLine(bench_name, extra);
   std::fputs(line.c_str(), stderr);
-  if (!config.bench_json_path.empty()) {
-    std::FILE* f = std::fopen(config.bench_json_path.c_str(), "a");
-    if (f != nullptr) {
-      std::fputs(line.c_str(), f);
-      std::fclose(f);
-    }
+  if (config.bench_json_path.empty()) return;
+  std::FILE* f = std::fopen(config.bench_json_path.c_str(), "a");
+  const bool written = f != nullptr && std::fputs(line.c_str(), f) >= 0;
+  const bool closed = f != nullptr && std::fclose(f) == 0;
+  if (!written || !closed) {
+    std::fprintf(stderr, "%s: cannot append the perf line to %s\n",
+                 bench_name.c_str(), config.bench_json_path.c_str());
   }
+}
+
+void AddAnalysis(const exp::QueryAnalysis& analysis,
+                 runtime::RuntimeMetrics& metrics) {
+  metrics.cache_hits += analysis.cache_hits;
+  metrics.cache_misses += analysis.cache_misses;
+  const runtime::resilience::ResilienceStats& r = analysis.probes.resilience;
+  metrics.probe_calls += r.calls;
+  metrics.oracle_attempts += r.attempts;
+  metrics.oracle_retries += r.retries;
+  metrics.oracle_failures += r.failures;
+  metrics.faults_injected += analysis.probes.faults.faults;
+  metrics.degraded_points += analysis.degraded_points;
 }
 
 std::vector<exp::FigureSeries> RunWorstCaseFigure(
     engine::Engine& eng, const std::string& title,
-    const std::string& bench_name, storage::LayoutPolicy policy,
-    const exp::FigureRunner::Options::Resilience* resilience) {
+    const std::string& bench_name, storage::LayoutPolicy policy) {
   FigureBenchConfig config = MakeFigureBenchConfig(eng.config());
-  if (resilience != nullptr) config.options.resilience = *resilience;
 
   // Optional persisted oracle cache: load the snapshot (or cold-start on
   // corruption/mismatch, with typed telemetry), warm every per-query
@@ -83,7 +95,6 @@ std::vector<exp::FigureSeries> RunWorstCaseFigure(
   // Phase 2 — series: pure geometry (per-rival fractional programs).
   timer.Restart();
   size_t oracle_calls = 0;
-  size_t probe_calls = 0;
   size_t cache_imported = 0;
   std::vector<exp::FigureSeries> all;
   for (size_t i = 0; i < analyses.size(); ++i) {
@@ -107,23 +118,11 @@ std::vector<exp::FigureSeries> RunWorstCaseFigure(
         analysis->oracle_calls, analysis->cache_hits,
         analysis->discovery_complete ? 1 : 0);
     oracle_calls += analysis->oracle_calls;
-    metrics.cache_hits += analysis->cache_hits;
-    metrics.cache_misses += analysis->cache_misses;
     cache_imported += analysis->cache_imported;
-    probe_calls += analysis->oracle_probe_calls;
-    metrics.oracle_attempts += analysis->oracle_attempts;
-    metrics.oracle_retries += analysis->oracle_retries;
-    metrics.oracle_failures += analysis->oracle_failures;
-    metrics.faults_injected += analysis->faults_injected;
-    metrics.degraded_points += analysis->degraded_points;
+    AddAnalysis(*analysis, metrics);
     all.push_back(*series);
   }
   metrics.phase_wall_ms.emplace_back("series", timer.ElapsedMs());
-  if (probe_calls > 0) {
-    metrics.coverage = static_cast<double>(probe_calls -
-                                           metrics.oracle_failures) /
-                       static_cast<double>(probe_calls);
-  }
 
   const runtime::PoolStats pool_stats = pool.stats();
   metrics.tasks_run = pool_stats.tasks_run;

@@ -29,7 +29,8 @@ FigureBenchConfig MakeFigureBenchConfig(const engine::EngineConfig& config);
 
 /// Emits one machine-readable JSON line for a bench run: always to
 /// stderr, and appended to config.bench_json_path when non-empty (e.g.
-/// BENCH_fig6.json), so successive PRs can track the perf trajectory.
+/// BENCH_fig6.json), so successive runs can track the perf trajectory. An
+/// append that fails prints one warning naming the path; the run goes on.
 /// `extra` adds numeric fields.
 void EmitBenchJson(
     const engine::EngineConfig& config, const std::string& bench_name,
@@ -45,16 +46,13 @@ void EmitBenchJson(
 /// structured JSON sidecar when configured. Returns the computed series
 /// for further use.
 ///
-/// When `resilience` is non-null the per-query oracle stacks run behind
-/// the fault-injection + retry tier with that configuration; the
-/// aggregated attempt/retry/failure/degraded counters land in the emitted
-/// RuntimeMetrics. With fault bursts the retry budget absorbs, stdout is
-/// byte-identical to a fault-free run — the fault-sweep harness asserts
-/// exactly that.
 std::vector<exp::FigureSeries> RunWorstCaseFigure(
     engine::Engine& eng, const std::string& title,
-    const std::string& bench_name, storage::LayoutPolicy policy,
-    const exp::FigureRunner::Options::Resilience* resilience = nullptr);
+    const std::string& bench_name, storage::LayoutPolicy policy);
+
+/// Adds one analysis's cache and probe-chain counters to `metrics`.
+void AddAnalysis(const exp::QueryAnalysis& analysis,
+                 runtime::RuntimeMetrics& metrics);
 
 /// The one main() behind every bench binary. Reads the engine config from
 /// the environment, applies any key=value overrides from argv (overrides

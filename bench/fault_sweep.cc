@@ -18,6 +18,7 @@
 #include "exp/report.h"
 #include "runtime/metrics.h"
 #include "runtime/resilience/clock.h"
+#include "runtime/resilience/resilient_oracle.h"
 #include "runtime/thread_pool.h"
 #include "tpch/queries.h"
 #include "tpch/schema.h"
@@ -30,36 +31,39 @@ struct RunOutput {
   std::string csv;
   std::vector<std::string> plan_ids;
   runtime::RuntimeMetrics metrics;
-  size_t probe_calls = 0;
   bool all_ok = true;
   // Per-analysis counters, for the per-query accounting identity.
   std::vector<exp::QueryAnalysis> analyses;
 };
 
-RunOutput RunFigure(const catalog::Catalog& catalog, runtime::ThreadPool* pool,
-                    bool resilience_enabled, double fault_rate,
-                    size_t max_retries,
+/// One figure run on a fresh pool of `threads`, so the pool counters in
+/// the run's metrics belong to this run alone.
+RunOutput RunFigure(const catalog::Catalog& catalog, size_t threads,
+                    double fault_rate, size_t max_retries,
                     runtime::resilience::Clock* clock) {
+  runtime::ThreadPool pool(threads);
   exp::FigureRunner::Options options;
   options.deltas = {2, 10, 100, 1000};
   options.discovery.random_samples = 12;
   options.discovery.sampled_vertices = 24;
   options.discovery.bisection_depth = 2;
   options.discovery.completeness_rounds = 1;
-  options.pool = pool;
-  options.resilience.enabled = resilience_enabled;
-  options.resilience.faults.fault_rate = fault_rate;
-  options.resilience.retry.max_retries = max_retries;
-  options.resilience.clock = clock;
+  options.pool = &pool;
+  options.probes.faults.fault_rate = fault_rate;
+  options.probes.retry.max_retries = max_retries;
+  options.probes.clock = clock;
   const exp::FigureRunner runner(catalog, options);
 
   std::vector<query::Query> queries;
   for (int qn : {1, 19}) queries.push_back(tpch::MakeTpchQuery(catalog, qn));
+  RunOutput out;
+  out.metrics.threads = pool.num_threads();
+  runtime::WallTimer timer;
   const std::vector<Result<exp::QueryAnalysis>> analyses =
       runner.AnalyzeMany(queries, storage::LayoutPolicy::kPerTableAndIndex);
+  out.metrics.phase_wall_ms.emplace_back("analyze", timer.ElapsedMs());
 
-  RunOutput out;
-  out.metrics.threads = pool->num_threads();
+  timer.Restart();
   std::vector<exp::FigureSeries> all;
   for (const Result<exp::QueryAnalysis>& analysis : analyses) {
     if (!analysis.ok()) {
@@ -79,21 +83,13 @@ RunOutput RunFigure(const catalog::Catalog& catalog, runtime::ThreadPool* pool,
       continue;
     }
     all.push_back(*series);
-    out.metrics.cache_hits += analysis->cache_hits;
-    out.metrics.cache_misses += analysis->cache_misses;
-    out.probe_calls += analysis->oracle_probe_calls;
-    out.metrics.oracle_attempts += analysis->oracle_attempts;
-    out.metrics.oracle_retries += analysis->oracle_retries;
-    out.metrics.oracle_failures += analysis->oracle_failures;
-    out.metrics.faults_injected += analysis->faults_injected;
-    out.metrics.degraded_points += analysis->degraded_points;
+    AddAnalysis(*analysis, out.metrics);
     out.analyses.push_back(*analysis);
   }
-  if (out.probe_calls > 0) {
-    out.metrics.coverage =
-        static_cast<double>(out.probe_calls - out.metrics.oracle_failures) /
-        static_cast<double>(out.probe_calls);
-  }
+  out.metrics.phase_wall_ms.emplace_back("series", timer.ElapsedMs());
+  const runtime::PoolStats pool_stats = pool.stats();
+  out.metrics.tasks_run = pool_stats.tasks_run;
+  out.metrics.queue_high_water = pool_stats.queue_high_water;
   out.table = exp::RenderFigureTable("fault-sweep", all);
   out.csv = exp::RenderFigureCsv(all);
   return out;
@@ -116,11 +112,14 @@ int Run(engine::Engine& eng) {
   const double kRates[] = {0.0, 0.05, 0.20};
   std::string reference_table;  // the threads=1 fault-free output
   for (size_t threads : {size_t{1}, size_t{3}}) {
-    runtime::ThreadPool pool(threads);
+    // The default chain: no injector, real clock, default retry budget.
     const RunOutput baseline =
-        RunFigure(catalog, &pool, /*resilience_enabled=*/false,
-                  /*fault_rate=*/0.0, /*max_retries=*/0, nullptr);
+        RunFigure(catalog, threads, /*fault_rate=*/0.0,
+                  runtime::resilience::ResilientOracleOptions{}.max_retries,
+                  nullptr);
     check(baseline.all_ok, "baseline run completed");
+    check(baseline.metrics.oracle_attempts == baseline.metrics.probe_calls,
+          "baseline: one attempt per probe call");
     if (reference_table.empty()) {
       reference_table = baseline.table;
     } else {
@@ -132,8 +131,7 @@ int Run(engine::Engine& eng) {
 
     for (double rate : kRates) {
       const RunOutput run =
-          RunFigure(catalog, &pool, /*resilience_enabled=*/true, rate,
-                    /*max_retries=*/5, &clock);
+          RunFigure(catalog, threads, rate, /*max_retries=*/5, &clock);
       const std::string tag =
           "threads=" + std::to_string(threads) +
           " rate=" + std::to_string(rate);
@@ -144,7 +142,7 @@ int Run(engine::Engine& eng) {
             tag + ": plan ids byte-identical");
       check(run.metrics.oracle_failures == 0, tag + ": no surfaced failures");
       check(run.metrics.degraded_points == 0, tag + ": no degraded points");
-      check(run.metrics.coverage == 1.0, tag + ": full coverage");
+      check(run.metrics.Coverage() == 1.0, tag + ": full coverage");
       if (rate > 0.0) {
         check(run.metrics.faults_injected > 0,
               tag + ": faults were actually injected");
@@ -155,7 +153,7 @@ int Run(engine::Engine& eng) {
           eng.config(), "fault_sweep_t" + std::to_string(threads), run.metrics,
           {{"fault_rate", rate},
            {"retry_budget", 5.0},
-           {"probe_calls", static_cast<double>(run.probe_calls)}});
+           {"probe_calls", static_cast<double>(run.metrics.probe_calls)}});
     }
   }
 
@@ -164,30 +162,30 @@ int Run(engine::Engine& eng) {
   // per analysis, each injected fault is one surfaced oracle failure is
   // one driver-side degraded point.
   {
-    runtime::ThreadPool pool(3);
     const RunOutput degraded =
-        RunFigure(catalog, &pool, /*resilience_enabled=*/true,
-                  /*fault_rate=*/0.20, /*max_retries=*/0, &clock);
+        RunFigure(catalog, /*threads=*/3, /*fault_rate=*/0.20,
+                  /*max_retries=*/0, &clock);
     check(degraded.all_ok, "degraded run completed with exit-0 analyses");
     check(degraded.metrics.faults_injected > 0,
           "degraded run injected faults");
-    check(degraded.metrics.coverage < 1.0,
+    check(degraded.metrics.Coverage() < 1.0,
           "degraded run reports partial coverage");
     for (const exp::QueryAnalysis& a : degraded.analyses) {
-      check(a.degraded_points == a.oracle_failures,
+      const runtime::resilience::ResilienceStats& r = a.probes.resilience;
+      check(a.degraded_points == r.failures,
             a.query_name + ": degraded points == oracle failures");
-      check(a.oracle_failures == a.faults_injected,
+      check(r.failures == a.probes.faults.faults,
             a.query_name + ": oracle failures == injected faults");
-      check(a.probe_coverage < 1.0,
+      check(runtime::resilience::ProbeCoverage(r.calls, r.failures) < 1.0,
             a.query_name + ": per-query coverage marked partial");
-      check(a.oracle_attempts == a.oracle_probe_calls + a.oracle_retries,
+      check(r.attempts == r.calls + r.retries,
             a.query_name + ": attempts == calls + retries");
     }
     EmitBenchJson(eng.config(), "fault_sweep_degraded", degraded.metrics,
                   {{"fault_rate", 0.20},
                    {"retry_budget", 0.0},
                    {"probe_calls",
-                    static_cast<double>(degraded.probe_calls)}});
+                    static_cast<double>(degraded.metrics.probe_calls)}});
   }
 
   if (failures == 0) {

@@ -23,8 +23,6 @@ constexpr Knob kKnobs[] = {
     {"artifact_json", "COSTSENSE_ARTIFACT_JSON"},
     {"cache_entries", "COSTSENSE_CACHE_ENTRIES"},
     {"cache_shards", "COSTSENSE_CACHE_SHARDS"},
-    {"fault_rate", "COSTSENSE_FAULT_RATE"},
-    {"max_retries", "COSTSENSE_MAX_RETRIES"},
     {"serve_inflight", "COSTSENSE_SERVE_INFLIGHT"},
     {"serve_queue", "COSTSENSE_SERVE_QUEUE"},
     {"serve_deadline_ms", "COSTSENSE_SERVE_DEADLINE_MS"},
@@ -51,6 +49,12 @@ constexpr RetiredKnob kRetiredKnobs[] = {
     {"COSTSENSE_ARTIFACT_CHAIN",
      "the sidecar sink chains were removed; the sidecar is always plain "
      "JSON lines"},
+    {"COSTSENSE_FAULT_RATE",
+     "no binary read it; fault injection is a per-run setting of the tests "
+     "and the fault sweep (runtime::ProbeOptions)"},
+    {"COSTSENSE_MAX_RETRIES",
+     "it changed no output; figure runs keep the default retry budget and "
+     "the server never retries"},
 };
 
 [[nodiscard]] Status BadValue(std::string_view source, std::string_view value,
@@ -72,19 +76,6 @@ constexpr RetiredKnob kRetiredKnobs[] = {
                     StrFormat("an integer >= %zu", min_value));
   }
   *out = static_cast<size_t>(parsed);
-  return Status::Ok();
-}
-
-[[nodiscard]] Status ParseUnitDouble(std::string_view source,
-                                     std::string_view value, double* out) {
-  const std::string text(value);
-  char* end = nullptr;
-  const double parsed = std::strtod(text.c_str(), &end);
-  if (text.empty() || end == nullptr || *end != '\0' || !(parsed >= 0.0) ||
-      !(parsed <= 1.0)) {
-    return BadValue(source, value, "a number in [0, 1]");
-  }
-  *out = parsed;
   return Status::Ok();
 }
 
@@ -122,12 +113,6 @@ bool ParseQuick(std::string_view value) {
   }
   if (key == "cache_shards") {
     return ParseSize(source, value, 1, &config->cache.shards);
-  }
-  if (key == "fault_rate") {
-    return ParseUnitDouble(source, value, &config->fault_rate);
-  }
-  if (key == "max_retries") {
-    return ParseSize(source, value, 0, &config->max_retries);
   }
   if (key == "serve_inflight") {
     return ParseSize(source, value, 1, &config->serve_inflight);
@@ -214,8 +199,6 @@ std::vector<std::pair<std::string, std::string>> EngineConfig::KnobTable()
   rows.emplace_back("artifact_json", artifact_json_path);
   rows.emplace_back("cache_entries", StrFormat("%zu", cache.max_entries));
   rows.emplace_back("cache_shards", StrFormat("%zu", cache.shards));
-  rows.emplace_back("fault_rate", StrFormat("%g", fault_rate));
-  rows.emplace_back("max_retries", StrFormat("%zu", max_retries));
   rows.emplace_back("serve_inflight", StrFormat("%zu", serve_inflight));
   rows.emplace_back("serve_queue", StrFormat("%zu", serve_queue));
   rows.emplace_back("serve_deadline_ms", StrFormat("%zu", serve_deadline_ms));
@@ -228,19 +211,6 @@ std::vector<std::pair<std::string, std::string>> EngineConfig::KnobTable()
   rows.emplace_back("serve_idle_timeout_ms",
                     StrFormat("%zu", serve_idle_timeout_ms));
   return rows;
-}
-
-runtime::OracleStackBuilder MakeOracleStackBuilder(const EngineConfig& config) {
-  runtime::OracleStackBuilder builder;
-  builder.WithCache(config.cache);
-  if (config.fault_rate > 0.0) {
-    runtime::resilience::FaultInjectionOptions faults;
-    faults.fault_rate = config.fault_rate;
-    runtime::resilience::ResilientOracleOptions retry;
-    retry.max_retries = config.max_retries;
-    builder.WithResilience(faults, retry);
-  }
-  return builder;
 }
 
 }  // namespace costsense::engine

@@ -9,7 +9,6 @@
 
 #include "common/status.h"
 #include "runtime/oracle_cache.h"
-#include "runtime/oracle_stack.h"
 
 namespace costsense::engine {
 
@@ -32,8 +31,6 @@ namespace costsense::engine {
 ///                                           path (JSON lines)
 ///   cache_entries  COSTSENSE_CACHE_ENTRIES  oracle-cache entry bound >= 1
 ///   cache_shards   COSTSENSE_CACHE_SHARDS   oracle-cache shard count >= 1
-///   fault_rate     COSTSENSE_FAULT_RATE     injected fault rate in [0, 1]
-///   max_retries    COSTSENSE_MAX_RETRIES    resilient-oracle retry budget
 ///   serve_inflight COSTSENSE_SERVE_INFLIGHT server: concurrent requests
 ///                                           >= 1
 ///   serve_queue    COSTSENSE_SERVE_QUEUE    server: admission wait-queue
@@ -55,10 +52,10 @@ namespace costsense::engine {
 ///                                           server: idle-session watchdog
 ///                                           reclaim threshold, 0 = off
 ///
-/// Retired knobs (the sweep-kernel and sidecar-chain variables, listed in
-/// config.cc) name features that no longer exist. FromEnv refuses either
-/// one when set, so a script written for them fails at startup instead of
-/// silently getting other behavior.
+/// Retired knobs (the sweep-kernel, sidecar-chain, fault-rate and
+/// retry-budget variables, listed in config.cc) name settings that no
+/// longer exist. FromEnv refuses any of them when set, so a script written
+/// for them fails at startup instead of silently getting other behavior.
 struct EngineConfig {
   /// Concurrency level; 0 means hardware concurrency at pool build time.
   size_t threads = 0;
@@ -71,9 +68,6 @@ struct EngineConfig {
   std::string artifact_json_path;
   /// Memoizing oracle-cache sizing for the per-query stacks.
   runtime::OracleCacheOptions cache;
-  /// Resilience budgets for stacks built with the fault tier enabled.
-  double fault_rate = 0.0;
-  size_t max_retries = 5;
   /// costsense-serve admission bounds: concurrent requests and the wait
   /// queue behind them (see serve::AdmissionController).
   size_t serve_inflight = 4;
@@ -122,13 +116,6 @@ struct EngineConfig {
   /// reproduces the config (the round-trip property config_test proves).
   std::vector<std::pair<std::string, std::string>> KnobTable() const;
 };
-
-/// An oracle-stack builder seeded from config: cache sizing always, and
-/// the resilience tiers when config.fault_rate > 0 (with
-/// config.max_retries as the retry budget). Lives here rather than on
-/// runtime::OracleStackBuilder so the runtime module never depends on
-/// EngineConfig (layer rule R7: runtime sits below engine).
-runtime::OracleStackBuilder MakeOracleStackBuilder(const EngineConfig& config);
 
 }  // namespace costsense::engine
 

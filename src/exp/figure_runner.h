@@ -9,22 +9,12 @@
 #include "core/complementarity.h"
 #include "core/discovery.h"
 #include "core/vectors.h"
-#include "runtime/oracle_stack.h"
 #include "query/query.h"
 #include "runtime/cache_store.h"
 #include "runtime/oracle_cache.h"
-#include "runtime/resilience/fault_injector.h"
-#include "runtime/resilience/resilient_oracle.h"
+#include "runtime/oracle_stack.h"
 #include "runtime/thread_pool.h"
 #include "storage/layout.h"
-
-namespace costsense::opt {
-class Optimizer;
-}  // namespace costsense::opt
-
-namespace costsense::blackbox {
-class NarrowOptimizer;
-}  // namespace costsense::blackbox
 
 namespace costsense::exp {
 
@@ -53,24 +43,15 @@ struct QueryAnalysis {
   /// Entries seeded from a persisted snapshot before the first probe (0
   /// on a cold start or when no store is attached).
   size_t cache_imported = 0;
-  /// Resilience accounting (all zero when the resilience tier is off).
-  /// Oracle-side view, from ResilientOracle: probe_calls are TryOptimize
-  /// invocations, attempts includes retries; failures are calls that erred
-  /// after the whole retry budget.
-  size_t oracle_probe_calls = 0;
-  size_t oracle_attempts = 0;
-  size_t oracle_retries = 0;
-  size_t oracle_failures = 0;
-  /// Fault events the injector actually delivered (its own log).
-  size_t faults_injected = 0;
+  /// The probe chain's counters for this analysis: probe calls, attempts
+  /// (including retries), calls that failed after the whole retry budget,
+  /// and the fault events the injector delivered.
+  runtime::ProbeTelemetry probes;
   /// Driver-side view: probe points this analysis skipped or routed to a
   /// fallback because their oracle call failed. With a zero retry budget
   /// each injected fault surfaces as exactly one degraded point, so
-  /// degraded_points == oracle_failures == faults_injected.
+  /// degraded_points == probes.resilience.failures == probes.faults.faults.
   size_t degraded_points = 0;
-  /// Fraction of resilient oracle calls that produced a usable reply; 1.0
-  /// marks a full-coverage (non-degraded) analysis.
-  double probe_coverage = 1.0;
 };
 
 /// One point of a worst-case curve (paper Figures 5-7): at error level
@@ -126,23 +107,14 @@ class FigureRunner {
     /// content (imported results were computed at the same canonical
     /// points); only the hit/miss split moves.
     runtime::CacheStore* store = nullptr;
-    /// Optional fault-injection + retry tier. When enabled the per-query
-    /// runtime::OracleStack is built with its resilience tiers (see
+    /// The probe chain above each per-query cache (see
     /// runtime/oracle_stack.h for the decorator order and why faults sit
-    /// above the cache) and Analyze degrades gracefully instead of
-    /// failing: probes the stack cannot answer are skipped and accounted
-    /// in the QueryAnalysis counters. With fault_rate 0, or any fault rate
-    /// whose bursts the retry budget absorbs (max_retries > max_burst),
-    /// analysis content is byte-identical to the tier being off.
-    struct Resilience {
-      bool enabled = false;
-      runtime::resilience::FaultInjectionOptions faults;
-      runtime::resilience::ResilientOracleOptions retry;
-      /// Clock for latency faults, backoff and deadlines; null = real
-      /// steady clock (tests inject a ManualClock).
-      runtime::resilience::Clock* clock = nullptr;
-    };
-    Resilience resilience;
+    /// above the cache). Analyze degrades gracefully instead of failing:
+    /// probes the chain cannot answer are skipped and accounted in the
+    /// QueryAnalysis counters. With no faults, or any fault rate whose
+    /// bursts the retry budget absorbs (max_retries > max_burst), analysis
+    /// content is byte-identical to a fault-free run.
+    runtime::ProbeOptions probes;
   };
 
   FigureRunner(const catalog::Catalog& catalog, Options options);
@@ -171,17 +143,6 @@ class FigureRunner {
 
  private:
   runtime::ThreadPool& pool() const;
-
-  /// The fault-tolerant variant of Analyze's probing phase, used when
-  /// options_.resilience.enabled: probes through the stack's resilient
-  /// tier, degrades per-point instead of failing, and fills the
-  /// resilience counters from the stack telemetry. `out` arrives with the
-  /// layout fields populated.
-  [[nodiscard]] Result<QueryAnalysis> AnalyzeResilient(const query::Query& query,
-                                         const opt::Optimizer& optimizer,
-                                         runtime::OracleStack& stack,
-                                         blackbox::NarrowOptimizer& narrow,
-                                         QueryAnalysis out) const;
 
   const catalog::Catalog& catalog_;
   Options options_;

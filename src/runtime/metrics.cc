@@ -1,6 +1,7 @@
 #include "runtime/metrics.h"
 
 #include "common/strings.h"
+#include "runtime/resilience/resilient_oracle.h"
 
 namespace costsense::runtime {
 
@@ -16,6 +17,10 @@ double RuntimeMetrics::CacheHitRate() const {
   return total == 0 ? 0.0 : static_cast<double>(cache_hits) / total;
 }
 
+double RuntimeMetrics::Coverage() const {
+  return resilience::ProbeCoverage(probe_calls, oracle_failures);
+}
+
 double RuntimeMetrics::TotalWallMs() const {
   double total = 0.0;
   for (const auto& [name, ms] : phase_wall_ms) total += ms;
@@ -28,12 +33,12 @@ std::string RuntimeMetrics::Render() const {
       "cache: hits=%zu misses=%zu evictions=%zu entries=%zu hit_rate=%.3f\n",
       threads, tasks_run, queue_high_water, cache_hits, cache_misses,
       cache_evictions, cache_entries, CacheHitRate());
-  if (oracle_attempts > 0 || faults_injected > 0 || degraded_points > 0) {
+  if (faults_injected > 0 || oracle_failures > 0 || degraded_points > 0) {
     out += StrFormat(
         "resilience: attempts=%zu retries=%zu failures=%zu "
         "faults_injected=%zu degraded_points=%zu coverage=%.4f\n",
         oracle_attempts, oracle_retries, oracle_failures, faults_injected,
-        degraded_points, coverage);
+        degraded_points, Coverage());
   }
   for (const auto& [name, ms] : phase_wall_ms) {
     out += StrFormat("  phase %-12s %10.1f ms\n", name.c_str(), ms);
@@ -56,7 +61,7 @@ std::string RuntimeMetrics::ToJsonLine(
       bench_name.c_str(), threads, TotalWallMs(), tasks_run, queue_high_water,
       cache_hits, cache_misses, cache_evictions, cache_entries,
       CacheHitRate(), oracle_attempts, oracle_retries, oracle_failures,
-      faults_injected, degraded_points, coverage);
+      faults_injected, degraded_points, Coverage());
   for (const auto& [name, ms] : phase_wall_ms) {
     out += StrFormat(",\"%s_ms\":%.1f", name.c_str(), ms);
   }

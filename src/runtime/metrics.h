@@ -46,18 +46,16 @@ struct RuntimeMetrics {
   /// Entries resident in the oracle cache(s) at snapshot time. For a
   /// long-lived server this is the cross-request warm-cache footprint.
   size_t cache_entries = 0;
-  /// Resilience-tier accounting (all zero when the tier is off): oracle
+  /// Probe-chain accounting, summed over analyses: oracle probe calls,
   /// attempts including retries, retry attempts, calls that failed after
-  /// the whole retry budget, fault events the injector delivered, probe
-  /// points the drivers degraded (skipped or routed to a fallback), and
-  /// the fraction of oracle calls that produced a usable reply (1.0 =
-  /// full coverage, nothing degraded).
+  /// the whole retry budget, fault events the injector delivered, and
+  /// probe points the drivers degraded (skipped or routed to a fallback).
+  size_t probe_calls = 0;
   size_t oracle_attempts = 0;
   size_t oracle_retries = 0;
   size_t oracle_failures = 0;
   size_t faults_injected = 0;
   size_t degraded_points = 0;
-  double coverage = 1.0;
   /// (phase name, wall milliseconds), in execution order.
   std::vector<std::pair<std::string, double>> phase_wall_ms;
 
@@ -66,6 +64,9 @@ struct RuntimeMetrics {
   void AddCacheStats(const OracleCacheStats& stats);
 
   double CacheHitRate() const;
+  /// Fraction of probe calls that produced a usable reply (1.0 = full
+  /// coverage, nothing degraded).
+  double Coverage() const;
   double TotalWallMs() const;
 
   /// Human-readable multi-line block.

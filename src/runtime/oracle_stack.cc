@@ -2,17 +2,6 @@
 
 namespace costsense::runtime {
 
-StackTelemetry OracleStack::telemetry() const {
-  StackTelemetry t;
-  t.cache = cache_->stats();
-  if (injector_ != nullptr) t.faults = injector_->log();
-  if (resilient_ != nullptr) {
-    t.resilience = resilient_->stats();
-    t.resilient = true;
-  }
-  return t;
-}
-
 void OracleStack::PublishToStore() {
   if (store_ == nullptr || scope_.empty()) return;
   store_->Publish(scope_, cache_->Export());
@@ -21,17 +10,6 @@ void OracleStack::PublishToStore() {
 OracleStackBuilder& OracleStackBuilder::WithCache(
     const OracleCacheOptions& options) {
   cache_ = options;
-  return *this;
-}
-
-OracleStackBuilder& OracleStackBuilder::WithResilience(
-    const resilience::FaultInjectionOptions& faults,
-    const resilience::ResilientOracleOptions& retry,
-    resilience::Clock* clock) {
-  resilience_ = true;
-  faults_ = faults;
-  retry_ = retry;
-  clock_ = clock;
   return *this;
 }
 
@@ -56,13 +34,28 @@ OracleStack OracleStackBuilder::Build(core::PlanOracle& base,
     // it just skips the optimizer invocations.
     (void)stack.cache_->Import(store_->EntriesFor(scope));
   }
-  if (resilience_) {
-    stack.injector_ = std::make_unique<resilience::FaultInjectingOracle>(
-        *stack.cache_, faults_, clock_);
-    stack.resilient_ = std::make_unique<resilience::ResilientOracle>(
-        *stack.injector_, retry_, clock_);
-  }
   return stack;
+}
+
+ProbeChain::ProbeChain(CachingOracle& cache, const ProbeOptions& options) {
+  core::FalliblePlanOracle* below = nullptr;
+  if (options.faults.fault_rate > 0.0) {
+    injector_ = std::make_unique<resilience::FaultInjectingOracle>(
+        cache, options.faults, options.clock);
+    below = injector_.get();
+  } else {
+    adapter_ = std::make_unique<core::InfallibleOracleAdapter>(cache);
+    below = adapter_.get();
+  }
+  resilient_ = std::make_unique<resilience::ResilientOracle>(
+      *below, options.retry, options.clock);
+}
+
+ProbeTelemetry ProbeChain::telemetry() const {
+  ProbeTelemetry t;
+  t.resilience = resilient_->stats();
+  if (injector_ != nullptr) t.faults = injector_->log();
+  return t;
 }
 
 }  // namespace costsense::runtime

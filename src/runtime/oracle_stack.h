@@ -14,55 +14,35 @@
 
 namespace costsense::runtime {
 
-/// One snapshot of every decorator's counters — the metrics-recorder tier
-/// of the stack. Fields for tiers that were not built stay zero.
-struct StackTelemetry {
-  OracleCacheStats cache;
-  resilience::FaultLog faults;
-  resilience::ResilienceStats resilience;
-  /// True when the fault/retry tiers exist (resilient() is non-null).
-  bool resilient = false;
-};
-
-/// An assembled PlanOracle decorator chain over a base optimizer oracle:
+/// The oracle decorator chain every driver probes through:
 ///
-///   drivers -> ResilientOracle -> FaultInjectingOracle -> CachingOracle
+///   drivers -> ResilientOracle -> [FaultInjectingOracle] -> CachingOracle
 ///           -> base (e.g. blackbox::NarrowOptimizer)
+///
+/// It comes in two halves with different lifetimes. OracleStack owns the
+/// memoizing tier (and its persistence scope); a figure run builds one per
+/// (query, layout) pair, the server one per shared context. ProbeChain is
+/// the fallible half stacked above that cache: a figure run builds one per
+/// pair, the server one per request, so deadlines and faults stay local
+/// while computed cost points are shared.
 ///
 /// Faults are injected *above* the cache: a retried probe re-enters the
 /// injector (consuming its burst) and then lands on the warm cache, so
 /// retries cost no optimizer invocations and the cache only ever holds
 /// clean replies. This order is what makes figure output byte-identical
-/// under absorbed faults, and OracleStack is the one place it is encoded.
+/// under absorbed faults, and this file is the one place it is encoded.
 ///
 /// The base oracle is not owned and must outlive the stack. Every layer
 /// also remains individually constructible (CachingOracle,
 /// FaultInjectingOracle, ResilientOracle) for targeted tests.
-///
-/// The stack composes runtime decorators over the pure core::PlanOracle
-/// interface, so it lives in runtime/; seeding a builder from an
-/// EngineConfig is the engine module's job (engine::MakeOracleStackBuilder)
-/// so that runtime stays below engine in the layer order.
 class OracleStack {
  public:
   OracleStack(OracleStack&&) = default;
   OracleStack& operator=(OracleStack&&) = default;
 
-  /// The memoizing tier; always present. Drivers on the infallible path
-  /// probe this directly.
+  /// The memoizing tier.
   CachingOracle& cache() { return *cache_; }
   const CachingOracle& cache() const { return *cache_; }
-
-  /// Top of the fallible chain, or nullptr when the stack was built
-  /// without the resilience tier.
-  core::FalliblePlanOracle* resilient() { return resilient_.get(); }
-
-  /// The fault tier, or nullptr without resilience (tests reach in to
-  /// read the fault log).
-  resilience::FaultInjectingOracle* injector() { return injector_.get(); }
-
-  /// Snapshot of all per-tier counters.
-  StackTelemetry telemetry() const;
 
   /// Publishes the cache's current contents back to the persistence scope
   /// this stack was built with (no-op for stacks built without a store).
@@ -74,8 +54,6 @@ class OracleStack {
   OracleStack() = default;
 
   std::unique_ptr<CachingOracle> cache_;
-  std::unique_ptr<resilience::FaultInjectingOracle> injector_;
-  std::unique_ptr<resilience::ResilientOracle> resilient_;
   CacheStore* store_ = nullptr;  // not owned
   std::string scope_;
 };
@@ -86,15 +64,8 @@ class OracleStackBuilder {
  public:
   OracleStackBuilder() = default;
 
-  /// Sizing for the memoizing tier (always built).
+  /// Sizing for the memoizing tier.
   OracleStackBuilder& WithCache(const OracleCacheOptions& options);
-
-  /// Enables the fault-injection + retry tiers. `clock` drives latency
-  /// faults, backoff and deadlines; null = real steady clock.
-  OracleStackBuilder& WithResilience(
-      const resilience::FaultInjectionOptions& faults,
-      const resilience::ResilientOracleOptions& retry,
-      resilience::Clock* clock = nullptr);
 
   /// Attaches a snapshot store (not owned; may be null to detach).
   /// Stacks built with a non-empty scope import the store's entries for
@@ -110,11 +81,46 @@ class OracleStackBuilder {
 
  private:
   OracleCacheOptions cache_;
-  bool resilience_ = false;
-  resilience::FaultInjectionOptions faults_;
-  resilience::ResilientOracleOptions retry_;
-  resilience::Clock* clock_ = nullptr;
   CacheStore* store_ = nullptr;  // not owned
+};
+
+/// Tuning for a ProbeChain.
+struct ProbeOptions {
+  /// Fault injection between the retry tier and the cache. The injector
+  /// is built only when faults.fault_rate > 0.
+  resilience::FaultInjectionOptions faults;
+  resilience::ResilientOracleOptions retry;
+  /// Clock for latency faults, backoff and the run deadline; null = real
+  /// steady clock (tests inject a ManualClock).
+  resilience::Clock* clock = nullptr;
+};
+
+/// One snapshot of the probe chain's counters. The fault log stays zero
+/// when no injector was built.
+struct ProbeTelemetry {
+  resilience::ResilienceStats resilience;
+  resilience::FaultLog faults;
+};
+
+/// The fallible half of the chain, stacked above a cache:
+/// ResilientOracle over a FaultInjectingOracle (when faults.fault_rate > 0)
+/// over `cache`. Without faults the retry tier sees a cache that cannot
+/// fail, so every call is one attempt with the cache's reply.
+class ProbeChain {
+ public:
+  /// `cache` is not owned and must outlive the chain.
+  ProbeChain(CachingOracle& cache, const ProbeOptions& options);
+
+  /// Top of the chain: the oracle drivers probe.
+  core::FalliblePlanOracle& oracle() { return *resilient_; }
+
+  /// Snapshot of the retry tier's counters and the injector's fault log.
+  ProbeTelemetry telemetry() const;
+
+ private:
+  std::unique_ptr<core::InfallibleOracleAdapter> adapter_;      // no faults
+  std::unique_ptr<resilience::FaultInjectingOracle> injector_;  // faults
+  std::unique_ptr<resilience::ResilientOracle> resilient_;
 };
 
 }  // namespace costsense::runtime

@@ -6,11 +6,11 @@
 
 namespace costsense::runtime::resilience {
 
-/// Injectable time source for the resilience layer. Deadline budgets,
-/// backoff sleeps and circuit-breaker cooldowns all read and advance time
-/// through this interface, so tests and the deterministic fault-sweep
-/// harness can substitute a manual clock and replay the exact same
-/// timeout/backoff decisions at any thread count and machine speed.
+/// Injectable time source for the resilience layer. Deadline budgets and
+/// backoff sleeps read and advance time through this interface, so tests
+/// and the deterministic fault-sweep harness can substitute a manual clock
+/// and replay the exact same timeout/backoff decisions at any thread count
+/// and machine speed.
 class Clock {
  public:
   virtual ~Clock() = default;

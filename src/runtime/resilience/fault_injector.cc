@@ -167,8 +167,8 @@ Result<core::OracleResult> FaultInjectingOracle::TryOptimize(
           StrFormat("injected transient fault (attempt %llu)",
                     static_cast<unsigned long long>(attempt)));
     case FaultKind::kLatencyOverrun: {
-      // The reply itself is clean; it just takes too long. Callers without
-      // a per-call deadline will happily accept it.
+      // The reply itself is clean; it just takes too long. The caller
+      // accepts it, but the latency spends its run deadline.
       clock_.SleepFor(options_.latency_nanos);
       core::OracleResult r = base_.Optimize(c);
       r.total_cost *= state->perturb_factor;

@@ -17,8 +17,7 @@ enum class FaultKind {
   /// The interface transiently refuses to answer (typed kUnavailable).
   kTransientError,
   /// The reply arrives, but only after the simulated latency has been
-  /// charged to the injected clock — a caller with a per-call deadline
-  /// will classify it as a timeout.
+  /// charged to the injected clock — it spends a caller's run deadline.
   kLatencyOverrun,
   /// The reply carries a non-finite total cost.
   kGarbageCost,

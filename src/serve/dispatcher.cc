@@ -11,7 +11,6 @@
 #include "core/worst_case.h"
 #include "opt/optimizer.h"
 #include "query/query.h"
-#include "runtime/resilience/resilient_oracle.h"
 #include "runtime/sink/stages.h"
 #include "storage/layout.h"
 #include "tpch/queries.h"
@@ -121,30 +120,18 @@ Status Dispatcher::HandleStreaming(const AnalysisRequest& request,
 
 Status Dispatcher::Render(const AnalysisRequest& request, QueryContext& ctx,
                           runtime::sink::Sink& out) {
-  // The per-request half of the oracle chain, stacked above the shared
-  // cache in the canonical decorator order (runtime/oracle_stack.h):
-  // ResilientOracle (request deadline + retry budget) over an optional
-  // fault injector over the long-lived CachingOracle. Deadlines and
-  // faults stay request-local; computed points are shared.
-  runtime::resilience::Clock* clock = options_.clock;
-  std::unique_ptr<runtime::resilience::FaultInjectingOracle> injector;
-  std::unique_ptr<core::InfallibleOracleAdapter> adapter;
-  core::FalliblePlanOracle* base = nullptr;
-  if (options_.fault_injection) {
-    injector = std::make_unique<runtime::resilience::FaultInjectingOracle>(
-        ctx.stack.cache(), options_.faults, clock);
-    base = injector.get();
-  } else {
-    adapter = std::make_unique<core::InfallibleOracleAdapter>(
-        ctx.stack.cache());
-    base = adapter.get();
-  }
-  runtime::resilience::ResilientOracleOptions retry;
-  retry.max_retries = options_.max_retries;
-  retry.run_deadline_ns = request.deadline_ns != 0
-                              ? request.deadline_ns
-                              : options_.default_deadline_ns;
-  runtime::resilience::ResilientOracle resilient(*base, retry, clock);
+  // The per-request half of the oracle chain (runtime/oracle_stack.h):
+  // a retry tier carrying the request deadline, over the optional fault
+  // injector, over the long-lived shared cache. Deadlines and faults stay
+  // request-local; computed points are shared.
+  runtime::ProbeOptions probe_options;
+  probe_options.faults = options_.faults;
+  probe_options.retry.max_retries = 0;
+  probe_options.retry.run_deadline_ns = request.deadline_ns != 0
+                                            ? request.deadline_ns
+                                            : options_.default_deadline_ns;
+  probe_options.clock = options_.clock;
+  runtime::ProbeChain probes(ctx.stack.cache(), probe_options);
 
   // Plans are discovered once over the widest requested band; candidate
   // sets for narrower bands are subsets (usage vectors are
@@ -170,17 +157,18 @@ Status Dispatcher::Render(const AnalysisRequest& request, QueryContext& ctx,
   discovery.pool = options_.pool != nullptr ? options_.pool
                                             : &runtime::ThreadPool::Global();
   Result<core::DiscoveryResult> d =
-      core::DiscoverCandidatePlans(resilient, box, rng, discovery);
+      core::DiscoverCandidatePlans(probes.oracle(), box, rng, discovery);
   if (!d.ok()) return d.status();
 
   // A request whose budget ran out mid-analysis reports a typed error
   // rather than a silently partial body: partial plan sets are not
   // deterministic functions of the request, and the invariant is that
   // every kOk body is.
-  const runtime::resilience::ResilienceStats rs = resilient.stats();
+  const runtime::resilience::ResilienceStats rs =
+      probes.telemetry().resilience;
   if (rs.failures > 0) {
     const std::string detail = StrFormat(
-        "%zu of %zu oracle probe(s) failed after retries; analysis "
+        "%zu of %zu oracle probe(s) failed; analysis "
         "abandoned to keep kOk bodies deterministic",
         rs.failures, rs.calls);
     if (rs.deadline_exceeded > 0) return Status::DeadlineExceeded(detail);

@@ -34,13 +34,11 @@ struct DispatcherOptions {
   /// Deadline applied when a request carries deadline_ns == 0.
   /// 0 = unlimited.
   uint64_t default_deadline_ns = 0;
-  /// Retry budget of the per-request resilient tier.
-  size_t max_retries = 0;
-  /// Optional deterministic fault injection between the per-request
-  /// resilient tier and the shared cache (tests drive deadline behaviour
-  /// with latency faults on a ManualClock; production servers leave this
-  /// off).
-  bool fault_injection = false;
+  /// Optional deterministic fault injection between each request's retry
+  /// tier and the shared cache, built only when faults.fault_rate > 0
+  /// (tests drive deadline behaviour with latency faults on a
+  /// ManualClock; production servers leave the rate at 0). Requests never
+  /// retry: a failed probe fails the request.
   runtime::resilience::FaultInjectionOptions faults;
   /// Pool the per-request discovery probes and per-rival LPs fan out on;
   /// null uses the process-global pool.
@@ -77,7 +75,7 @@ struct DispatcherStats {
 /// Each context owns the optimizer for one TPC-H query under one storage
 /// layout plus the *shared, long-lived* memoizing CachingOracle that every
 /// request against that pair probes through — the server's warm cache.
-/// Per-request state (Rng, fault injector, ResilientOracle carrying the
+/// Per-request state (the Rng and a runtime::ProbeChain carrying the
 /// request deadline) is stacked above the shared cache on each call, so
 /// deadlines and faults stay request-local while computed cost points are
 /// served from memory across requests and sessions.

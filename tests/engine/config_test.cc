@@ -31,8 +31,6 @@ TEST(EngineConfigTest, EmptyEnvironmentYieldsDefaults) {
   EXPECT_EQ(config->cache.shards, runtime::OracleCacheOptions{}.shards);
   EXPECT_EQ(config->cache.max_entries,
             runtime::OracleCacheOptions{}.max_entries);
-  EXPECT_EQ(config->fault_rate, 0.0);
-  EXPECT_EQ(config->max_retries, 5u);
 }
 
 TEST(EngineConfigTest, ParsesEveryKnobFromEnv) {
@@ -43,8 +41,6 @@ TEST(EngineConfigTest, ParsesEveryKnobFromEnv) {
       {"COSTSENSE_ARTIFACT_JSON", "/tmp/artifacts.jsonl"},
       {"COSTSENSE_CACHE_ENTRIES", "1024"},
       {"COSTSENSE_CACHE_SHARDS", "4"},
-      {"COSTSENSE_FAULT_RATE", "0.25"},
-      {"COSTSENSE_MAX_RETRIES", "7"},
   };
   const Result<EngineConfig> config = EngineConfig::FromEnv(MapLookup(env));
   ASSERT_TRUE(config.ok()) << config.status().ToString();
@@ -54,8 +50,6 @@ TEST(EngineConfigTest, ParsesEveryKnobFromEnv) {
   EXPECT_EQ(config->artifact_json_path, "/tmp/artifacts.jsonl");
   EXPECT_EQ(config->cache.max_entries, 1024u);
   EXPECT_EQ(config->cache.shards, 4u);
-  EXPECT_EQ(config->fault_rate, 0.25);
-  EXPECT_EQ(config->max_retries, 7u);
 }
 
 TEST(EngineConfigTest, QuickKeepsItsDocumentedEnvSemantics) {
@@ -77,8 +71,6 @@ TEST(EngineConfigTest, MalformedValuesAreTypedErrorsNamingTheVariable) {
       {"COSTSENSE_THREADS", "banana"},
       {"COSTSENSE_CACHE_ENTRIES", "0"},
       {"COSTSENSE_CACHE_SHARDS", "-2"},
-      {"COSTSENSE_FAULT_RATE", "1.5"},
-      {"COSTSENSE_MAX_RETRIES", "2.5"},
   };
   for (const auto& [name, value] : bad) {
     const std::map<std::string, std::string> env = {{name, value}};
@@ -120,9 +112,23 @@ TEST(EngineConfigTest, RetiredArtifactChainKnobIsRefused) {
       << config.status().ToString();
 }
 
+TEST(EngineConfigTest, RetiredFaultKnobsAreRefused) {
+  // No binary read the fault rate, and the retry budget changed no
+  // output. A set variable is refused by name, whatever its value.
+  for (const char* name : {"COSTSENSE_FAULT_RATE", "COSTSENSE_MAX_RETRIES"}) {
+    const std::map<std::string, std::string> env = {{name, "0"}};
+    const Result<EngineConfig> config = EngineConfig::FromEnv(MapLookup(env));
+    ASSERT_FALSE(config.ok()) << name;
+    EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(config.status().message().find(name), std::string::npos)
+        << config.status().ToString();
+  }
+}
+
 TEST(EngineConfigTest, RetiredOverrideKeysAreUnknown) {
   EngineConfig config;
-  for (const char* assignment : {"kernel=scalar", "artifact_chain=plain"}) {
+  for (const char* assignment : {"kernel=scalar", "artifact_chain=plain",
+                                 "fault_rate=0.25", "max_retries=7"}) {
     const Status st = config.ApplyOverride(assignment);
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << assignment;
     EXPECT_NE(st.message().find("unknown engine config key"),
@@ -176,8 +182,6 @@ void ExpectSameConfig(const EngineConfig& a, const EngineConfig& b) {
   EXPECT_EQ(a.artifact_json_path, b.artifact_json_path);
   EXPECT_EQ(a.cache.max_entries, b.cache.max_entries);
   EXPECT_EQ(a.cache.shards, b.cache.shards);
-  EXPECT_EQ(a.fault_rate, b.fault_rate);
-  EXPECT_EQ(a.max_retries, b.max_retries);
 }
 
 TEST(EngineConfigTest, KnobTableRoundTripsEveryKnob) {
@@ -191,8 +195,6 @@ TEST(EngineConfigTest, KnobTableRoundTripsEveryKnob) {
   original.artifact_json_path = "/tmp/a.jsonl";
   original.cache.max_entries = 512;
   original.cache.shards = 2;
-  original.fault_rate = 0.125;  // exact in binary, round-trips through %g
-  original.max_retries = 9;
 
   for (const EngineConfig& seed : {original, EngineConfig()}) {
     EngineConfig rebuilt;

@@ -74,9 +74,6 @@ TEST(EngineCreateTest, MalformedEnvironmentIsInvalidArgument) {
       {"COSTSENSE_THREADS", "-2"},
       {"COSTSENSE_CACHE_ENTRIES", "0"},
       {"COSTSENSE_CACHE_SHARDS", "zero"},
-      {"COSTSENSE_FAULT_RATE", "1.5"},
-      {"COSTSENSE_FAULT_RATE", "nan"},
-      {"COSTSENSE_MAX_RETRIES", "many"},
       {"COSTSENSE_SERVE_INFLIGHT", "0"},
       {"COSTSENSE_SERVE_QUEUE", "-1"},
       {"COSTSENSE_SERVE_DEADLINE_MS", "soon"},
@@ -131,6 +128,18 @@ TEST(EngineCreateTest, RetiredArtifactChainKnobNeverReachesTheEngine) {
   EXPECT_NE(config.status().message().find("COSTSENSE_ARTIFACT_CHAIN"),
             std::string::npos)
       << config.status().ToString();
+}
+
+TEST(EngineCreateTest, RetiredFaultKnobsNeverReachTheEngine) {
+  // Like COSTSENSE_KERNEL: refused at parse time, whatever the value.
+  for (const char* name : {"COSTSENSE_FAULT_RATE", "COSTSENSE_MAX_RETRIES"}) {
+    const Result<EngineConfig> config =
+        EngineConfig::FromEnv(MapEnv({{name, "1"}}));
+    ASSERT_FALSE(config.ok()) << name;
+    EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(config.status().message().find(name), std::string::npos)
+        << config.status().ToString();
+  }
 }
 
 }  // namespace

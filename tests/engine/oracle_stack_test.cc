@@ -1,14 +1,14 @@
-// Tests of the oracle-stack builder: which tiers get built, and the one
-// ordering property the stack exists to encode — faults are injected
-// *above* the cache, so retries re-enter the injector but never cost an
-// extra base-optimizer call, and the cache only ever holds clean replies.
+// Tests of the oracle stack and the probe chain above it: which tiers get
+// built, and the one ordering property the chain exists to encode —
+// faults are injected *above* the cache, so retries re-enter the injector
+// but never cost an extra base-optimizer call, and the cache only ever
+// holds clean replies.
 #include "runtime/oracle_stack.h"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "engine/config.h"
 #include "tests/core/fake_oracle.h"
 
 namespace costsense::runtime {
@@ -19,12 +19,9 @@ std::vector<core::PlanUsage> TwoPlans() {
           {"index", core::UsageVector{1.0, 10.0}}};
 }
 
-TEST(OracleStackTest, DefaultBuildIsCacheOnly) {
+TEST(OracleStackTest, CacheServesRepeatedProbes) {
   core::FakeOracle base(TwoPlans(), /*white_box=*/true);
   OracleStack stack = OracleStackBuilder().Build(base);
-  EXPECT_EQ(stack.resilient(), nullptr);
-  EXPECT_EQ(stack.injector(), nullptr);
-  EXPECT_FALSE(stack.telemetry().resilient);
 
   const core::CostVector probe{1.0, 2.0};
   const core::OracleResult first = stack.cache().Optimize(probe);
@@ -32,11 +29,9 @@ TEST(OracleStackTest, DefaultBuildIsCacheOnly) {
   EXPECT_EQ(first.plan_id, second.plan_id);
   EXPECT_EQ(base.calls(), 1u);  // second probe served from the cache
 
-  const StackTelemetry telemetry = stack.telemetry();
-  EXPECT_EQ(telemetry.cache.misses, 1u);
-  EXPECT_EQ(telemetry.cache.hits, 1u);
-  EXPECT_EQ(telemetry.resilience.calls, 0u);
-  EXPECT_EQ(telemetry.faults.faults, 0u);
+  const OracleCacheStats stats = stack.cache().stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
 }
 
 TEST(OracleStackTest, WithCacheSizingIsApplied) {
@@ -49,33 +44,48 @@ TEST(OracleStackTest, WithCacheSizingIsApplied) {
   for (double x : {1.0, 2.0, 3.0}) {
     (void)stack.cache().Optimize(core::CostVector{x, 1.0});
   }
-  const StackTelemetry telemetry = stack.telemetry();
-  EXPECT_EQ(telemetry.cache.misses, 3u);
-  EXPECT_GE(telemetry.cache.evictions, 1u);
+  const OracleCacheStats stats = stack.cache().stats();
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_GE(stats.evictions, 1u);
 }
 
-TEST(OracleStackTest, FaultsInjectAboveTheCacheSoRetriesAreFree) {
+TEST(ProbeChainTest, FaultFreeChainIsOneAttemptPerCall) {
   core::FakeOracle base(TwoPlans(), /*white_box=*/true);
-
-  resilience::FaultInjectionOptions faults;
-  faults.fault_rate = 1.0;  // every key starts a burst
-  faults.max_burst = 2;
-  faults.weight_transient = 1.0;
-  resilience::ResilientOracleOptions retry;
-  retry.max_retries = 5;  // budget > burst: recovery is guaranteed
-
-  OracleStack stack =
-      OracleStackBuilder().WithResilience(faults, retry).Build(base);
-  ASSERT_NE(stack.resilient(), nullptr);
-  ASSERT_NE(stack.injector(), nullptr);
-  EXPECT_TRUE(stack.telemetry().resilient);
+  OracleStack stack = OracleStackBuilder().Build(base);
+  ProbeChain probes(stack.cache(), ProbeOptions{});
 
   const core::CostVector probe{1.0, 2.0};
-  const Result<core::OracleResult> reply =
-      stack.resilient()->TryOptimize(probe);
+  for (int i = 0; i < 2; ++i) {
+    const Result<core::OracleResult> reply = probes.oracle().TryOptimize(probe);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->plan_id, stack.cache().Optimize(probe).plan_id);
+  }
+  const ProbeTelemetry telemetry = probes.telemetry();
+  EXPECT_EQ(telemetry.resilience.calls, 2u);
+  EXPECT_EQ(telemetry.resilience.attempts, 2u);
+  EXPECT_EQ(telemetry.resilience.retries, 0u);
+  EXPECT_EQ(telemetry.resilience.failures, 0u);
+  // fault_rate 0 builds no injector: its log never sees a call.
+  EXPECT_EQ(telemetry.faults.calls, 0u);
+  EXPECT_EQ(base.calls(), 1u);
+}
+
+TEST(ProbeChainTest, FaultsInjectAboveTheCacheSoRetriesAreFree) {
+  core::FakeOracle base(TwoPlans(), /*white_box=*/true);
+  OracleStack stack = OracleStackBuilder().Build(base);
+
+  ProbeOptions options;
+  options.faults.fault_rate = 1.0;  // every key starts a burst
+  options.faults.max_burst = 2;
+  options.faults.weight_transient = 1.0;
+  options.retry.max_retries = 5;  // budget > burst: recovery is guaranteed
+  ProbeChain probes(stack.cache(), options);
+
+  const core::CostVector probe{1.0, 2.0};
+  const Result<core::OracleResult> reply = probes.oracle().TryOptimize(probe);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
 
-  StackTelemetry telemetry = stack.telemetry();
+  ProbeTelemetry telemetry = probes.telemetry();
   // The burst consumed two faulting attempts, then the clean attempt fell
   // through the injector onto the (cold) cache exactly once.
   EXPECT_EQ(telemetry.faults.faults, 2u);
@@ -83,55 +93,34 @@ TEST(OracleStackTest, FaultsInjectAboveTheCacheSoRetriesAreFree) {
   EXPECT_EQ(telemetry.resilience.attempts, 3u);
   EXPECT_EQ(telemetry.resilience.retries, 2u);
   EXPECT_EQ(telemetry.resilience.failures, 0u);
-  EXPECT_EQ(telemetry.cache.misses, 1u);
+  EXPECT_EQ(stack.cache().stats().misses, 1u);
   EXPECT_EQ(base.calls(), 1u);  // faults never reached the base optimizer
 
   // Same key again: the burst is spent, the cache is warm — no new fault,
   // no new base call.
-  const Result<core::OracleResult> again =
-      stack.resilient()->TryOptimize(probe);
+  const Result<core::OracleResult> again = probes.oracle().TryOptimize(probe);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->plan_id, reply->plan_id);
-  telemetry = stack.telemetry();
+  telemetry = probes.telemetry();
   EXPECT_EQ(telemetry.faults.faults, 2u);
-  EXPECT_EQ(telemetry.cache.hits, 1u);
+  EXPECT_EQ(stack.cache().stats().hits, 1u);
   EXPECT_EQ(base.calls(), 1u);
 }
 
-TEST(OracleStackTest, ExhaustedRetryBudgetSurfacesTypedFailure) {
+TEST(ProbeChainTest, ExhaustedRetryBudgetSurfacesTypedFailure) {
   core::FakeOracle base(TwoPlans(), /*white_box=*/true);
-  resilience::FaultInjectionOptions faults;
-  faults.fault_rate = 1.0;
-  faults.max_burst = 3;
-  resilience::ResilientOracleOptions retry;
-  retry.max_retries = 1;  // 2 attempts < burst of 3: the call must fail
+  OracleStack stack = OracleStackBuilder().Build(base);
+  ProbeOptions options;
+  options.faults.fault_rate = 1.0;
+  options.faults.max_burst = 3;
+  options.retry.max_retries = 1;  // 2 attempts < burst of 3: the call fails
+  ProbeChain probes(stack.cache(), options);
 
-  OracleStack stack =
-      OracleStackBuilder().WithResilience(faults, retry).Build(base);
   const Result<core::OracleResult> reply =
-      stack.resilient()->TryOptimize(core::CostVector{1.0, 2.0});
+      probes.oracle().TryOptimize(core::CostVector{1.0, 2.0});
   EXPECT_FALSE(reply.ok());
-  const StackTelemetry telemetry = stack.telemetry();
-  EXPECT_EQ(telemetry.resilience.failures, 1u);
+  EXPECT_EQ(probes.telemetry().resilience.failures, 1u);
   EXPECT_EQ(base.calls(), 0u);  // the fault tier absorbed every attempt
-}
-
-TEST(OracleStackTest, MakeBuilderGatesResilienceOnFaultRate) {
-  core::FakeOracle base(TwoPlans(), /*white_box=*/true);
-
-  engine::EngineConfig plain;
-  OracleStack no_faults = engine::MakeOracleStackBuilder(plain).Build(base);
-  EXPECT_EQ(no_faults.resilient(), nullptr);
-
-  engine::EngineConfig faulty;
-  faulty.fault_rate = 0.5;
-  faulty.max_retries = 4;
-  faulty.cache.shards = 2;
-  faulty.cache.max_entries = 64;
-  OracleStack with_faults =
-      engine::MakeOracleStackBuilder(faulty).Build(base);
-  EXPECT_NE(with_faults.resilient(), nullptr);
-  EXPECT_NE(with_faults.injector(), nullptr);
 }
 
 TEST(OracleStackTest, OneBuilderStampsOutIndependentStacks) {
@@ -143,8 +132,8 @@ TEST(OracleStackTest, OneBuilderStampsOutIndependentStacks) {
   (void)a.cache().Optimize(probe);
   (void)b.cache().Optimize(probe);
   // Separate per-query stacks do not share cache state.
-  EXPECT_EQ(a.telemetry().cache.misses, 1u);
-  EXPECT_EQ(b.telemetry().cache.misses, 1u);
+  EXPECT_EQ(a.cache().stats().misses, 1u);
+  EXPECT_EQ(b.cache().stats().misses, 1u);
   EXPECT_EQ(base.calls(), 2u);
 }
 

@@ -155,6 +155,23 @@ TEST(FigureRunnerTest, InitialPlanIsAmongCandidates) {
   EXPECT_EQ(analysis->dim_info.size(), 3u);
 }
 
+TEST(FigureRunnerTest, FaultFreeProbeChainIsOneAttemptPerCall) {
+  // Every analysis probes through the retry tier. With default options
+  // (no faults) that tier adds nothing: one attempt per probe call, no
+  // retries, failures or degraded points, and full coverage.
+  const auto& analysis =
+      CachedAnalysis(3, storage::LayoutPolicy::kSharedDevice);
+  ASSERT_TRUE(analysis.ok());
+  const runtime::resilience::ResilienceStats& r = analysis->probes.resilience;
+  EXPECT_GT(r.calls, 0u);
+  EXPECT_EQ(r.attempts, r.calls);
+  EXPECT_EQ(r.retries, 0u);
+  EXPECT_EQ(r.failures, 0u);
+  EXPECT_EQ(analysis->probes.faults.faults, 0u);
+  EXPECT_EQ(analysis->degraded_points, 0u);
+  EXPECT_EQ(runtime::resilience::ProbeCoverage(r.calls, r.failures), 1.0);
+}
+
 TEST(FigureRunnerTest, LpMatchesVertexSweepOnQuickCandidateSets) {
   // Differential check of the figures' worst-case method: on every quick
   // query x layout whose resource space the 2^d vertex sweep can afford

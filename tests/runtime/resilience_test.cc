@@ -253,29 +253,7 @@ TEST(ResilientOracleTest, ValidationConvertsGarbageRepliesToTypedErrors) {
   }
 }
 
-TEST(ResilientOracleTest, PerCallDeadlineDiscardsSlowRepliesThenRecovers) {
-  FakeOracle base(MakePlans(3, 4), /*white_box=*/false);
-  ManualClock clock;
-  FaultInjectionOptions faults;
-  faults.fault_rate = 1.0;
-  faults.max_burst = 1;
-  faults.weight_transient = 0.0;
-  faults.weight_latency = 1.0;
-  faults.latency_nanos = 10'000;
-  FaultInjectingOracle injector(base, faults, &clock);
-  ResilientOracleOptions retry;
-  retry.max_retries = 2;
-  retry.per_call_deadline_ns = 1000;  // slower replies are discarded
-  ResilientOracle resilient(injector, retry, &clock);
-
-  const Result<OracleResult> r = resilient.TryOptimize({1.0, 2.0, 3.0});
-  ASSERT_TRUE(r.ok());  // the burst is 1 deep; the retry lands clean
-  const ResilienceStats stats = resilient.stats();
-  EXPECT_EQ(stats.deadline_exceeded, 1u);
-  EXPECT_EQ(stats.recovered, 1u);
-}
-
-TEST(ResilientOracleTest, RunBudgetFailsFastAndResets) {
+TEST(ResilientOracleTest, SpentRunBudgetFailsFast) {
   FakeOracle base(MakePlans(3, 4), /*white_box=*/false);
   ManualClock clock;
   FaultInjectingOracle injector(base, FaultInjectionOptions{});  // no faults
@@ -287,42 +265,11 @@ TEST(ResilientOracleTest, RunBudgetFailsFastAndResets) {
   const Result<OracleResult> r1 = resilient.TryOptimize({1.0, 2.0, 3.0});
   ASSERT_FALSE(r1.ok());
   EXPECT_EQ(r1.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(resilient.stats().attempts, 0u);  // failed fast, no base call
-
-  resilient.ResetBudget();
-  const Result<OracleResult> r2 = resilient.TryOptimize({1.0, 2.0, 3.0});
-  EXPECT_TRUE(r2.ok());
-}
-
-TEST(ResilientOracleTest, BreakerOpensShortCircuitsAndHalfOpens) {
-  FakeOracle base(MakePlans(3, 4), /*white_box=*/false);
-  ManualClock clock;
-  FaultInjectionOptions faults;
-  faults.fault_rate = 1.0;
-  faults.max_burst = 1000;  // effectively always faulting
-  FaultInjectingOracle injector(base, faults, &clock);
-  ResilientOracleOptions retry;
-  retry.max_retries = 0;
-  retry.breaker_threshold = 2;
-  retry.breaker_cooldown_ns = 1000;
-  retry.backoff_base_ns = 0;
-  ResilientOracle resilient(injector, retry, &clock);
-
-  const CostVector c = {1.0, 2.0, 3.0};
-  EXPECT_FALSE(resilient.TryOptimize(c).ok());
-  EXPECT_FALSE(resilient.TryOptimize(c).ok());  // second failure trips it
-  EXPECT_EQ(resilient.stats().breaker_trips, 1u);
-
-  const Result<OracleResult> shorted = resilient.TryOptimize(c);
-  ASSERT_FALSE(shorted.ok());
-  EXPECT_EQ(shorted.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(resilient.stats().breaker_short_circuits, 1u);
-  EXPECT_EQ(resilient.stats().attempts, 2u);  // open = no base traffic
-
-  clock.Advance(2000);  // past the cooldown: one probe is let through
-  EXPECT_FALSE(resilient.TryOptimize(c).ok());
-  EXPECT_EQ(resilient.stats().attempts, 3u);      // the half-open probe ran
-  EXPECT_EQ(resilient.stats().breaker_trips, 2u);  // and re-opened it
+  // Failed fast: the call counts, but no attempt reached the base.
+  const ResilienceStats stats = resilient.stats();
+  EXPECT_EQ(stats.calls, 1u);
+  EXPECT_EQ(stats.attempts, 0u);
+  EXPECT_EQ(stats.deadline_exceeded, 1u);
 }
 
 TEST(ResilientOracleTest, BackoffScheduleIsDeterministic) {

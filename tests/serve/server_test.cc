@@ -653,7 +653,6 @@ TEST(ServerTest, RequestDeadlineSurfacesAsTypedDeadlineExceeded) {
   ServerOptions options;
   options.dispatcher = QuickDispatcherOptions(&pool);
   options.dispatcher.clock = &clock;
-  options.dispatcher.fault_injection = true;
   options.dispatcher.faults.fault_rate = 1.0;
   options.dispatcher.faults.max_burst = 1;
   options.dispatcher.faults.weight_transient = 0.0;
