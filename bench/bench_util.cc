@@ -4,6 +4,7 @@
 #include <memory>
 #include <utility>
 
+#include "engine/artifact.h"
 #include "exp/report.h"
 #include "runtime/cache_store.h"
 #include "runtime/thread_pool.h"
@@ -37,13 +38,8 @@ void EmitBenchJson(const engine::EngineConfig& config,
                    const std::vector<std::pair<std::string, double>>& extra) {
   const std::string line = metrics.ToJsonLine(bench_name, extra);
   std::fputs(line.c_str(), stderr);
-  if (config.bench_json_path.empty()) return;
-  std::FILE* f = std::fopen(config.bench_json_path.c_str(), "a");
-  const bool written = f != nullptr && std::fputs(line.c_str(), f) >= 0;
-  const bool closed = f != nullptr && std::fclose(f) == 0;
-  if (!written || !closed) {
-    std::fprintf(stderr, "%s: cannot append the perf line to %s\n",
-                 bench_name.c_str(), config.bench_json_path.c_str());
+  if (!config.bench_json_path.empty()) {
+    engine::AppendBenchJsonLine(config.bench_json_path, line, bench_name);
   }
 }
 

@@ -4,34 +4,23 @@
 // a socket client exercises, minus the kernel socket — and reports exact
 // p50/p99/p999 service latency into the bench JSON sidecar.
 //
-// Two client populations can run side by side:
-//   open-loop   (--sessions=S)     offered arrivals at --rate Hz per
-//               session, protocol v1 request/response calls. Arrivals
-//               never wait for responses, so this population measures
-//               behaviour under a fixed offered load.
-//   closed-loop (--closed-loop=N)  N clients each cycling request ->
-//               response -> think, protocol v2 streamed calls. Each
-//               client has at most one request outstanding, so this
-//               population measures service latency without coordinated
-//               omission from queueing behind its own backlog.
+// Each of the --sessions clients sends its --requests requests back to
+// back over CallV2 (the streamed frame protocol), one outstanding request
+// at a time, so the latencies are service time under S-way concurrency.
 //
 // The workload is deterministic: each client forks its own Rng stream
 // from the seed and draws its request mix (query, analysis kind, layout
-// policy, delta set) and its exponential gaps (inter-arrival or think
-// time) from it. Schedules are charged to a client-local ManualClock —
-// virtual time records the offered schedule reproducibly while real wall
-// time measures service latency — so two runs offer byte-identical
-// request streams.
+// policy, delta set) from it, so two runs offer byte-identical request
+// streams.
 //
 // Usage:
 //   loadgen [quick=1 threads=N ...] [--sessions=S] [--requests=R]
-//           [--rate=HZ] [--closed-loop=N] [--think-ms=T]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -39,9 +28,9 @@
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "engine/artifact.h"
+#include "engine/config.h"
 #include "exp/report.h"
 #include "runtime/metrics.h"
-#include "runtime/resilience/clock.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/session.h"
@@ -53,22 +42,8 @@ namespace {
 struct LoadgenOptions {
   size_t sessions = 3;
   size_t requests_per_session = 16;
-  /// Offered arrival rate per session (Hz) on the virtual clock.
-  double rate_hz = 200.0;
-  /// Closed-loop clients running alongside the open-loop sessions
-  /// (0 = open-loop only).
-  size_t closed_loop = 0;
-  /// Mean think time per closed-loop cycle (ms) on the virtual clock.
-  double think_ms = 2.0;
   uint64_t seed = 0x10adULL;
 };
-
-bool ParseFlag(const char* arg, const char* name, double* out) {
-  const std::string prefix = std::string(name) + "=";
-  if (std::string(arg).rfind(prefix, 0) != 0) return false;
-  *out = std::atof(arg + prefix.size());
-  return true;
-}
 
 /// One session's deterministic request stream.
 std::vector<serve::AnalysisRequest> MakeWorkload(Rng& rng, size_t count,
@@ -116,9 +91,8 @@ struct SessionResult {
   /// discovery, worst-case and GTC-series requests have very different
   /// cost profiles, and one blended percentile hides which one regressed.
   std::vector<double> latencies_ms[kNumKinds];
-  size_t shed = 0;                   // kUnavailable (admission overload)
-  size_t errors = 0;                 // any other non-OK response code
-  uint64_t virtual_arrival_ns = 0;   // last offered arrival timestamp
+  size_t shed = 0;    // kUnavailable (admission overload)
+  size_t errors = 0;  // any other non-OK response code
 };
 
 /// Nearest-rank percentile of an already-sorted sample.
@@ -132,29 +106,22 @@ double Percentile(const std::vector<double>& sorted, double q) {
 int LoadgenMain(engine::Engine& eng, int argc, char** argv) {
   LoadgenOptions load;
   for (int i = 1; i < argc; ++i) {
-    double value = 0.0;
-    if (ParseFlag(argv[i], "--sessions", &value)) {
-      load.sessions = static_cast<size_t>(value);
-    } else if (ParseFlag(argv[i], "--requests", &value)) {
-      load.requests_per_session = static_cast<size_t>(value);
-    } else if (ParseFlag(argv[i], "--rate", &value)) {
-      load.rate_hz = value;
-    } else if (ParseFlag(argv[i], "--closed-loop", &value)) {
-      load.closed_loop = static_cast<size_t>(value);
-    } else if (ParseFlag(argv[i], "--think-ms", &value)) {
-      load.think_ms = value;
-    } else {
+    const std::string_view arg(argv[i]);
+    const size_t eq = arg.find('=');
+    const std::string_view flag = arg.substr(0, eq);
+    size_t* target = flag == "--sessions"   ? &load.sessions
+                     : flag == "--requests" ? &load.requests_per_session
+                                            : nullptr;
+    if (target == nullptr || eq == std::string_view::npos) {
       std::fprintf(stderr, "loadgen: unknown argument %s\n", argv[i]);
       return 2;
     }
-  }
-  if (load.sessions + load.closed_loop == 0 ||
-      load.requests_per_session == 0 || load.rate_hz <= 0.0 ||
-      load.think_ms < 0.0) {
-    std::fprintf(stderr,
-                 "loadgen: need at least one client; requests and rate must "
-                 "be > 0 and think time >= 0\n");
-    return 2;
+    const Status parsed =
+        engine::ParseSize(flag, arg.substr(eq + 1), 1, target);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "loadgen: %s\n", parsed.ToString().c_str());
+      return 2;
+    }
   }
 
   const engine::EngineConfig& config = eng.config();
@@ -173,23 +140,14 @@ int LoadgenMain(engine::Engine& eng, int argc, char** argv) {
   }
   serve::Server server(options);
 
-  const size_t total_clients = load.sessions + load.closed_loop;
-  std::vector<SessionResult> results(total_clients);
+  std::vector<SessionResult> results(load.sessions);
   std::vector<std::thread> clients;
   runtime::WallTimer run_timer;
-  for (size_t s = 0; s < total_clients; ++s) {
-    const bool closed = s >= load.sessions;
-    clients.emplace_back([&, s, closed] {
+  for (size_t s = 0; s < load.sessions; ++s) {
+    clients.emplace_back([&, s] {
       Rng rng = Rng(load.seed).Fork(s);
       const std::vector<serve::AnalysisRequest> workload =
           MakeWorkload(rng, load.requests_per_session, config.quick);
-      // The offered schedule: exponential gaps, charged to a client-local
-      // virtual clock. Open-loop charges an arrival gap *before* each
-      // request; closed-loop charges a think gap *after* each response.
-      // Virtual time makes either schedule a pure function of the seed;
-      // the requests themselves are issued as fast as the server absorbs
-      // them.
-      runtime::resilience::ManualClock schedule;
       SessionResult& result = results[s];
 
       auto [client, server_end] = serve::InProcessTransport::CreatePair();
@@ -202,18 +160,10 @@ int LoadgenMain(engine::Engine& eng, int argc, char** argv) {
                        status.ToString().c_str());
         }
       });
-      const double mean_gap_s =
-          closed ? load.think_ms / 1e3 : 1.0 / load.rate_hz;
       for (const serve::AnalysisRequest& request : workload) {
-        const uint64_t gap_ns = static_cast<uint64_t>(
-            -std::log(1.0 - rng.Uniform()) * mean_gap_s * 1e9);
-        if (!closed) schedule.SleepFor(gap_ns);
         runtime::WallTimer latency;
-        // Closed-loop clients speak protocol v2 — the streamed frame
-        // path — so one run covers both wire formats under concurrency.
         const Result<serve::AnalysisResponse> response =
-            closed ? serve::CallV2(*client, request)
-                   : serve::Call(*client, request);
+            serve::CallV2(*client, request);
         if (response.ok() && response->ok()) {
           result.latencies_ms[static_cast<size_t>(request.kind)].push_back(
               latency.ElapsedMs());
@@ -223,9 +173,7 @@ int LoadgenMain(engine::Engine& eng, int argc, char** argv) {
         } else {
           ++result.errors;
         }
-        if (closed) schedule.SleepFor(gap_ns);
       }
-      result.virtual_arrival_ns = schedule.NowNanos();
       client->Close();
       session_thread.join();
     });
@@ -236,28 +184,20 @@ int LoadgenMain(engine::Engine& eng, int argc, char** argv) {
 
   std::vector<double> latencies;
   std::vector<double> by_kind[kNumKinds];
-  std::vector<double> by_mode[2];  // 0 = open-loop, 1 = closed-loop
   size_t shed = 0;
   size_t errors = 0;
-  uint64_t virtual_ns = 0;
-  for (size_t s = 0; s < results.size(); ++s) {
-    const SessionResult& r = results[s];
-    const size_t mode = s >= load.sessions ? 1 : 0;
+  for (const SessionResult& r : results) {
     for (size_t k = 0; k < kNumKinds; ++k) {
       latencies.insert(latencies.end(), r.latencies_ms[k].begin(),
                        r.latencies_ms[k].end());
       by_kind[k].insert(by_kind[k].end(), r.latencies_ms[k].begin(),
                         r.latencies_ms[k].end());
-      by_mode[mode].insert(by_mode[mode].end(), r.latencies_ms[k].begin(),
-                           r.latencies_ms[k].end());
     }
     shed += r.shed;
     errors += r.errors;
-    virtual_ns = std::max(virtual_ns, r.virtual_arrival_ns);
   }
   std::sort(latencies.begin(), latencies.end());
   for (std::vector<double>& v : by_kind) std::sort(v.begin(), v.end());
-  for (std::vector<double>& v : by_mode) std::sort(v.begin(), v.end());
 
   const serve::ServerStats stats = server.stats();
   runtime::RuntimeMetrics metrics;
@@ -275,29 +215,15 @@ int LoadgenMain(engine::Engine& eng, int argc, char** argv) {
   std::unique_ptr<engine::ArtifactWriter> writer = eng.MakeArtifactWriter();
   std::vector<std::pair<std::string, double>> extras = {
       {"sessions", static_cast<double>(load.sessions)},
-      {"closed_clients", static_cast<double>(load.closed_loop)},
       {"requests", static_cast<double>(latencies.size() + shed + errors)},
       {"shed", static_cast<double>(shed)},
       {"errors", static_cast<double>(errors)},
       {"admission_rejected", static_cast<double>(stats.admission.rejected)},
       {"peak_inflight", static_cast<double>(stats.admission.peak_inflight)},
       {"contexts", static_cast<double>(stats.dispatcher.contexts)},
-      {"offered_virtual_ms", static_cast<double>(virtual_ns) / 1e6},
       {"lat_p50_ms", Percentile(latencies, .5)},
       {"lat_p99_ms", Percentile(latencies, .99)},
       {"lat_p999_ms", Percentile(latencies, .999)}};
-  // The per-mode breakdown (lat_open_p50_ms, lat_closed_p50_ms, ...):
-  // open-loop latencies include queueing behind the offered schedule,
-  // closed-loop latencies are pure service time (one request outstanding
-  // per client) — blending them would hide which one regressed.
-  const char* const kModeNames[2] = {"open", "closed"};
-  for (size_t m = 0; m < 2; ++m) {
-    const std::string name = kModeNames[m];
-    extras.emplace_back("requests_" + name,
-                        static_cast<double>(by_mode[m].size()));
-    extras.emplace_back("lat_" + name + "_p50_ms", Percentile(by_mode[m], .5));
-    extras.emplace_back("lat_" + name + "_p99_ms", Percentile(by_mode[m], .99));
-  }
   // The per-kind breakdown (lat_discovery_p50_ms, ...): same nearest-rank
   // percentiles over each kind's own sample, plus its request count so a
   // tiny sample can't masquerade as a tight tail.
@@ -317,9 +243,9 @@ int LoadgenMain(engine::Engine& eng, int argc, char** argv) {
 
   std::fprintf(
       stderr,
-      "loadgen: %zu open + %zu closed client(s) x %zu request(s): ok=%zu "
-      "shed=%zu errors=%zu rejected=%zu p50=%.3fms p99=%.3fms p999=%.3fms\n",
-      load.sessions, load.closed_loop, load.requests_per_session,
+      "loadgen: %zu client(s) x %zu request(s): ok=%zu shed=%zu errors=%zu "
+      "rejected=%zu p50=%.3fms p99=%.3fms p999=%.3fms\n",
+      load.sessions, load.requests_per_session,
       latencies.size(), shed, errors,
       static_cast<size_t>(stats.admission.rejected), Percentile(latencies, .5),
       Percentile(latencies, .99), Percentile(latencies, .999));

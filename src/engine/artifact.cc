@@ -19,6 +19,20 @@ std::string JsonNumber(double v) {
 
 }  // namespace
 
+void AppendBenchJsonLine(const std::string& path, std::string_view line,
+                         const std::string& who) {
+  // Each line is on disk as soon as it is produced; an unwritable path
+  // never fails a run, but it never goes unnoticed either.
+  runtime::sink::FileSink file(path, runtime::sink::FileSink::Mode::kAppend);
+  Status st = file.Write(line);
+  const Status closed = file.Close();
+  if (st.ok()) st = closed;
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s: cannot append the perf line to %s\n",
+                 who.c_str(), path.c_str());
+  }
+}
+
 std::string EscapeJson(std::string_view text) {
   std::string out;
   out.reserve(text.size());
@@ -71,27 +85,15 @@ void TextRenderer::WriteFigure(const std::string& title,
   Note(out_.Write(exp::RenderFigureCsv(series)));
 }
 
-void TextRenderer::WriteTextBlock(const std::string& text) {
-  Note(out_.Write(text));
-}
-
 void TextRenderer::WriteRunMetrics(
     const std::string& bench_name, const runtime::RuntimeMetrics& metrics,
     const std::vector<std::pair<std::string, double>>& extra) {
   Note(err_.Write(metrics.Render()));
   const std::string line = metrics.ToJsonLine(bench_name, extra);
   Note(err_.Write(line));
-  if (bench_json_path_.empty()) return;
-  if (bench_json_ == nullptr) {
-    bench_json_ = std::make_unique<runtime::sink::FileSink>(
-        bench_json_path_, runtime::sink::FileSink::Mode::kAppend);
+  if (!bench_json_path_.empty()) {
+    AppendBenchJsonLine(bench_json_path_, line, bench_name);
   }
-  // The perf line is best-effort, exactly as the historical fopen-append
-  // was: an unwritable path never fails a figure run. The eager Flush
-  // keeps each line on disk as soon as it is produced.
-  Status st = bench_json_->Write(line);
-  if (st.ok()) st = bench_json_->Flush();
-  (void)st.ok();
 }
 
 Status TextRenderer::Flush() {
@@ -100,13 +102,7 @@ Status TextRenderer::Flush() {
   return deferred_;
 }
 
-Status TextRenderer::Finish() {
-  if (bench_json_ != nullptr) {
-    const Status st = bench_json_->Close();
-    (void)st.ok();  // best-effort, matching WriteRunMetrics
-  }
-  return Flush();
-}
+Status TextRenderer::Finish() { return Flush(); }
 
 // ---------------------------------------------------------------------------
 // JsonWriter
@@ -136,10 +132,6 @@ void JsonWriter::WriteFigure(const std::string& title,
   }
   line += "]}\n";
   buffer_ += line;
-}
-
-void JsonWriter::WriteTextBlock(const std::string& text) {
-  buffer_ += "{\"artifact\":\"text\",\"text\":\"" + EscapeJson(text) + "\"}\n";
 }
 
 void JsonWriter::WriteRunMetrics(
@@ -190,10 +182,6 @@ MultiWriter::MultiWriter(std::vector<std::unique_ptr<ArtifactWriter>> sinks)
 void MultiWriter::WriteFigure(const std::string& title,
                               const std::vector<exp::FigureSeries>& series) {
   for (auto& sink : sinks_) sink->WriteFigure(title, series);
-}
-
-void MultiWriter::WriteTextBlock(const std::string& text) {
-  for (auto& sink : sinks_) sink->WriteTextBlock(text);
 }
 
 void MultiWriter::WriteRunMetrics(

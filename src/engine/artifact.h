@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -16,11 +17,11 @@ namespace costsense::engine {
 
 /// Where figure/table results go, decoupled from how they were computed.
 ///
-/// Drivers emit three artifact kinds: a figure (title + per-query GTC
-/// series), a pre-rendered text block (the census/bounds tables), and a
-/// run's RuntimeMetrics (which carry the resilience telemetry). Sinks
-/// decide the representation: TextRenderer reproduces today's stdout
-/// byte-for-byte, JsonWriter captures the same data structured.
+/// Drivers emit two artifact kinds: a figure (title + per-query GTC
+/// series) and a run's RuntimeMetrics (which carry the resilience
+/// telemetry). Sinks decide the representation: TextRenderer reproduces
+/// today's stdout byte-for-byte, JsonWriter captures the same data
+/// structured.
 class ArtifactWriter {
  public:
   virtual ~ArtifactWriter() = default;
@@ -29,10 +30,6 @@ class ArtifactWriter {
   /// structured series record on the JSON sink.
   virtual void WriteFigure(const std::string& title,
                            const std::vector<exp::FigureSeries>& series) = 0;
-
-  /// A pre-rendered block (tables that are not GTC series). The text sink
-  /// forwards it verbatim.
-  virtual void WriteTextBlock(const std::string& text) = 0;
 
   /// Per-run counters and resilience telemetry. `extra` appends numeric
   /// fields to the machine-readable form.
@@ -56,17 +53,16 @@ class ArtifactWriter {
 /// the human-readable block plus one perf-JSON line, the latter also
 /// appended to `bench_json_path` when non-empty.
 ///
-/// Internally every byte now travels through a sink chain — stdout/stderr
-/// through borrowed StdioSinks, the perf line through an append FileSink.
-/// The Write* entry points are void, so a failed write is remembered and
-/// surfaced as the first error from Flush()/Finish().
+/// Internally stdout/stderr bytes travel through borrowed StdioSinks; the
+/// perf line is appended with AppendBenchJsonLine. The Write* entry points
+/// are void, so a failed stdout/stderr write is remembered and surfaced as
+/// the first error from Flush()/Finish().
 class TextRenderer final : public ArtifactWriter {
  public:
   explicit TextRenderer(std::string bench_json_path = "");
 
   void WriteFigure(const std::string& title,
                    const std::vector<exp::FigureSeries>& series) override;
-  void WriteTextBlock(const std::string& text) override;
   void WriteRunMetrics(
       const std::string& bench_name, const runtime::RuntimeMetrics& metrics,
       const std::vector<std::pair<std::string, double>>& extra) override;
@@ -80,7 +76,6 @@ class TextRenderer final : public ArtifactWriter {
   const std::string bench_json_path_;
   runtime::sink::StdioSink out_;
   runtime::sink::StdioSink err_;
-  std::unique_ptr<runtime::sink::FileSink> bench_json_;
   Status deferred_;
 };
 
@@ -95,7 +90,6 @@ class JsonWriter final : public ArtifactWriter {
 
   void WriteFigure(const std::string& title,
                    const std::vector<exp::FigureSeries>& series) override;
-  void WriteTextBlock(const std::string& text) override;
   void WriteRunMetrics(
       const std::string& bench_name, const runtime::RuntimeMetrics& metrics,
       const std::vector<std::pair<std::string, double>>& extra) override;
@@ -123,7 +117,6 @@ class MultiWriter final : public ArtifactWriter {
 
   void WriteFigure(const std::string& title,
                    const std::vector<exp::FigureSeries>& series) override;
-  void WriteTextBlock(const std::string& text) override;
   void WriteRunMetrics(
       const std::string& bench_name, const runtime::RuntimeMetrics& metrics,
       const std::vector<std::pair<std::string, double>>& extra) override;
@@ -137,6 +130,12 @@ class MultiWriter final : public ArtifactWriter {
 /// The configured sink set: always a TextRenderer (stdout contract), plus
 /// a JsonWriter sidecar when config.artifact_json_path is set.
 std::unique_ptr<ArtifactWriter> MakeArtifactWriter(const EngineConfig& config);
+
+/// Appends one perf-JSON `line` to `path`. Best effort: a failed append
+/// prints one warning naming `who` and the path to stderr, and the run
+/// goes on. The one writer behind every COSTSENSE_BENCH_JSON line.
+void AppendBenchJsonLine(const std::string& path, std::string_view line,
+                         const std::string& who);
 
 /// Escapes `text` for embedding in a JSON string literal.
 std::string EscapeJson(std::string_view text);

@@ -1,6 +1,9 @@
 #include "engine/config.h"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "common/strings.h"
@@ -63,20 +66,6 @@ constexpr RetiredKnob kRetiredKnobs[] = {
       "%.*s=\"%.*s\": expected %.*s", static_cast<int>(source.size()),
       source.data(), static_cast<int>(value.size()), value.data(),
       static_cast<int>(expected.size()), expected.data()));
-}
-
-[[nodiscard]] Status ParseSize(std::string_view source, std::string_view value,
-                               size_t min_value, size_t* out) {
-  const std::string text(value);
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-  if (text.empty() || end == nullptr || *end != '\0' ||
-      text.front() == '-' || parsed < min_value) {
-    return BadValue(source, value,
-                    StrFormat("an integer >= %zu", min_value));
-  }
-  *out = static_cast<size_t>(parsed);
-  return Status::Ok();
 }
 
 /// Quick mode keeps its documented env semantics: any set, non-empty value
@@ -146,6 +135,27 @@ bool ParseQuick(std::string_view value) {
 }
 
 }  // namespace
+
+Status ParseSize(std::string_view source, std::string_view value,
+                 size_t min_value, size_t* out) {
+  // Digits only: strtoull alone would skip leading blanks and accept a
+  // sign, so " -5" would wrap to a huge count instead of being refused.
+  const bool digits =
+      !value.empty() && std::all_of(value.begin(), value.end(), [](char c) {
+        return c >= '0' && c <= '9';
+      });
+  const std::string text(value);
+  errno = 0;
+  const unsigned long long parsed =
+      digits ? std::strtoull(text.c_str(), nullptr, 10) : 0;
+  if (!digits || errno == ERANGE || parsed < min_value ||
+      parsed > std::numeric_limits<size_t>::max()) {
+    return BadValue(source, value,
+                    StrFormat("an integer >= %zu", min_value));
+  }
+  *out = static_cast<size_t>(parsed);
+  return Status::Ok();
+}
 
 Result<EngineConfig> EngineConfig::FromEnv() {
   // The single sanctioned environment read (lint rule R5).

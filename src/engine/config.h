@@ -117,6 +117,13 @@ struct EngineConfig {
   std::vector<std::pair<std::string, std::string>> KnobTable() const;
 };
 
+/// Parses `value` as a decimal integer >= `min_value` into `out`. Digits
+/// only — no sign, blank or suffix — and no overflow; anything else is
+/// kInvalidArgument naming `source` (the env var, override key or flag
+/// that supplied the text) and the offending value.
+[[nodiscard]] Status ParseSize(std::string_view source, std::string_view value,
+                               size_t min_value, size_t* out);
+
 }  // namespace costsense::engine
 
 #endif  // COSTSENSE_ENGINE_CONFIG_H_

@@ -11,7 +11,7 @@
 namespace costsense::runtime::sink {
 
 /// Terminal stage: appends every span to a caller-owned string. The
-/// in-memory leaf the tests and the serve v1 path use — a chain ending in
+/// in-memory leaf the tests and Dispatcher::Handle use — a chain ending in
 /// a StringSink proves byte-identity against any other chain ending in a
 /// file or socket.
 class StringSink final : public Sink {

@@ -135,7 +135,7 @@ Status Dispatcher::Render(const AnalysisRequest& request, QueryContext& ctx,
 
   // Plans are discovered once over the widest requested band; candidate
   // sets for narrower bands are subsets (usage vectors are
-  // box-independent), so one discovery serves every delta. A v2 request
+  // box-independent), so one discovery serves every delta. A request
   // carrying an explicit box replaces that band box for discovery (and
   // for the worst-case LP below); its dimension count must match the
   // query's resource space.
@@ -180,10 +180,10 @@ Status Dispatcher::Render(const AnalysisRequest& request, QueryContext& ctx,
   for (const core::DiscoveredPlan& dp : d->plans) plans.push_back(dp.plan);
 
   // Each logical piece is one Write: the prologue, then one record per
-  // plan or delta line. Over a StringSink this concatenates into the v1
-  // body; over the v2 record sink each piece is one length-prefixed
-  // record, so a reassembled v2 stream equals the v1 body byte for byte.
-  // The body keeps the v1 stamp under both protocols for that reason.
+  // plan or delta line. Over a StringSink this concatenates into
+  // Handle()'s body; over the record sink each piece is one
+  // length-prefixed record, so a reassembled stream equals that body byte
+  // for byte. The first line carries the kProtocolVersion body stamp.
   Status st = out.Write(StrFormat(
       "costsense-serve v%u %s\n"
       "query=%s policy=%s dims=%zu\n"

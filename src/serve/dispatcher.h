@@ -99,9 +99,9 @@ class Dispatcher {
   /// plan or delta line) goes through `records` as a separate Write the
   /// moment it is produced. Returns the analysis status; on a non-OK
   /// status the records already written must be discarded by the consumer
-  /// (the v2 terminal status frame is what tells a remote client to).
-  /// Handle() is this over a StringSink — one rendering path for both
-  /// protocol versions, byte-for-byte.
+  /// (the terminal status frame is what tells a remote client to).
+  /// Handle() is this over a StringSink — one rendering path for the wire
+  /// and the in-process replay, byte-for-byte.
   [[nodiscard]] Status HandleStreaming(const AnalysisRequest& request,
                                        runtime::sink::Sink& records);
 

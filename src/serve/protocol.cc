@@ -108,24 +108,6 @@ class Reader {
   std::string_view rest_;
 };
 
-[[nodiscard]] Status CheckVersion(uint8_t version) {
-  if (version != kProtocolVersion) {
-    return Status::InvalidArgument(
-        StrFormat("unsupported protocol version %u (this server speaks %u)",
-                  version, kProtocolVersion));
-  }
-  return Status::Ok();
-}
-
-[[nodiscard]] Status CheckRequestVersion(uint8_t version) {
-  if (version != kProtocolVersion && version != kProtocolVersionV2) {
-    return Status::InvalidArgument(StrFormat(
-        "unsupported protocol version %u (this server speaks %u and %u)",
-        version, kProtocolVersion, kProtocolVersionV2));
-  }
-  return Status::Ok();
-}
-
 [[nodiscard]] Status TakeKind(Reader& r, AnalysisKind* out) {
   uint8_t kind = 0;
   Status st = r.TakeU8(&kind);
@@ -166,7 +148,7 @@ const char* AnalysisKindName(AnalysisKind kind) {
 
 std::string EncodeRequest(const AnalysisRequest& request) {
   std::string out;
-  out.reserve(15 + 8 * request.deltas.size());
+  out.reserve(16 + 8 * request.deltas.size());
   PutU8(&out, request.version);
   PutU8(&out, static_cast<uint8_t>(request.kind));
   PutU8(&out, static_cast<uint8_t>(request.policy));
@@ -174,14 +156,12 @@ std::string EncodeRequest(const AnalysisRequest& request) {
   PutU64(&out, request.deadline_ns);
   PutU16(&out, static_cast<uint16_t>(request.deltas.size()));
   for (double delta : request.deltas) PutF64(&out, delta);
-  if (request.version >= kProtocolVersionV2) {
-    PutU8(&out, request.box.has_value() ? 1 : 0);
-    if (request.box.has_value()) {
-      const core::Box& box = *request.box;
-      PutU16(&out, static_cast<uint16_t>(box.dims()));
-      for (size_t i = 0; i < box.dims(); ++i) PutF64(&out, box.lower()[i]);
-      for (size_t i = 0; i < box.dims(); ++i) PutF64(&out, box.upper()[i]);
-    }
+  PutU8(&out, request.box.has_value() ? 1 : 0);
+  if (request.box.has_value()) {
+    const core::Box& box = *request.box;
+    PutU16(&out, static_cast<uint16_t>(box.dims()));
+    for (size_t i = 0; i < box.dims(); ++i) PutF64(&out, box.lower()[i]);
+    for (size_t i = 0; i < box.dims(); ++i) PutF64(&out, box.upper()[i]);
   }
   return out;
 }
@@ -191,8 +171,11 @@ Result<AnalysisRequest> DecodeRequest(std::string_view payload) {
   uint8_t version = 0;
   Status st = r.TakeU8(&version);
   if (!st.ok()) return st;
-  st = CheckRequestVersion(version);
-  if (!st.ok()) return st;
+  if (version != kProtocolVersionV2) {
+    return Status::InvalidArgument(
+        StrFormat("unsupported protocol version %u (this server speaks %u)",
+                  version, kProtocolVersionV2));
+  }
 
   AnalysisRequest out;
   out.version = version;
@@ -233,87 +216,44 @@ Result<AnalysisRequest> DecodeRequest(std::string_view payload) {
     }
     out.deltas.push_back(delta);
   }
-  if (version >= kProtocolVersionV2) {
-    uint8_t has_box = 0;
-    st = r.TakeU8(&has_box);
+  uint8_t has_box = 0;
+  st = r.TakeU8(&has_box);
+  if (!st.ok()) return st;
+  if (has_box > 1) {
+    return Status::InvalidArgument(
+        StrFormat("has-box flag is %u; must be 0 or 1", has_box));
+  }
+  if (has_box == 1) {
+    uint16_t dims = 0;
+    st = r.TakeU16(&dims);
     if (!st.ok()) return st;
-    if (has_box > 1) {
-      return Status::InvalidArgument(
-          StrFormat("has-box flag is %u; must be 0 or 1", has_box));
+    if (dims == 0 || dims > kMaxBoxDims) {
+      return Status::InvalidArgument(StrFormat(
+          "box dimension count %u outside 1..%u", dims, kMaxBoxDims));
     }
-    if (has_box == 1) {
-      uint16_t dims = 0;
-      st = r.TakeU16(&dims);
+    std::vector<double> lower(dims);
+    std::vector<double> upper(dims);
+    for (uint16_t i = 0; i < dims; ++i) {
+      st = r.TakeF64(&lower[i]);
       if (!st.ok()) return st;
-      if (dims == 0 || dims > kMaxBoxDims) {
-        return Status::InvalidArgument(StrFormat(
-            "box dimension count %u outside 1..%u", dims, kMaxBoxDims));
-      }
-      std::vector<double> lower(dims);
-      std::vector<double> upper(dims);
-      for (uint16_t i = 0; i < dims; ++i) {
-        st = r.TakeF64(&lower[i]);
-        if (!st.ok()) return st;
-      }
-      for (uint16_t i = 0; i < dims; ++i) {
-        st = r.TakeF64(&upper[i]);
-        if (!st.ok()) return st;
-      }
-      // Box::Validated enforces positive, finite, element-wise ordered
-      // bounds as a typed error — the wire never reaches the CHECKing
-      // constructor.
-      Result<core::Box> box =
-          core::Box::Validated(core::CostVector(std::move(lower)),
-                               core::CostVector(std::move(upper)));
-      if (!box.ok()) return box.status();
-      out.box = std::move(box).value();
     }
+    for (uint16_t i = 0; i < dims; ++i) {
+      st = r.TakeF64(&upper[i]);
+      if (!st.ok()) return st;
+    }
+    // Box::Validated enforces positive, finite, element-wise ordered
+    // bounds as a typed error — the wire never reaches the CHECKing
+    // constructor.
+    Result<core::Box> box =
+        core::Box::Validated(core::CostVector(std::move(lower)),
+                             core::CostVector(std::move(upper)));
+    if (!box.ok()) return box.status();
+    out.box = std::move(box).value();
   }
   if (r.remaining() != 0) {
     return Status::InvalidArgument(StrFormat(
         "%zu trailing byte(s) after request payload", r.remaining()));
   }
-  return out;
-}
-
-std::string EncodeResponse(const AnalysisResponse& response) {
-  std::string out;
-  out.reserve(6 + response.body.size());
-  PutU8(&out, kProtocolVersion);
-  PutU8(&out, static_cast<uint8_t>(response.code));
-  PutU32(&out, static_cast<uint32_t>(response.body.size()));
-  out += response.body;
-  return out;
-}
-
-Result<AnalysisResponse> DecodeResponse(std::string_view payload) {
-  Reader r(payload);
-  uint8_t version = 0;
-  Status st = r.TakeU8(&version);
-  if (!st.ok()) return st;
-  st = CheckVersion(version);
-  if (!st.ok()) return st;
-
-  AnalysisResponse out;
-  uint8_t code = 0;
-  st = r.TakeU8(&code);
-  if (!st.ok()) return st;
-  if (code > static_cast<uint8_t>(StatusCode::kDeadlineExceeded)) {
-    return Status::InvalidArgument(StrFormat("unknown status code %u", code));
-  }
-  out.code = static_cast<StatusCode>(code);
-
-  uint32_t body_len = 0;
-  st = r.TakeU32(&body_len);
-  if (!st.ok()) return st;
-  if (body_len != r.remaining()) {
-    return Status::InvalidArgument(
-        StrFormat("response body length %u disagrees with %zu payload "
-                  "byte(s) remaining",
-                  body_len, r.remaining()));
-  }
-  st = r.TakeBytes(body_len, &out.body);
-  if (!st.ok()) return st;
   return out;
 }
 

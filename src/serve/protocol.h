@@ -12,22 +12,22 @@
 
 namespace costsense::serve {
 
-/// costsense-serve wire protocol, versions 1 and 2.
+/// costsense-serve wire protocol (version 2, the only one spoken).
 ///
 /// A connection carries length-prefixed frames in both directions:
 ///
 ///   [u32 big-endian payload length][payload bytes]
 ///
-/// and strictly alternates request/response (one outstanding request per
-/// session; clients that want concurrency open more sessions, which is
-/// also what keeps per-session state trivial — the MariaDB-style split
-/// between session state and shared caches). Every multi-byte integer is
-/// big-endian; doubles travel as the big-endian bytes of their IEEE-754
-/// representation, so a payload is bit-reproducible across hosts.
+/// and strictly alternates a request with its response stream (one
+/// outstanding request per session; clients that want concurrency open
+/// more sessions, which is also what keeps per-session state trivial —
+/// the MariaDB-style split between session state and shared caches). Every multi-byte
+/// integer is big-endian; doubles travel as the big-endian bytes of their
+/// IEEE-754 representation, so a payload is bit-reproducible across hosts.
 ///
-/// Version 1 request payload:
+/// Request payload:
 ///
-///   u8  version (kProtocolVersion)
+///   u8  version (kProtocolVersionV2; anything else is kInvalidArgument)
 ///   u8  analysis kind (AnalysisKind)
 ///   u8  storage layout policy (storage::LayoutPolicy)
 ///   u16 TPC-H query number (1..22)
@@ -37,19 +37,6 @@ namespace costsense::serve {
 ///       cost box(es) around the layout's baseline costs. kDiscovery and
 ///       kWorstCase read deltas[0]; kGtcSeries evaluates every delta
 ///       against the plan set discovered at the widest one.
-///
-/// Version 1 response payload:
-///
-///   u8  version
-///   u8  status code (StatusCode; kOk on success)
-///   u32 body length, then body bytes — the rendered analysis text on
-///       success, the error message otherwise.
-///
-/// Version 2 extends the request with an explicit feasible-region box and
-/// replaces the single response payload with a structured frame stream
-/// (see ResponseFrameType). A v2 request is the v1 fields with the
-/// version byte set to kProtocolVersionV2 followed by:
-///
 ///   u8  has-box flag (0 or 1)
 ///   [when 1]
 ///   u16 dims (1..kMaxBoxDims)
@@ -60,15 +47,17 @@ namespace costsense::serve {
 /// (positive, finite, element-wise lower <= upper); a malformed box is a
 /// typed kInvalidArgument, never a crash. When present, the box replaces
 /// the multiplicative band for discovery and for the worst-case LP; the
-/// deltas still drive the per-delta bands of a kGtcSeries curve. A server
-/// accepts both versions on one socket, keyed by the request's version
-/// byte.
-inline constexpr uint8_t kProtocolVersion = 1;
-
-/// Version tag of the structured-payload protocol revision.
+/// deltas still drive the per-delta bands of a kGtcSeries curve.
+///
+/// The response is a frame stream (see ResponseFrameType).
 inline constexpr uint8_t kProtocolVersionV2 = 2;
 
-/// Cap on the dimension count of an explicit v2 feasible-region box
+/// The stamp on the first line of every rendered analysis body
+/// ("costsense-serve v1 ..."). It is a body-format version, not a wire
+/// version: bodies keep it so they stay byte-identical across releases.
+inline constexpr uint8_t kProtocolVersion = 1;
+
+/// Cap on the dimension count of an explicit feasible-region box
 /// (matches the 64-dim bound the vertex sweeps can address).
 inline constexpr uint16_t kMaxBoxDims = 64;
 
@@ -96,18 +85,19 @@ enum class AnalysisKind : uint8_t {
 const char* AnalysisKindName(AnalysisKind kind);
 
 /// One analysis request. `deltas` defines the feasible-region box(es) as
-/// multiplicative error bands around the layout baseline; a v2 request
-/// may carry an explicit box instead.
+/// multiplicative error bands around the layout baseline; a request may
+/// carry an explicit box instead.
 struct AnalysisRequest {
-  /// Wire version EncodeRequest emits (and DecodeRequest saw). The box
-  /// field only travels on kProtocolVersionV2.
-  uint8_t version = kProtocolVersion;
+  /// Wire version byte EncodeRequest emits (and DecodeRequest saw). Only
+  /// kProtocolVersionV2 decodes; any other value encodes a request the
+  /// server refuses.
+  uint8_t version = kProtocolVersionV2;
   AnalysisKind kind = AnalysisKind::kDiscovery;
   storage::LayoutPolicy policy = storage::LayoutPolicy::kSharedDevice;
   uint16_t query_number = 1;
   uint64_t deadline_ns = 0;
   std::vector<double> deltas = {100.0};
-  /// Explicit feasible-region box (v2 only); validated at decode. When
+  /// Explicit feasible-region box; validated at decode. When
   /// set, it replaces the multiplicative band for discovery and the
   /// worst-case LP, and its dimension count must match the query's
   /// resource space (checked at dispatch).
@@ -129,22 +119,16 @@ struct AnalysisResponse {
 std::string EncodeRequest(const AnalysisRequest& request);
 
 /// Parses a frame payload into a request. kInvalidArgument on truncated
-/// payloads, unknown versions/kinds/policies, out-of-range query numbers,
-/// or non-finite / non-positive deltas.
+/// payloads, any version byte other than kProtocolVersionV2, unknown
+/// kinds/policies, out-of-range query numbers, non-finite / non-positive
+/// deltas, or a malformed box section.
 [[nodiscard]] Result<AnalysisRequest> DecodeRequest(std::string_view payload);
 
-/// Serializes `response` into a frame payload.
-std::string EncodeResponse(const AnalysisResponse& response);
-
-/// Parses a frame payload into a response. kInvalidArgument on truncated
-/// or version-mismatched payloads.
-[[nodiscard]] Result<AnalysisResponse> DecodeResponse(std::string_view payload);
-
 // ---------------------------------------------------------------------------
-// Version 2 response frame stream
+// Response frame stream
 // ---------------------------------------------------------------------------
 
-/// A v2 response is a stream of transport frames, each carrying one of
+/// A response is a stream of transport frames, each carrying one of
 /// three payload types:
 ///
 ///   header   u8 ver=2 | u8 type=0 | u8 kind | u8 policy | u16 query
@@ -153,9 +137,9 @@ std::string EncodeResponse(const AnalysisResponse& response);
 ///
 /// The stream is header-first, then zero or more record frames, then
 /// exactly one terminal status frame. On kOk the concatenated record
-/// bodies equal the v1 response body byte for byte; on any other code the
-/// records are discarded and the message is the error text. As the one
-/// exception to header-first, an error status frame may arrive alone
+/// bodies equal Dispatcher::Handle's body byte for byte; on any other code
+/// the records are discarded and the message is the error text. As the
+/// one exception to header-first, an error status frame may arrive alone
 /// (a request rejected before analysis has no header to send).
 enum class ResponseFrameType : uint8_t {
   kHeader = 0,
@@ -163,7 +147,7 @@ enum class ResponseFrameType : uint8_t {
   kStatus = 2,
 };
 
-/// One decoded v2 frame; which fields are meaningful depends on `type`.
+/// One decoded response frame; which fields are meaningful depends on `type`.
 struct ResponseFrame {
   ResponseFrameType type = ResponseFrameType::kHeader;
   // kHeader
@@ -177,17 +161,17 @@ struct ResponseFrame {
   std::string message;
 };
 
-/// Serializes one v2 frame into a transport payload.
+/// Serializes one response frame into a transport payload.
 std::string EncodeResponseFrame(const ResponseFrame& frame);
 
-/// Parses one v2 frame payload. kInvalidArgument on truncation, unknown
+/// Parses one response frame payload. kInvalidArgument on truncation, unknown
 /// frame types, record lengths that disagree with the payload, or a
 /// status length that lies about the remaining bytes.
 [[nodiscard]] Result<ResponseFrame> DecodeResponseFrame(
     std::string_view payload);
 
-/// Client-side state machine that folds a v2 frame stream back into the
-/// v1-equivalent AnalysisResponse. Feed() every received payload in
+/// Client-side state machine that folds a response frame stream back into
+/// one AnalysisResponse. Feed() every received payload in
 /// order; after done() reports true, response() is the reassembled
 /// result. Violations of the stream grammar (records before the header,
 /// frames after the terminal status, a duplicate header) are typed

@@ -13,7 +13,7 @@
 
 namespace costsense::serve {
 
-/// The serve-side record stage of a v2 response: each Write() is one
+/// The serve-side record stage of a response stream: each Write() is one
 /// logical record, batched into kRecords frames of up to
 /// `records_per_frame` records and sent through the transport. Flush()
 /// sends the partial batch; Close() flushes (the transport is borrowed —

@@ -96,19 +96,6 @@ void Server::DrainSessions() {
   shutdown_.ran = true;
 }
 
-AnalysisResponse Server::Handle(const AnalysisRequest& request) {
-  Status admitted = admission_.Admit();
-  if (!admitted.ok()) {
-    AnalysisResponse response;
-    response.code = admitted.code();
-    response.body = admitted.message();
-    return response;
-  }
-  AnalysisResponse response = dispatcher_.Handle(request);
-  admission_.Release();
-  return response;
-}
-
 Status Server::HandleStreaming(const AnalysisRequest& request,
                                runtime::sink::Sink& records) {
   Status admitted = admission_.Admit();

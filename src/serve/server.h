@@ -69,23 +69,19 @@ struct ServerStats {
 
 /// The long-lived analysis server: admission control in front of the
 /// shared dispatcher. Sessions (any number, on any threads) funnel their
-/// requests through Handle(), which bounds concurrent work and sheds load
-/// with typed kUnavailable once saturated — the server never hangs a
-/// client and never crashes from overload.
+/// requests through HandleStreaming(), which bounds concurrent work and
+/// sheds load with typed kUnavailable once saturated — the server never
+/// hangs a client and never crashes from overload.
 class Server {
  public:
   explicit Server(ServerOptions options);
 
   /// Admission-controlled request execution; the single entry point for
-  /// every session. Admission failures come back as kUnavailable
-  /// responses, never as hangs.
-  AnalysisResponse Handle(const AnalysisRequest& request);
-
-  /// Streaming (protocol v2) form of Handle: the same admission gate, but
-  /// body records go through `records` as they are produced instead of
-  /// accumulating in a response. Returns the analysis status the session
-  /// turns into the terminal status frame; on a non-OK status any records
-  /// already streamed are discarded by the client's reassembler.
+  /// every session. Body records go through `records` as they are
+  /// produced. Returns the analysis status the session turns into the
+  /// terminal status frame — admission failures are kUnavailable, never
+  /// hangs; on a non-OK status any records already streamed are
+  /// discarded by the client's reassembler.
   [[nodiscard]] Status HandleStreaming(const AnalysisRequest& request,
                                        runtime::sink::Sink& records);
 

@@ -52,51 +52,27 @@ Status Session::Run() {
     last_activity_ns_.store(clock.NowNanos(), std::memory_order_relaxed);
 
     Result<AnalysisRequest> request = DecodeRequest(*frame);
-    if (request.ok() && request->version >= kProtocolVersionV2) {
-      // v2: the response is a frame stream, not a single payload.
-      Status served = ServeStreaming(*request);
-      if (!served.ok()) {
-        transport_->Close();
-        return served;
-      }
-      ++requests_served_;
-      last_activity_ns_.store(clock.NowNanos(), std::memory_order_relaxed);
-      continue;
-    }
-
-    std::string reply;
-    if (request.ok()) {
-      reply = EncodeResponse(server_.Handle(*request));
-    } else if (!frame->empty() &&
-               static_cast<uint8_t>((*frame)[0]) == kProtocolVersionV2) {
-      // The peer attempted v2 (the version byte says so) but the request
-      // did not decode: answer in the grammar it expects — a lone error
-      // status frame, the one frame a reassembler accepts without a
-      // header.
+    if (!request.ok()) {
+      // Answer an undecodable frame with a lone status frame carrying the
+      // decoder's own code — the one frame a reassembler accepts without
+      // a header — then drop the connection rather than guess at where
+      // the next frame starts.
       ResponseFrame status_frame;
       status_frame.type = ResponseFrameType::kStatus;
       status_frame.code = request.status().code();
       status_frame.message = request.status().message();
-      reply = EncodeResponseFrame(status_frame);
-    } else {
-      AnalysisResponse response;
-      response.code = request.status().code();
-      response.body = request.status().message();
-      reply = EncodeResponse(response);
-    }
-    Status sent = transport_->SendFrame(reply);
-    if (!sent.ok()) {
+      const Status sent =
+          transport_->SendFrame(EncodeResponseFrame(status_frame));
       transport_->Close();
-      return sent;
+      return sent.ok() ? request.status() : sent;
+    }
+    const Status served = ServeStreaming(*request);
+    if (!served.ok()) {
+      transport_->Close();
+      return served;
     }
     ++requests_served_;
     last_activity_ns_.store(clock.NowNanos(), std::memory_order_relaxed);
-    if (!request.ok()) {
-      // The peer got a typed error for the malformed frame; drop the
-      // connection rather than guess at where the next frame starts.
-      transport_->Close();
-      return request.status();
-    }
   }
 }
 
@@ -124,25 +100,9 @@ Status Session::ServeStreaming(const AnalysisRequest& request) {
   return transport_->SendFrame(EncodeResponseFrame(status_frame));
 }
 
-Result<AnalysisResponse> Call(FrameTransport& transport,
-                              const AnalysisRequest& request) {
-  Status sent = transport.SendFrame(EncodeRequest(request));
-  if (!sent.ok()) return sent;
-  Result<std::string> frame = transport.RecvFrame();
-  if (!frame.ok()) {
-    if (frame.status().code() == StatusCode::kNotFound) {
-      return Status::Unavailable("server closed the stream mid-call");
-    }
-    return frame.status();
-  }
-  return DecodeResponse(*frame);
-}
-
 Result<AnalysisResponse> CallV2(FrameTransport& transport,
                                 const AnalysisRequest& request) {
-  AnalysisRequest v2 = request;
-  v2.version = kProtocolVersionV2;
-  Status sent = transport.SendFrame(EncodeRequest(v2));
+  const Status sent = transport.SendFrame(EncodeRequest(request));
   if (!sent.ok()) return sent;
   ResponseReassembler reassembler;
   while (!reassembler.done()) {

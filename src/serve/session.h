@@ -23,9 +23,10 @@ class Session {
   Session(Server& server, std::unique_ptr<FrameTransport> transport);
 
   /// Serves requests until the peer closes (returns OK) or the transport
-  /// fails. A frame that does not decode gets a typed error response and
-  /// ends the session — after a framing error the stream position is
-  /// untrustworthy. The session registers with the server for the
+  /// fails. A decodable request gets a streamed response (header, record
+  /// frames, terminal status). A frame that does not decode gets a lone
+  /// status frame carrying the decoder's code and ends the session —
+  /// after a framing error the stream position is untrustworthy. The session registers with the server for the
   /// duration, so the bounded drain and idle watchdog can reach it.
   [[nodiscard]] Status Run();
 
@@ -43,7 +44,7 @@ class Session {
   uint64_t requests_served() const { return requests_served_; }
 
  private:
-  /// Serves one decoded v2 request: header frame, record frames streamed
+  /// Serves one decoded request: header frame, record frames streamed
   /// straight from the dispatcher, terminal status frame.
   [[nodiscard]] Status ServeStreaming(const AnalysisRequest& request);
 
@@ -53,17 +54,11 @@ class Session {
   std::atomic<uint64_t> last_activity_ns_{0};
 };
 
-/// Client-side convenience: one request/response round trip over
-/// `transport`. Transport-level failures and undecodable responses come
-/// back as error statuses; a decoded response carries its own typed code.
-[[nodiscard]] Result<AnalysisResponse> Call(FrameTransport& transport,
-                                            const AnalysisRequest& request);
-
-/// Protocol-v2 round trip: sends `request` with the v2 version byte and
-/// reassembles the response frame stream into the v1-equivalent
-/// AnalysisResponse (on kOk the body is byte-identical to what Call()
-/// returns for the same request). Grammar violations in the stream come
-/// back as typed errors.
+/// Client-side round trip: sends `request` and reassembles the response
+/// frame stream into one AnalysisResponse (on
+/// kOk the body is byte-identical to Dispatcher::Handle's for the same
+/// request). Transport failures and grammar violations in the stream come
+/// back as typed errors; a reassembled response carries its own code.
 [[nodiscard]] Result<AnalysisResponse> CallV2(FrameTransport& transport,
                                               const AnalysisRequest& request);
 

@@ -1,7 +1,7 @@
 // Tests of the artifact sinks. The TextRenderer's stdout contract is
 // proven byte-exact by the golden harness (ctest -L golden); here we pin
-// the structured JSON sidecar, escaping, the Finish() file protocol, and
-// the config-driven sink selection.
+// the structured JSON sidecar, escaping, the Finish() file protocol, the
+// perf-line append, and the config-driven sink selection.
 #include "engine/artifact.h"
 
 #include <gtest/gtest.h>
@@ -67,15 +67,12 @@ TEST(JsonWriterTest, NonFiniteBoundsStayParseable) {
             std::string::npos);
 }
 
-TEST(JsonWriterTest, TextBlocksAndMetricsAreTagged) {
+TEST(JsonWriterTest, MetricsAreTagged) {
   JsonWriter writer("/nonexistent/never-touched.jsonl");
-  writer.WriteTextBlock("row 1\nrow 2\n");
   runtime::RuntimeMetrics metrics;
   metrics.threads = 3;
   writer.WriteRunMetrics("fig6", metrics, {{"queries", 6.0}});
   const std::string& buffered = writer.buffered();
-  EXPECT_NE(buffered.find("\"artifact\":\"text\""), std::string::npos);
-  EXPECT_NE(buffered.find("row 1\\nrow 2\\n"), std::string::npos);
   EXPECT_NE(buffered.find("\"artifact\":\"metrics\""), std::string::npos);
   EXPECT_NE(buffered.find("fig6"), std::string::npos);
 }
@@ -85,7 +82,7 @@ TEST(JsonWriterTest, FinishAppendsAndClearsTheBuffer) {
   std::remove(path.c_str());
 
   JsonWriter writer(path);
-  writer.WriteTextBlock("first");
+  writer.WriteFigure("first", {SampleSeries()});
   ASSERT_TRUE(writer.Finish().ok());
   EXPECT_TRUE(writer.buffered().empty());
   // Idempotent: a second Finish with nothing buffered writes nothing.
@@ -95,7 +92,7 @@ TEST(JsonWriterTest, FinishAppendsAndClearsTheBuffer) {
 
   // Append mode: a later run accumulates instead of truncating.
   JsonWriter second(path);
-  second.WriteTextBlock("second");
+  second.WriteFigure("second", {SampleSeries()});
   ASSERT_TRUE(second.Finish().ok());
   const std::string both = ReadFile(path);
   EXPECT_NE(both.find("first"), std::string::npos);
@@ -106,7 +103,7 @@ TEST(JsonWriterTest, FinishAppendsAndClearsTheBuffer) {
 
 TEST(JsonWriterTest, UnwritablePathIsATypedError) {
   JsonWriter writer("/nonexistent-dir/sidecar.jsonl");
-  writer.WriteTextBlock("x");
+  writer.WriteFigure("x", {SampleSeries()});
   const Status st = writer.Finish();
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("sidecar"), std::string::npos);
@@ -121,16 +118,40 @@ TEST(MakeArtifactWriterTest, SidecarOnlyWhenConfigured) {
   ASSERT_TRUE(MakeArtifactWriter(plain)->Finish().ok());
   EXPECT_TRUE(ReadFile(path).empty());
 
-  // With artifact_json_path set, the same WriteTextBlock lands in the
-  // sidecar too (stdout side is covered by the golden harness).
+  // With artifact_json_path set, the same metrics land in the sidecar
+  // too (the stderr side is the TextRenderer's).
   EngineConfig with_sidecar;
   with_sidecar.artifact_json_path = path;
   auto writer = MakeArtifactWriter(with_sidecar);
-  writer->WriteTextBlock("census row\n");
+  writer->WriteRunMetrics("census_run", runtime::RuntimeMetrics{}, {});
   ASSERT_TRUE(writer->Finish().ok());
-  EXPECT_NE(ReadFile(path).find("census row"), std::string::npos);
+  EXPECT_NE(ReadFile(path).find("census_run"), std::string::npos);
 
   std::remove(path.c_str());
+}
+
+TEST(AppendBenchJsonLineTest, SuccessiveLinesAccumulate) {
+  const std::string path = testing::TempDir() + "artifact_test_perf.json";
+  std::remove(path.c_str());
+  AppendBenchJsonLine(path, "{\"a\":1}\n", "artifact_test");
+  AppendBenchJsonLine(path, "{\"b\":2}\n", "artifact_test");
+  EXPECT_EQ(ReadFile(path), "{\"a\":1}\n{\"b\":2}\n");
+  std::remove(path.c_str());
+}
+
+TEST(TextRendererTest, UnwritablePerfLinePathWarns) {
+  // An unwritable path never fails the run, but it is never silent: one
+  // warning naming the bench and the path.
+  TextRenderer renderer("/nonexistent-dir/perf.json");
+  testing::internal::CaptureStderr();
+  renderer.WriteRunMetrics("fig5_shared_device", runtime::RuntimeMetrics{},
+                           {});
+  const std::string stderr_text = testing::internal::GetCapturedStderr();
+  EXPECT_NE(stderr_text.find("fig5_shared_device: cannot append the perf "
+                             "line to /nonexistent-dir/perf.json"),
+            std::string::npos)
+      << stderr_text;
+  EXPECT_TRUE(renderer.Finish().ok());
 }
 
 }  // namespace

@@ -71,6 +71,10 @@ TEST(EngineConfigTest, MalformedValuesAreTypedErrorsNamingTheVariable) {
       {"COSTSENSE_THREADS", "banana"},
       {"COSTSENSE_CACHE_ENTRIES", "0"},
       {"COSTSENSE_CACHE_SHARDS", "-2"},
+      // Digits only: a blank-prefixed sign must not wrap to a huge count,
+      // and a count past the integer range must not saturate silently.
+      {"COSTSENSE_SERVE_QUEUE", " -5"},
+      {"COSTSENSE_SERVE_INFLIGHT", "99999999999999999999999"},
   };
   for (const auto& [name, value] : bad) {
     const std::map<std::string, std::string> env = {{name, value}};

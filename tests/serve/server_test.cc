@@ -20,6 +20,7 @@
 
 #include "engine/artifact.h"
 #include "runtime/resilience/clock.h"
+#include "runtime/sink/stages.h"
 #include "runtime/thread_pool.h"
 #include "serve/admission.h"
 #include "serve/dispatcher.h"
@@ -52,17 +53,6 @@ TEST(ProtocolTest, RequestRoundTrip) {
   EXPECT_EQ(decoded->deltas, request.deltas);
 }
 
-TEST(ProtocolTest, ResponseRoundTrip) {
-  AnalysisResponse response;
-  response.code = StatusCode::kDeadlineExceeded;
-  response.body = "budget spent";
-  const Result<AnalysisResponse> decoded =
-      DecodeResponse(EncodeResponse(response));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->code, response.code);
-  EXPECT_EQ(decoded->body, response.body);
-}
-
 TEST(ProtocolTest, MalformedRequestsAreTypedErrors) {
   const std::string good = EncodeRequest(AnalysisRequest{});
 
@@ -78,11 +68,18 @@ TEST(ProtocolTest, MalformedRequestsAreTypedErrors) {
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   }
-  // Wrong version.
+  // Wrong version: an unknown byte, and the retired version 1 (a request
+  // that is otherwise well formed).
   {
     std::string bad = good;
     bad[0] = 99;
     EXPECT_FALSE(DecodeRequest(bad).ok());
+    bad[0] = 1;
+    const Result<AnalysisRequest> r = DecodeRequest(bad);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("version 1"), std::string::npos)
+        << r.status().message();
   }
   // Unknown analysis kind / policy.
   {
@@ -117,16 +114,8 @@ TEST(ProtocolTest, MalformedRequestsAreTypedErrors) {
   }
 }
 
-TEST(ProtocolTest, ResponseRejectsUnknownCodeAndLengthMismatch) {
-  const std::string good = EncodeResponse(AnalysisResponse{});
-  std::string bad = good;
-  bad[1] = 99;  // past kDeadlineExceeded
-  EXPECT_FALSE(DecodeResponse(bad).ok());
-  EXPECT_FALSE(DecodeResponse(good + "extra").ok());
-}
-
 // ---------------------------------------------------------------------------
-// Protocol v2: explicit feasible-region boxes on the request
+// Explicit feasible-region boxes on the request
 // ---------------------------------------------------------------------------
 
 /// A 3-dim explicit box (matches the kSharedDevice resource space:
@@ -141,7 +130,6 @@ core::Box TestBox() {
 
 TEST(ProtocolV2Test, RequestRoundTripsWithAndWithoutBox) {
   AnalysisRequest request;
-  request.version = kProtocolVersionV2;
   request.kind = AnalysisKind::kWorstCase;
   request.query_number = 6;
   request.deltas = {100.0};
@@ -168,7 +156,6 @@ TEST(ProtocolV2Test, RequestRoundTripsWithAndWithoutBox) {
 
 TEST(ProtocolV2Test, MalformedBoxesAreTypedErrors) {
   AnalysisRequest request;
-  request.version = kProtocolVersionV2;
   request.box = TestBox();
   const std::string good = EncodeRequest(request);
   ASSERT_TRUE(DecodeRequest(good).ok());
@@ -213,7 +200,7 @@ TEST(ProtocolV2Test, MalformedBoxesAreTypedErrors) {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol v2: the response frame stream and its reassembler
+// The response frame stream and its reassembler
 // ---------------------------------------------------------------------------
 
 TEST(ProtocolV2Test, ResponseFramesRoundTrip) {
@@ -266,7 +253,7 @@ TEST(ProtocolV2Test, MalformedResponseFramesAreTypedErrors) {
            {"empty payload", ""},
            {"version byte", [&] {
               std::string b = good;
-              b[0] = kProtocolVersion;
+              b[0] = 1;  // the retired wire version
               return b;
             }()},
            {"unknown frame type", [&] {
@@ -517,13 +504,28 @@ std::vector<AnalysisResponse> RunSession(
   });
   std::vector<AnalysisResponse> responses;
   for (const AnalysisRequest& request : requests) {
-    Result<AnalysisResponse> response = Call(*client, request);
+    Result<AnalysisResponse> response = CallV2(*client, request);
     EXPECT_TRUE(response.ok()) << response.status().ToString();
     responses.push_back(response.ok() ? *response : AnalysisResponse{});
   }
   client->Close();
   server_thread.join();
   return responses;
+}
+
+/// Server::HandleStreaming into a string, folded into one response the way
+/// a client's reassembler folds the frame stream: the records on kOk, the
+/// status message otherwise.
+AnalysisResponse HandleInProcess(Server& server,
+                                 const AnalysisRequest& request) {
+  AnalysisResponse response;
+  runtime::sink::StringSink body(&response.body);
+  const Status st = server.HandleStreaming(request, body);
+  if (!st.ok()) {
+    response.code = st.code();
+    response.body = st.message();
+  }
+  return response;
 }
 
 // ---------------------------------------------------------------------------
@@ -613,12 +615,12 @@ TEST(ServerTest, SaturatedAdmissionReturnsTypedUnavailable) {
   // typed kUnavailable response — never a hang, never a crash.
   ASSERT_TRUE(server.admission().Admit().ok());
   const AnalysisRequest request = TestRequests()[1];
-  const AnalysisResponse rejected = server.Handle(request);
+  const AnalysisResponse rejected = HandleInProcess(server, request);
   EXPECT_EQ(rejected.code, StatusCode::kUnavailable);
   EXPECT_FALSE(rejected.body.empty());
   server.admission().Release();
 
-  const AnalysisResponse accepted = server.Handle(request);
+  const AnalysisResponse accepted = HandleInProcess(server, request);
   EXPECT_TRUE(accepted.ok()) << accepted.body;
 
   const ServerStats stats = server.stats();
@@ -632,9 +634,9 @@ TEST(ServerTest, ShutdownRejectsNewRequestsAndQuiesces) {
   options.dispatcher = QuickDispatcherOptions(&pool);
   Server server(options);
   const AnalysisRequest request = TestRequests()[2];
-  EXPECT_TRUE(server.Handle(request).ok());
+  EXPECT_TRUE(HandleInProcess(server, request).ok());
   server.Shutdown();
-  const AnalysisResponse after = server.Handle(request);
+  const AnalysisResponse after = HandleInProcess(server, request);
   EXPECT_EQ(after.code, StatusCode::kUnavailable);
   server.Shutdown();  // idempotent
 }
@@ -662,7 +664,7 @@ TEST(ServerTest, RequestDeadlineSurfacesAsTypedDeadlineExceeded) {
 
   AnalysisRequest request = TestRequests()[1];
   request.deadline_ns = 500;  // less than one probe's injected latency
-  const AnalysisResponse response = server.Handle(request);
+  const AnalysisResponse response = HandleInProcess(server, request);
   EXPECT_EQ(response.code, StatusCode::kDeadlineExceeded);
   EXPECT_FALSE(response.body.empty());
 
@@ -670,7 +672,7 @@ TEST(ServerTest, RequestDeadlineSurfacesAsTypedDeadlineExceeded) {
   // latencies only age the clock, and each key faults once.
   AnalysisRequest relaxed = TestRequests()[1];
   relaxed.deadline_ns = 0;  // unlimited
-  const AnalysisResponse ok = server.Handle(relaxed);
+  const AnalysisResponse ok = HandleInProcess(server, relaxed);
   EXPECT_TRUE(ok.ok()) << ok.body;
 }
 
@@ -678,7 +680,11 @@ TEST(ServerTest, RequestDeadlineSurfacesAsTypedDeadlineExceeded) {
 // Sessions and malformed frames
 // ---------------------------------------------------------------------------
 
-TEST(SessionTest, MalformedFrameGetsTypedErrorThenClose) {
+/// Sends one undecodable `frame` on a fresh session and returns the reply
+/// folded by a reassembler. The reply must be a lone status frame (no
+/// header), and the session must then drop the connection: after a
+/// framing error the stream position is untrustworthy.
+AnalysisResponse RejectedFrameReply(const std::string& frame) {
   runtime::ThreadPool pool(1);
   ServerOptions options;
   options.dispatcher = QuickDispatcherOptions(&pool);
@@ -692,26 +698,46 @@ TEST(SessionTest, MalformedFrameGetsTypedErrorThenClose) {
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   });
 
-  ASSERT_TRUE(client->SendFrame("not a request").ok());
-  Result<std::string> frame = client->RecvFrame();
-  ASSERT_TRUE(frame.ok());
-  const Result<AnalysisResponse> response = DecodeResponse(*frame);
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->code, StatusCode::kInvalidArgument);
-  // The session drops the connection after a framing error.
+  EXPECT_TRUE(client->SendFrame(frame).ok());
+  Result<std::string> reply = client->RecvFrame();
+  EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+  ResponseReassembler reassembler;
+  if (reply.ok()) {
+    const Status fed = reassembler.Feed(*reply);
+    EXPECT_TRUE(fed.ok()) << fed.ToString();
+  }
+  EXPECT_TRUE(reassembler.done());
+  EXPECT_FALSE(reassembler.has_header());
   EXPECT_EQ(client->RecvFrame().status().code(), StatusCode::kNotFound);
+  client->Close();  // unblocks a session that wrongly stayed open
   server_thread.join();
+  return reassembler.response();
+}
+
+TEST(SessionTest, MalformedFrameGetsTypedErrorThenClose) {
+  const AnalysisResponse response = RejectedFrameReply("not a request");
+  EXPECT_EQ(response.code, StatusCode::kInvalidArgument);
+  EXPECT_FALSE(response.body.empty());
+}
+
+TEST(SessionTest, Version1RequestGetsLoneStatusFrameThenClose) {
+  // A well-formed request stamped with the retired wire version 1.
+  AnalysisRequest request = TestRequests()[0];
+  request.version = 1;
+  const AnalysisResponse response = RejectedFrameReply(EncodeRequest(request));
+  EXPECT_EQ(response.code, StatusCode::kInvalidArgument);
+  EXPECT_NE(response.body.find("version 1"), std::string::npos)
+      << response.body;
 }
 
 // ---------------------------------------------------------------------------
-// Protocol v2 over real sessions
+// Streamed responses over real sessions
 // ---------------------------------------------------------------------------
 
-TEST(SessionV2Test, StreamedResponsesMatchV1ByteForByte) {
-  // One server, one session, both protocol versions interleaved: for every
-  // request in the mix the reassembled v2 body must equal the v1 body
-  // byte for byte — the frame stream is a transport detail, not part of
-  // the analysis function.
+TEST(SessionV2Test, StreamedResponsesMatchDispatcherHandle) {
+  // For every request in the mix the reassembled CallV2 body must equal
+  // Dispatcher::Handle's in-process body byte for byte — the frame
+  // stream is a transport detail, not part of the analysis function.
   runtime::ThreadPool pool(3);
   ServerOptions options;
   options.dispatcher = QuickDispatcherOptions(&pool);
@@ -726,14 +752,13 @@ TEST(SessionV2Test, StreamedResponsesMatchV1ByteForByte) {
   });
 
   for (const AnalysisRequest& request : TestRequests()) {
-    const Result<AnalysisResponse> v1 = Call(*client, request);
-    ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-    ASSERT_TRUE(v1->ok()) << v1->body;
-    const Result<AnalysisResponse> v2 = CallV2(*client, request);
-    ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-    EXPECT_EQ(v2->code, v1->code);
-    EXPECT_EQ(v2->body, v1->body);
-    EXPECT_FALSE(v2->body.empty());
+    const AnalysisResponse direct = server.dispatcher().Handle(request);
+    ASSERT_TRUE(direct.ok()) << direct.body;
+    const Result<AnalysisResponse> streamed = CallV2(*client, request);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    EXPECT_EQ(streamed->code, direct.code);
+    EXPECT_EQ(streamed->body, direct.body);
+    EXPECT_FALSE(streamed->body.empty());
   }
   client->Close();
   server_thread.join();
@@ -757,7 +782,6 @@ TEST(SessionV2Test, ExplicitBoxRunsAndDimsMismatchIsTyped) {
   AnalysisRequest request = MakeRequest(
       AnalysisKind::kWorstCase, storage::LayoutPolicy::kSharedDevice, 6,
       {100.0});
-  request.version = kProtocolVersionV2;
   request.box = TestBox();
   const Result<AnalysisResponse> ok = CallV2(*client, request);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
@@ -787,34 +811,13 @@ TEST(SessionV2Test, ExplicitBoxRunsAndDimsMismatchIsTyped) {
 }
 
 TEST(SessionV2Test, MalformedV2FrameGetsLoneStatusFrameThenClose) {
-  runtime::ThreadPool pool(1);
-  ServerOptions options;
-  options.dispatcher = QuickDispatcherOptions(&pool);
-  Server server(options);
-
-  auto [client, server_end] = InProcessTransport::CreatePair();
-  std::unique_ptr<FrameTransport> server_transport = std::move(server_end);
-  std::thread server_thread([&server, &server_transport] {
-    Session session(server, std::move(server_transport));
-    const Status st = session.Run();
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  });
-
-  // First byte 2: the peer was speaking v2, so the error comes back as a
-  // lone v2 status frame (which a fresh reassembler accepts as terminal).
+  // First byte 2 (the peer claims the current version) but the rest is
+  // garbage: still a lone status frame, then close.
   std::string garbage = "garbage";
   garbage[0] = static_cast<char>(kProtocolVersionV2);
-  ASSERT_TRUE(client->SendFrame(garbage).ok());
-  Result<std::string> reply = client->RecvFrame();
-  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  ResponseReassembler reassembler;
-  ASSERT_TRUE(reassembler.Feed(*reply).ok());
-  ASSERT_TRUE(reassembler.done());
-  EXPECT_EQ(reassembler.response().code, StatusCode::kInvalidArgument);
-  EXPECT_FALSE(reassembler.response().body.empty());
-  // The session drops the connection after a framing error.
-  EXPECT_EQ(client->RecvFrame().status().code(), StatusCode::kNotFound);
-  server_thread.join();
+  const AnalysisResponse response = RejectedFrameReply(garbage);
+  EXPECT_EQ(response.code, StatusCode::kInvalidArgument);
+  EXPECT_FALSE(response.body.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -852,7 +855,7 @@ TEST(SocketTransportTest, SocketSessionMatchesInProcessBytes) {
 
   Result<std::unique_ptr<SocketTransport>> client = ConnectUnixSocket(path);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
-  Result<AnalysisResponse> response = Call(**client, request);
+  Result<AnalysisResponse> response = CallV2(**client, request);
   (*client)->Close();
   accept_thread.join();
   (*listener)->Close();
@@ -982,7 +985,7 @@ TEST(ServerWatchdogTest, ReapsOnlySessionsIdlePastTimeout) {
 
   // Activity resets the idle clock: a request stamps the session.
   const Result<AnalysisResponse> response =
-      Call(*session.client, TestRequests()[0]);
+      CallV2(*session.client, TestRequests()[0]);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   clock.Advance(900'000'000);  // 900 ms since the request
   EXPECT_EQ(server.ReapIdleSessions(), 0u);

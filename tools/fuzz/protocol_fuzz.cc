@@ -1,34 +1,37 @@
 // protocol_fuzz: a seeded, deterministic mutation fuzzer for the
-// costsense-serve wire protocol (versions 1 and 2).
+// costsense-serve wire protocol (version 2).
 //
 // One long-lived Server (quick analysis budgets, shared warm oracle
 // cache) receives frames over the in-process transport — byte-for-byte
 // the frames a socket client would send, with no kernel in the loop. Each
-// iteration takes a valid request frame from a small pool (v1 and v2,
-// with and without feasible-region boxes) and either passes it through
-// untouched or mutates it: random bit flips, truncation to an arbitrary
-// prefix, a lying delta-count field, splices of two valid frames,
-// trailing junk, pure garbage, an oversized frame past kMaxFrameBytes,
-// or a corrupted v2 box section (flag lies, dimension lies, truncation
-// inside the bounds, swapped lower/upper).
+// iteration takes a request frame from a small pool (valid requests with
+// and without feasible-region boxes, plus one otherwise well-formed
+// request stamped with the retired version byte 1) and either passes it
+// through untouched or mutates it: random bit flips, truncation to an
+// arbitrary prefix, a lying delta-count field, splices of two pool
+// frames, trailing junk, pure garbage, an oversized frame past
+// kMaxFrameBytes, or a corrupted box section (flag lies, dimension lies,
+// truncation inside the bounds, swapped lower/upper).
 //
 // Three iterations in twenty skip the server and attack the client-side
-// v2 ResponseReassembler instead: a synthetic valid response stream is
+// ResponseReassembler instead: a synthetic valid response stream is
 // truncated at a frame or record boundary, given a lying record length
 // prefix, or spliced with a rogue terminal status frame mid-stream.
 //
-// The invariants asserted, per server frame:
+// The invariants asserted, per server frame (the first violation ends
+// the run):
 //   - the server never crashes (any crash fails the run);
-//   - every accepted frame gets exactly one reply that decodes — a v1
-//     response or a v2 frame stream the reassembler accepts — never
-//     silence;
+//   - every accepted frame gets a reply stream the reassembler accepts —
+//     never a grammar violation;
+//   - a frame whose version byte is not 2 (the retired version 1
+//     included) gets a lone kInvalidArgument status frame;
 //   - the client re-runs DecodeRequest on the exact bytes it sent, so it
-//     knows which fate the protocol mandates: an undecodable frame must
-//     come back with the decoder's own status code (as a v1 error
-//     response, or a lone v2 status frame when the version byte claimed
-//     v2) and then a clean close (end of stream, not a hang); a
-//     decodable frame gets an analysis response on a session that stays
-//     open;
+//     knows which fate the protocol mandates: an undecodable frame
+//     (including a version-1 request) must come back as a lone status
+//     frame carrying the decoder's own status code and then a clean
+//     close (end of stream, not a hang); a decodable frame gets an
+//     analysis response — a kOk one with a non-empty body — on a session
+//     that stays open;
 //   - the whole run finishes before a wall-clock deadline enforced by a
 //     watchdog thread that aborts the process on expiry, so a wedged
 //     Recv can never turn the fuzzer into an infinite hang.
@@ -80,7 +83,7 @@ using serve::AnalysisResponse;
 constexpr size_t kDeltaCountOffset = 13;
 
 /// A valid 3-dimensional feasible-region box (the shared-device cost
-/// space: seek, transfer, cpu). v2 requests carrying it run real
+/// space: seek, transfer, cpu). Requests carrying it run real
 /// explicit-box analyses under kSharedDevice and draw the dispatcher's
 /// typed dimension-mismatch error under kPerTableColocated — both are
 /// protocol-legal outcomes the invariants below accept.
@@ -91,12 +94,13 @@ core::Box FuzzBox() {
   return *box;
 }
 
-/// Builds the pool of valid request frames the mutator draws from: all
-/// three analysis kinds over two layouts and two cheap queries, in both
-/// protocol versions, so pass-through iterations exercise real analyses
-/// (single-payload and streamed) against the shared warm cache without
-/// blowing the smoke-test budget.
-std::vector<std::string> ValidFrames() {
+/// Builds the pool of request frames the mutator draws from: all three
+/// analysis kinds over two layouts and two cheap queries, with and
+/// without an explicit box, so pass-through iterations exercise real
+/// analyses against the shared warm cache without blowing the smoke-test
+/// budget — plus one well-formed request stamped version 1, which the
+/// server must refuse with a lone kInvalidArgument status frame.
+std::vector<std::string> PoolFrames() {
   std::vector<std::string> frames;
   const storage::LayoutPolicy policies[] = {
       storage::LayoutPolicy::kSharedDevice,
@@ -120,16 +124,14 @@ std::vector<std::string> ValidFrames() {
       series.deltas = {2.0, 10.0, 100.0};
       frames.push_back(EncodeRequest(series));
 
-      AnalysisRequest v2 = discovery;
-      v2.version = serve::kProtocolVersionV2;
-      frames.push_back(EncodeRequest(v2));
-
-      AnalysisRequest v2_box = worst;
-      v2_box.version = serve::kProtocolVersionV2;
-      v2_box.box = FuzzBox();
-      frames.push_back(EncodeRequest(v2_box));
+      AnalysisRequest boxed = worst;
+      boxed.box = FuzzBox();
+      frames.push_back(EncodeRequest(boxed));
     }
   }
+  AnalysisRequest retired;
+  retired.version = 1;
+  frames.push_back(EncodeRequest(retired));
   return frames;
 }
 
@@ -144,7 +146,7 @@ enum class Mutation : uint64_t {
   kOversized = 7,
   kBoxCorrupt = 8,
   // The remaining classes never reach the server: they attack the
-  // client-side v2 ResponseReassembler with mutated response streams.
+  // client-side ResponseReassembler with mutated response streams.
   kStreamTruncate = 9,
   kStreamLengthLie = 10,
   kStreamRogueStatus = 11,
@@ -252,12 +254,11 @@ std::string Mutate(Mutation mutation, Rng& rng,
     case Mutation::kOversized:
       return std::string(serve::kMaxFrameBytes + 1, 'x');
     case Mutation::kBoxCorrupt: {
-      // A fresh v2 request with one delta and the 3-dim box, then
-      // targeted surgery on the box section. Offsets: 15 bytes of fixed
-      // header + 8 for the single delta put has_box at 23, dims at 24,
-      // the six f64 bounds at 26.
+      // A fresh request with one delta and the 3-dim box, then targeted
+      // surgery on the box section. Offsets: 15 bytes of fixed header + 8
+      // for the single delta put has_box at 23, dims at 24, the six f64
+      // bounds at 26.
       AnalysisRequest request;
-      request.version = serve::kProtocolVersionV2;
       request.kind = AnalysisKind::kWorstCase;
       request.policy = rng.Index(2) == 0
                            ? storage::LayoutPolicy::kSharedDevice
@@ -297,7 +298,7 @@ std::string Mutate(Mutation mutation, Rng& rng,
   return base;
 }
 
-/// A synthetic, valid v2 response stream — header, one to three record
+/// A synthetic, valid response stream — header, one to three record
 /// frames, terminal OK status — plus the concatenated record bytes it
 /// should reassemble to.
 std::vector<std::string> ValidStream(Rng& rng, std::string* body) {
@@ -495,7 +496,7 @@ int Run(uint64_t seed, uint64_t iters, uint64_t deadline_ms, bool verbose) {
   options.dispatcher.discovery.completeness_rounds = 1;
   serve::Server server(options);
 
-  const std::vector<std::string> pool_frames = ValidFrames();
+  const std::vector<std::string> pool_frames = PoolFrames();
   Rng rng(seed);
   FuzzTally tally;
   int exit_code = 0;
@@ -505,6 +506,11 @@ int Run(uint64_t seed, uint64_t iters, uint64_t deadline_ms, bool verbose) {
   ++tally.sessions;
 
   for (uint64_t iter = 0; iter < iters && exit_code == 0; ++iter) {
+    if (verbose && iter > 0 && iter % 1000 == 0) {
+      std::fprintf(stderr, "protocol_fuzz: %llu/%llu iterations\n",
+                   static_cast<unsigned long long>(iter),
+                   static_cast<unsigned long long>(iters));
+    }
     const Mutation mutation = PickMutation(rng);
     if (IsStreamMutation(mutation)) {
       exit_code = FuzzStream(mutation, rng, iter);
@@ -523,8 +529,8 @@ int Run(uint64_t seed, uint64_t iters, uint64_t deadline_ms, bool verbose) {
     }
 
     // The client knows the bytes it sent, so it can predict the server's
-    // move: an undecodable frame must come back as a typed error with
-    // the decoder's exact status code followed by a clean close; a
+    // move: an undecodable frame must come back as a lone status frame
+    // with the decoder's exact status code followed by a clean close; a
     // decodable frame gets an analysis response (any typed code — a
     // mutant may still carry an impossible deadline) on a session that
     // stays open.
@@ -543,101 +549,72 @@ int Run(uint64_t seed, uint64_t iters, uint64_t deadline_ms, bool verbose) {
     }
     ++tally.sent;
 
-    if (predicted.ok() && predicted->version >= serve::kProtocolVersionV2) {
-      // Decodable v2 request: the reply is a frame stream the server
-      // must keep grammatical end to end — header first, records, one
-      // terminal status — on a session that stays open.
-      serve::ResponseReassembler reassembler;
-      bool settled = false;
-      while (!reassembler.done()) {
-        Result<std::string> piece = session->client->RecvFrame();
-        if (!piece.ok()) {
-          if (piece.status().code() != StatusCode::kNotFound) {
-            exit_code =
-                Fail(iter, mutation, "recv failed mid-stream", piece.status());
-          } else {
-            // End of stream before the terminal frame: the session's
-            // send path failed. Reconnect, like the v1 eof case.
-            ++tally.eof_after_send;
-            session = std::make_unique<LiveSession>(server);
-            ++tally.sessions;
-          }
-          settled = true;
-          break;
+    // The one reply oracle: whatever was sent, the reply is a frame
+    // stream the reassembler must accept end to end.
+    serve::ResponseReassembler reassembler;
+    bool eof = false;
+    while (exit_code == 0 && !eof && !reassembler.done()) {
+      Result<std::string> piece = session->client->RecvFrame();
+      if (!piece.ok()) {
+        if (piece.status().code() == StatusCode::kNotFound) {
+          eof = true;
+        } else {
+          exit_code = Fail(iter, mutation, "recv failed", piece.status());
         }
-        const Status fed = reassembler.Feed(*piece);
-        if (!fed.ok()) {
-          exit_code = Fail(iter, mutation,
-                           "server stream rejected by reassembler", fed);
-          settled = true;
-          break;
-        }
+        continue;
       }
-      if (settled) continue;
-      const AnalysisResponse& streamed = reassembler.response();
-      if (streamed.ok()) {
-        ++tally.ok_responses;
-        if (streamed.body.empty()) {
-          exit_code = Fail(iter, mutation, "empty success body", Status::Ok());
-        }
-      } else {
-        ++tally.typed_errors;
+      const Status fed = reassembler.Feed(*piece);
+      if (!fed.ok()) {
+        exit_code =
+            Fail(iter, mutation, "server stream rejected by reassembler", fed);
       }
-      continue;
     }
-
-    Result<std::string> reply = session->client->RecvFrame();
-    if (!reply.ok()) {
-      // End of stream without a response frame: the session send path
-      // failed after our frame arrived. Anything else is a violation.
-      if (reply.status().code() != StatusCode::kNotFound) {
-        exit_code = Fail(iter, mutation, "recv failed", reply.status());
-        break;
-      }
+    if (exit_code != 0) break;
+    if (eof) {
+      // End of stream before the terminal frame: the session's send path
+      // failed after our frame arrived. Reconnect.
       ++tally.eof_after_send;
       session = std::make_unique<LiveSession>(server);
       ++tally.sessions;
       continue;
     }
+    const AnalysisResponse& reply = reassembler.response();
+
+    // Independent of the decoder: version 2 is the only wire version, so
+    // any other version byte (the retired 1 included) is refused.
+    const bool foreign_version =
+        frame.empty() ||
+        static_cast<uint8_t>(frame[0]) != serve::kProtocolVersionV2;
+    if (foreign_version && (reassembler.has_header() ||
+                            reply.code != StatusCode::kInvalidArgument)) {
+      exit_code = Fail(iter, mutation,
+                       "foreign version byte not refused with a lone "
+                       "kInvalidArgument status frame",
+                       Status::Ok());
+      break;
+    }
 
     if (!predicted.ok()) {
-      // Malformed frame: the typed error must mirror the decoder's own
-      // verdict — as a lone v2 status frame when the version byte
-      // claimed v2, as a v1 error response otherwise — and the session
-      // drops the connection: the next recv must be a clean end of
-      // stream, then we reconnect.
+      // Malformed frame: a lone status frame mirroring the decoder's own
+      // verdict, then the session drops the connection — the next recv
+      // must be a clean end of stream, then we reconnect.
       ++tally.typed_errors;
-      StatusCode replied;
-      if (!frame.empty() &&
-          static_cast<uint8_t>(frame[0]) == serve::kProtocolVersionV2) {
-        serve::ResponseReassembler reassembler;
-        const Status fed = reassembler.Feed(*reply);
-        if (!fed.ok() || !reassembler.done()) {
-          exit_code = Fail(iter, mutation,
-                           "bad v2 frame not answered by a lone status frame",
-                           fed.ok() ? Status::Ok() : fed);
-          break;
-        }
-        replied = reassembler.response().code;
-      } else {
-        const Result<AnalysisResponse> response =
-            serve::DecodeResponse(*reply);
-        if (!response.ok()) {
-          exit_code =
-              Fail(iter, mutation, "undecodable response", response.status());
-          break;
-        }
-        replied = response->code;
+      if (reassembler.has_header()) {
+        exit_code = Fail(iter, mutation,
+                         "bad frame not answered by a lone status frame",
+                         predicted.status());
+        break;
       }
-      if (replied != predicted.status().code()) {
+      if (reply.code != predicted.status().code()) {
         exit_code = Fail(iter, mutation, "wrong error code for bad frame",
                          predicted.status());
         break;
       }
-      const Result<std::string> eof = session->client->RecvFrame();
-      if (eof.ok() || eof.status().code() != StatusCode::kNotFound) {
+      const Result<std::string> eof_frame = session->client->RecvFrame();
+      if (eof_frame.ok() ||
+          eof_frame.status().code() != StatusCode::kNotFound) {
         exit_code = Fail(iter, mutation, "no clean close after error",
-                         eof.ok() ? Status::Ok() : eof.status());
+                         eof_frame.ok() ? Status::Ok() : eof_frame.status());
         break;
       }
       session = std::make_unique<LiveSession>(server);
@@ -645,30 +622,17 @@ int Run(uint64_t seed, uint64_t iters, uint64_t deadline_ms, bool verbose) {
       continue;
     }
 
-    // Valid v1 request: the single response carries whatever typed code
-    // the analysis produced and the session must stay open for the next
-    // frame. kOk responses must carry the rendered analysis.
-    const Result<AnalysisResponse> response = serve::DecodeResponse(*reply);
-    if (!response.ok()) {
-      // The server's response bytes must always decode — a malformed
-      // *response* is a server bug regardless of what we sent.
-      exit_code =
-          Fail(iter, mutation, "undecodable response", response.status());
-      break;
-    }
-    if (response->ok()) {
+    // Valid request: the response carries whatever typed code the
+    // analysis produced and the session stays open for the next frame.
+    // kOk responses must carry the rendered analysis.
+    if (reply.ok()) {
       ++tally.ok_responses;
-      if (response->body.empty()) {
+      if (reply.body.empty()) {
         exit_code = Fail(iter, mutation, "empty success body", Status::Ok());
         break;
       }
     } else {
       ++tally.typed_errors;
-    }
-    if (verbose && (iter + 1) % 1000 == 0) {
-      std::fprintf(stderr, "protocol_fuzz: %llu/%llu iterations\n",
-                   static_cast<unsigned long long>(iter + 1),
-                   static_cast<unsigned long long>(iters));
     }
   }
 
