@@ -21,10 +21,7 @@ FigureBenchConfig MakeFigureBenchConfig(const engine::EngineConfig& config) {
       bench.queries.push_back(tpch::MakeTpchQuery(bench.catalog, qn));
     }
     bench.options.deltas = {2, 10, 100, 1000};
-    bench.options.discovery.random_samples = 16;
-    bench.options.discovery.sampled_vertices = 48;
-    bench.options.discovery.bisection_depth = 3;
-    bench.options.discovery.completeness_rounds = 1;
+    bench.options.discovery = exp::QuickDiscovery();
   } else {
     bench.queries = tpch::MakeTpchQueries(bench.catalog);
     bench.options.deltas = {2, 5, 10, 100, 1000, 10000};

@@ -29,6 +29,7 @@
 
 #include "bench/bench_util.h"
 #include "engine/artifact.h"
+#include "exp/report.h"
 #include "runtime/metrics.h"
 #include "serve/server.h"
 #include "serve/snapshotter.h"
@@ -74,12 +75,7 @@ int ServeMain(engine::Engine& eng, int argc, char** argv) {
       static_cast<uint64_t>(drain_timeout_ms) * 1'000'000ULL;
   options.idle_timeout_ns =
       static_cast<uint64_t>(config.serve_idle_timeout_ms) * 1'000'000ULL;
-  if (config.quick) {
-    options.dispatcher.discovery.random_samples = 16;
-    options.dispatcher.discovery.sampled_vertices = 48;
-    options.dispatcher.discovery.bisection_depth = 3;
-    options.dispatcher.discovery.completeness_rounds = 1;
-  }
+  if (config.quick) options.dispatcher.discovery = exp::QuickDiscovery();
   serve::Server server(options);
 
   Result<std::unique_ptr<serve::SocketListener>> listener =

@@ -132,12 +132,7 @@ int LoadgenMain(engine::Engine& eng, int argc, char** argv) {
   options.dispatcher.default_deadline_ns =
       static_cast<uint64_t>(config.serve_deadline_ms) * 1'000'000ULL;
   options.dispatcher.pool = &eng.pool();
-  if (config.quick) {
-    options.dispatcher.discovery.random_samples = 16;
-    options.dispatcher.discovery.sampled_vertices = 48;
-    options.dispatcher.discovery.bisection_depth = 3;
-    options.dispatcher.discovery.completeness_rounds = 1;
-  }
+  if (config.quick) options.dispatcher.discovery = exp::QuickDiscovery();
   serve::Server server(options);
 
   std::vector<SessionResult> results(load.sessions);

@@ -4,16 +4,45 @@
 #include <optional>
 #include <utility>
 
-#include "blackbox/narrow_optimizer.h"
 #include "common/macros.h"
+#include "common/rng.h"
 #include "core/bounds.h"
 #include "core/worst_case.h"
-#include "opt/optimizer.h"
 
 namespace costsense::exp {
 
+PairContext::PairContext(const catalog::Catalog& catalog, query::Query query,
+                         storage::LayoutPolicy policy,
+                         const runtime::OracleStackBuilder& builder)
+    : query_(std::move(query)),
+      layout_(policy, catalog, query::ReferencedTables(query_)),
+      space_(layout_.BuildResourceSpace()),
+      optimizer_(catalog, layout_, space_),
+      narrow_(optimizer_, query_, /*white_box=*/true),
+      // One snapshot bucket per pair, spelled the same by figure runs and
+      // the server so either can warm from the other's snapshot.
+      stack_(builder.Build(
+          narrow_, query_.name + "/" + storage::LayoutPolicyName(policy))),
+      baseline_(space_.BaselineCosts()) {
+  const core::OracleResult initial = stack_.cache().Optimize(baseline_);
+  COSTSENSE_CHECK(initial.usage.has_value());
+  initial_plan_id_ = initial.plan_id;
+  initial_usage_ = *initial.usage;
+}
+
+Result<core::DiscoveryResult> PairContext::Discover(
+    core::FalliblePlanOracle& oracle, const core::Box& box, uint64_t seed,
+    core::DiscoveryOptions options, runtime::ThreadPool& pool) const {
+  Rng rng(seed);
+  options.pool = &pool;
+  return core::DiscoverCandidatePlans(oracle, box, rng, options);
+}
+
 FigureRunner::FigureRunner(const catalog::Catalog& catalog, Options options)
-    : catalog_(catalog), options_(std::move(options)) {}
+    : catalog_(catalog), options_(std::move(options)) {
+  builder_.WithCache(options_.cache);
+  builder_.WithStore(options_.store);
+}
 
 runtime::ThreadPool& FigureRunner::pool() const {
   return options_.pool != nullptr ? *options_.pool
@@ -22,81 +51,44 @@ runtime::ThreadPool& FigureRunner::pool() const {
 
 Result<QueryAnalysis> FigureRunner::Analyze(
     const query::Query& query, storage::LayoutPolicy policy) const {
-  const storage::StorageLayout layout(policy, catalog_,
-                                      query::ReferencedTables(query));
-  const storage::ResourceSpace space = layout.BuildResourceSpace();
-  const opt::Optimizer optimizer(catalog_, layout, space);
-  blackbox::NarrowOptimizer narrow(optimizer, query, options_.white_box);
-  // The per-query probe chain (runtime/oracle_stack.h). The memoizing
-  // tier collapses discovery's revisited cost points (the box center,
-  // shared segment midpoints) into one optimizer invocation each —
-  // concurrently safe, since misses compute outside the shard locks
-  // against the stateless optimizer. The persistence scope is one
-  // snapshot bucket per (query, layout) pair.
-  runtime::OracleStack stack =
-      runtime::OracleStackBuilder()
-          .WithCache(options_.cache)
-          .WithStore(options_.store)
-          .Build(narrow, query.name + "/" + storage::LayoutPolicyName(policy));
-  runtime::ProbeChain probes(stack.cache(), options_.probes);
-  core::FalliblePlanOracle& oracle = probes.oracle();
+  PairContext pair(catalog_, query, policy, builder_);
+  // The fallible half of the probe chain (runtime/oracle_stack.h) above
+  // the pair's cache, which collapses discovery's revisited cost points
+  // (the box center, shared segment midpoints) into one optimizer
+  // invocation each — concurrently safe, since misses compute outside the
+  // shard locks against the stateless optimizer.
+  runtime::ProbeChain probes(pair.stack().cache(), options_.probes);
 
   QueryAnalysis out;
   out.query_name = query.name;
   out.policy = policy;
-  out.dims = space.dims();
-  out.baseline = space.BaselineCosts();
-  out.dim_info = space.dim_info();
-  out.cache_imported = stack.cache().stats().imported;
-
-  // The initial plan: optimal at the (estimated) baseline costs, i.e. the
-  // plan a DBA gets by leaving DB2's defaults in place (Section 8.1). The
-  // baseline probe also warms the cache for discovery's center probe (the
-  // box center *is* the baseline for multiplicative bands). A probe the
-  // chain cannot answer does not stop the analysis: the in-process
-  // optimizer answers directly (the DBA can always EXPLAIN the current
-  // plan) and the point counts as degraded. Narrow mode hides usage
-  // vectors, so there the optimizer always answers and the probe only
-  // warms the cache.
-  size_t degraded_points = 0;
-  const Result<core::OracleResult> initial = oracle.TryOptimize(out.baseline);
-  if (!initial.ok()) ++degraded_points;
-  if (options_.white_box && initial.ok()) {
-    if (!initial->usage.has_value()) {
-      return Status::Internal("white-box oracle did not reveal usage");
-    }
-    out.initial_plan_id = initial->plan_id;
-    out.initial_usage = *initial->usage;
-  } else {
-    const Result<opt::Optimized> direct =
-        optimizer.Optimize(query, out.baseline);
-    if (!direct.ok()) return direct.status();
-    out.initial_plan_id = direct->plan->id;
-    out.initial_usage = direct->plan->usage;
-  }
+  out.dims = pair.space().dims();
+  out.baseline = pair.baseline();
+  out.dim_info = pair.space().dim_info();
+  out.initial_plan_id = pair.initial_plan_id();
+  out.initial_usage = pair.initial_usage();
 
   // Discover candidate optimal plans over the widest error band; plan
   // sets for narrower bands are subsets, so one discovery serves every
-  // delta (usage vectors are box-independent).
-  const double delta_max = options_.deltas.back();
-  const core::Box box = core::Box::MultiplicativeBand(out.baseline, delta_max);
-  Rng rng(options_.seed);
-  core::DiscoveryOptions discovery = options_.discovery;
-  discovery.pool = &pool();
-  Result<core::DiscoveryResult> d =
-      core::DiscoverCandidatePlans(oracle, box, rng, discovery);
+  // delta (usage vectors are box-independent). Probes the chain cannot
+  // answer are skipped and counted as degraded points.
+  const core::Box box =
+      core::Box::MultiplicativeBand(out.baseline, options_.deltas.back());
+  Result<core::DiscoveryResult> d = pair.Discover(
+      probes.oracle(), box, options_.seed, options_.discovery, pool());
   if (!d.ok()) return d.status();
   for (core::DiscoveredPlan& dp : d->plans) {
     out.candidate_plans.push_back(std::move(dp.plan));
   }
-  out.oracle_calls = narrow.calls();
+  out.oracle_calls = pair.oracle_calls();
   out.discovery_complete = d->complete;
-  const runtime::OracleCacheStats cache = stack.cache().stats();
+  const runtime::OracleCacheStats cache = pair.stack().cache().stats();
   out.cache_hits = cache.hits;
   out.cache_misses = cache.misses;
+  out.cache_imported = cache.imported;
   out.probes = probes.telemetry();
-  out.degraded_points = degraded_points + d->failed_probes;
-  stack.PublishToStore();
+  out.degraded_points = d->failed_probes;
+  pair.stack().PublishToStore();
   return out;
 }
 

@@ -1,20 +1,24 @@
 #ifndef COSTSENSE_EXP_FIGURE_RUNNER_H_
 #define COSTSENSE_EXP_FIGURE_RUNNER_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "blackbox/narrow_optimizer.h"
 #include "catalog/catalog.h"
 #include "common/status.h"
 #include "core/complementarity.h"
 #include "core/discovery.h"
 #include "core/vectors.h"
+#include "opt/optimizer.h"
 #include "query/query.h"
 #include "runtime/cache_store.h"
 #include "runtime/oracle_cache.h"
 #include "runtime/oracle_stack.h"
 #include "runtime/thread_pool.h"
 #include "storage/layout.h"
+#include "storage/resource_space.h"
 
 namespace costsense::exp {
 
@@ -47,8 +51,8 @@ struct QueryAnalysis {
   /// (including retries), calls that failed after the whole retry budget,
   /// and the fault events the injector delivered.
   runtime::ProbeTelemetry probes;
-  /// Driver-side view: probe points this analysis skipped or routed to a
-  /// fallback because their oracle call failed. With a zero retry budget
+  /// The analysis's view: discovery probe points it skipped
+  /// because their oracle call failed. With a zero retry budget
   /// each injected fault surfaces as exactly one degraded point, so
   /// degraded_points == probes.resilience.failures == probes.faults.faults.
   size_t degraded_points = 0;
@@ -73,6 +77,59 @@ struct FigureSeries {
   bool has_complementary_plans = false;
 };
 
+/// Seed of every discovery probe stream, shared by figure runs and the
+/// server so both replay the same probe sequence for a pair.
+inline constexpr uint64_t kDiscoverySeed = 0x5eed;
+
+/// The paper's per-pair procedure (Section 6.2 / Section 8.1) for one
+/// (query, storage layout) pair: the layout, its resource space, the
+/// white-box optimizer, and the memoizing oracle stack with persistence
+/// scope "<query>/<layout>". Construction probes the initial plan — the
+/// optimum at the DB2-default baseline costs — once through the cache
+/// (below any fallible tier, so it is never degraded); it also warms the
+/// box center every multiplicative band shares.
+///
+/// FigureRunner::Analyze builds one per analysis; serve::Dispatcher keeps
+/// one per (query, layout) that every request shares. Immutable after
+/// construction except through the thread-safe cache. Not movable: its
+/// layers point at each other.
+class PairContext {
+ public:
+  PairContext(const catalog::Catalog& catalog, query::Query query,
+              storage::LayoutPolicy policy,
+              const runtime::OracleStackBuilder& builder);
+  PairContext(const PairContext&) = delete;
+  PairContext& operator=(const PairContext&) = delete;
+
+  /// Discovers the candidate optimal plans over `box`, probing through
+  /// `oracle` (a runtime::ProbeChain stacked above stack().cache()) with
+  /// the probe stream seeded by `seed` and fanned out on `pool`.
+  [[nodiscard]] Result<core::DiscoveryResult> Discover(
+      core::FalliblePlanOracle& oracle, const core::Box& box, uint64_t seed,
+      core::DiscoveryOptions options, runtime::ThreadPool& pool) const;
+
+  const query::Query& query() const { return query_; }
+  const storage::ResourceSpace& space() const { return space_; }
+  const core::CostVector& baseline() const { return baseline_; }
+  const std::string& initial_plan_id() const { return initial_plan_id_; }
+  const core::UsageVector& initial_usage() const { return initial_usage_; }
+  /// Distinct optimizer invocations so far (cache hits never reach it).
+  size_t oracle_calls() const { return narrow_.calls(); }
+
+  runtime::OracleStack& stack() { return stack_; }
+
+ private:
+  query::Query query_;
+  storage::StorageLayout layout_;
+  storage::ResourceSpace space_;
+  opt::Optimizer optimizer_;
+  blackbox::NarrowOptimizer narrow_;
+  runtime::OracleStack stack_;
+  core::CostVector baseline_;
+  std::string initial_plan_id_;
+  core::UsageVector initial_usage_;
+};
+
 /// Drives the paper's worst-case experiments (Section 6.1 / Section 8.1):
 /// per query and storage layout, find the initial plan at the DB2-default
 /// baseline, discover the candidate optimal plans over the widest
@@ -90,8 +147,7 @@ class FigureRunner {
     /// Error levels reported on the x-axis.
     std::vector<double> deltas = {2, 5, 10, 100, 1000, 10000};
     /// Plans are discovered once over the widest band (deltas.back()).
-    bool white_box = true;
-    uint64_t seed = 0x5eed;
+    uint64_t seed = kDiscoverySeed;
     core::DiscoveryOptions discovery;
     /// Pool for per-query and per-probe fan-out; null uses the
     /// process-global pool (sized by runtime::GlobalThreadCount(), which
@@ -146,6 +202,7 @@ class FigureRunner {
 
   const catalog::Catalog& catalog_;
   Options options_;
+  runtime::OracleStackBuilder builder_;
 };
 
 }  // namespace costsense::exp

@@ -58,4 +58,13 @@ std::string RenderComplementarityTable(
 
 std::vector<int> QuickQueryNumbers() { return {1, 8, 11, 16, 19, 20}; }
 
+core::DiscoveryOptions QuickDiscovery() {
+  core::DiscoveryOptions d;
+  d.random_samples = 16;
+  d.sampled_vertices = 48;
+  d.bisection_depth = 3;
+  d.completeness_rounds = 1;
+  return d;
+}
+
 }  // namespace costsense::exp

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/complementarity.h"
+#include "core/discovery.h"
 #include "exp/figure_runner.h"
 
 namespace costsense::exp {
@@ -31,6 +32,11 @@ std::string RenderComplementarityTable(
 /// setting — EngineConfig::quick, from COSTSENSE_QUICK — threaded to
 /// benches as a parameter; report stays env-free.
 std::vector<int> QuickQueryNumbers();
+
+/// The quick-mode discovery budget (16 random samples, 48 sampled
+/// vertices, bisection depth 3, one completeness round), shared by the
+/// quick figure binaries, the quick server and the protocol fuzzer.
+core::DiscoveryOptions QuickDiscovery();
 
 }  // namespace costsense::exp
 

@@ -9,21 +9,14 @@
 
 namespace costsense::opt {
 
-/// Optimizer feature switches. Defaults correspond to the paper's DB2
-/// configuration (optimization level 7: full plan space, bushy trees, hash
-/// joins enabled). Individual toggles exist for ablation benchmarks.
+/// Optimizer plan-space switches. Defaults correspond to the paper's DB2
+/// configuration (optimization level 7: full plan space, bushy trees,
+/// every join method). The two toggles exist for the plan-space ablation
+/// (table_ablations) and the optimizer microbenchmark. Cross products are
+/// generated only when the join graph is disconnected.
 struct OptimizerOptions {
   bool bushy_joins = true;
   bool enable_index_only = true;
-  bool enable_hash_join = true;
-  bool enable_sort_merge_join = true;
-  bool enable_index_nl_join = true;
-  bool enable_block_nl_join = true;
-  /// Cross products are only generated when the join graph is
-  /// disconnected (or when forced here).
-  bool allow_cross_products = false;
-  /// Pareto entries retained per table subset (cost/order frontier cap).
-  size_t max_entries_per_subset = 6;
 };
 
 /// Enumerates the leaf access paths for query reference `ref`: the

@@ -41,7 +41,7 @@ class JoinEnumerator {
 
   /// Keeps `entry` if not dominated (cheaper entry with an order at least
   /// as useful); evicts entries it dominates; caps the frontier size.
-  void AddEntry(std::vector<Entry>& entries, Entry entry) const;
+  static void AddEntry(std::vector<Entry>& entries, Entry entry);
 
   double EdgeSelectivity(const query::JoinEdge& edge) const;
   double BaseRows(size_t ref) const;

@@ -4,13 +4,8 @@
 #include <string>
 #include <vector>
 
-#include "blackbox/narrow_optimizer.h"
-#include "common/macros.h"
-#include "common/rng.h"
 #include "common/strings.h"
 #include "core/worst_case.h"
-#include "opt/optimizer.h"
-#include "query/query.h"
 #include "runtime/sink/stages.h"
 #include "storage/layout.h"
 #include "tpch/queries.h"
@@ -18,51 +13,9 @@
 
 namespace costsense::serve {
 
-/// The shared half of a request: one TPC-H query under one storage layout,
-/// its optimizer, and the long-lived memoizing cache every request against
-/// this pair probes through. Immutable after construction except through
-/// the thread-safe oracle layers.
-struct Dispatcher::QueryContext {
-  QueryContext(const catalog::Catalog& catalog, query::Query q,
-               storage::LayoutPolicy policy,
-               const runtime::OracleStackBuilder& builder)
-      : query(std::move(q)),
-        layout(policy, catalog, query::ReferencedTables(query)),
-        space(layout.BuildResourceSpace()),
-        optimizer(catalog, layout, space),
-        narrow(optimizer, query, /*white_box=*/true),
-        // The persistence scope matches the figure drivers'
-        // "<query>/<layout>" spelling, so a server restart can warm from a
-        // sweep's snapshot and vice versa.
-        stack(builder.Build(
-            narrow, query.name + "/" + storage::LayoutPolicyName(policy))),
-        baseline(space.BaselineCosts()) {
-    // The initial plan — optimal at the DB2-default baseline — is a
-    // property of the (query, layout) pair, so it is computed once here
-    // and shared by every request. The probe also warms the cache at the
-    // box center every multiplicative band shares.
-    const core::OracleResult initial = stack.cache().Optimize(baseline);
-    COSTSENSE_CHECK(initial.usage.has_value());
-    initial_plan_id = initial.plan_id;
-    initial_usage = *initial.usage;
-  }
-
-  query::Query query;
-  storage::StorageLayout layout;
-  storage::ResourceSpace space;
-  opt::Optimizer optimizer;
-  blackbox::NarrowOptimizer narrow;
-  runtime::OracleStack stack;
-  core::CostVector baseline;
-  std::string initial_plan_id;
-  core::UsageVector initial_usage;
-};
-
-Dispatcher::~Dispatcher() = default;
-
 Dispatcher::Dispatcher(DispatcherOptions options)
     : options_(std::move(options)),
-      catalog_(tpch::MakeTpchCatalog(options_.scale_factor)) {
+      catalog_(tpch::MakeTpchCatalog(100.0)) {
   if (!options_.cache_path.empty()) {
     runtime::CacheStoreOptions store_options;
     store_options.path = options_.cache_path;
@@ -74,8 +27,8 @@ Dispatcher::Dispatcher(DispatcherOptions options)
   builder_.WithStore(store_.get());
 }
 
-Dispatcher::QueryContext& Dispatcher::GetContext(
-    uint16_t query_number, storage::LayoutPolicy policy) {
+exp::PairContext& Dispatcher::GetContext(uint16_t query_number,
+                                         storage::LayoutPolicy policy) {
   const auto key = std::make_pair(query_number, static_cast<int>(policy));
   std::lock_guard<std::mutex> lock(mu_);
   auto it = contexts_.find(key);
@@ -84,8 +37,8 @@ Dispatcher::QueryContext& Dispatcher::GetContext(
     // baseline optimization, and serializing it guarantees exactly one
     // shared cache per (query, policy) no matter how requests race.
     it = contexts_
-             // costsense-lint: allow(R8, "context materialization must be atomic with map insertion so racing requests share one cache per (query, policy)")
-             .emplace(key, std::make_unique<QueryContext>(
+             // costsense-lint: allow(R8, "PairContext materialization must be atomic with map insertion so racing requests share one cache per (query, policy)")
+             .emplace(key, std::make_unique<exp::PairContext>(
                                catalog_,
                                tpch::MakeTpchQuery(
                                    catalog_, static_cast<int>(query_number)),
@@ -108,7 +61,7 @@ AnalysisResponse Dispatcher::Handle(const AnalysisRequest& request) {
 
 Status Dispatcher::HandleStreaming(const AnalysisRequest& request,
                                    runtime::sink::Sink& records) {
-  QueryContext& ctx = GetContext(request.query_number, request.policy);
+  exp::PairContext& ctx = GetContext(request.query_number, request.policy);
   const Status st = Render(request, ctx, records);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -118,8 +71,8 @@ Status Dispatcher::HandleStreaming(const AnalysisRequest& request,
   return st;
 }
 
-Status Dispatcher::Render(const AnalysisRequest& request, QueryContext& ctx,
-                          runtime::sink::Sink& out) {
+Status Dispatcher::Render(const AnalysisRequest& request,
+                          exp::PairContext& ctx, runtime::sink::Sink& out) {
   // The per-request half of the oracle chain (runtime/oracle_stack.h):
   // a retry tier carrying the request deadline, over the optional fault
   // injector, over the long-lived shared cache. Deadlines and faults stay
@@ -131,7 +84,7 @@ Status Dispatcher::Render(const AnalysisRequest& request, QueryContext& ctx,
                                             ? request.deadline_ns
                                             : options_.default_deadline_ns;
   probe_options.clock = options_.clock;
-  runtime::ProbeChain probes(ctx.stack.cache(), probe_options);
+  runtime::ProbeChain probes(ctx.stack().cache(), probe_options);
 
   // Plans are discovered once over the widest requested band; candidate
   // sets for narrower bands are subsets (usage vectors are
@@ -140,24 +93,23 @@ Status Dispatcher::Render(const AnalysisRequest& request, QueryContext& ctx,
   // for the worst-case LP below); its dimension count must match the
   // query's resource space.
   if (request.box.has_value() &&
-      request.box->dims() != ctx.space.dims()) {
+      request.box->dims() != ctx.space().dims()) {
     return Status::InvalidArgument(StrFormat(
         "feasible-region box has %zu dimension(s); %s under %s spans %zu",
-        request.box->dims(), ctx.query.name.c_str(),
-        storage::LayoutPolicyName(request.policy), ctx.space.dims()));
+        request.box->dims(), ctx.query().name.c_str(),
+        storage::LayoutPolicyName(request.policy), ctx.space().dims()));
   }
   const double band =
       *std::max_element(request.deltas.begin(), request.deltas.end());
   const core::Box box =
       request.box.has_value()
           ? *request.box
-          : core::Box::MultiplicativeBand(ctx.baseline, band);
-  Rng rng(options_.seed);
-  core::DiscoveryOptions discovery = options_.discovery;
-  discovery.pool = options_.pool != nullptr ? options_.pool
-                                            : &runtime::ThreadPool::Global();
-  Result<core::DiscoveryResult> d =
-      core::DiscoverCandidatePlans(probes.oracle(), box, rng, discovery);
+          : core::Box::MultiplicativeBand(ctx.baseline(), band);
+  runtime::ThreadPool& pool = options_.pool != nullptr
+                                  ? *options_.pool
+                                  : runtime::ThreadPool::Global();
+  Result<core::DiscoveryResult> d = ctx.Discover(
+      probes.oracle(), box, options_.seed, options_.discovery, pool);
   if (!d.ok()) return d.status();
 
   // A request whose budget ran out mid-analysis reports a typed error
@@ -191,9 +143,9 @@ Status Dispatcher::Render(const AnalysisRequest& request, QueryContext& ctx,
       "initial_plan=%s\n"
       "plans=%zu complete=%d\n",
       kProtocolVersion, AnalysisKindName(request.kind),
-      ctx.query.name.c_str(), storage::LayoutPolicyName(request.policy),
-      ctx.space.dims(), FormatDouble(band).c_str(),
-      ctx.initial_plan_id.c_str(), plans.size(), d->complete ? 1 : 0));
+      ctx.query().name.c_str(), storage::LayoutPolicyName(request.policy),
+      ctx.space().dims(), FormatDouble(band).c_str(),
+      ctx.initial_plan_id().c_str(), plans.size(), d->complete ? 1 : 0));
   if (!st.ok()) return st;
 
   switch (request.kind) {
@@ -220,10 +172,10 @@ Status Dispatcher::Render(const AnalysisRequest& request, QueryContext& ctx,
                                   request.box.has_value();
         const core::Box delta_box =
             explicit_box ? *request.box
-                         : core::Box::MultiplicativeBand(ctx.baseline,
+                         : core::Box::MultiplicativeBand(ctx.baseline(),
                                                          request.deltas[i]);
         Result<core::WorstCaseResult> wc = core::WorstCaseOverPlansByLp(
-            ctx.initial_usage, plans, delta_box, discovery.pool);
+            ctx.initial_usage(), plans, delta_box, &pool);
         if (!wc.ok()) return wc.status();
         st = out.Write(StrFormat("delta=%s gtc=%s rival=%s\n",
                                  FormatDouble(request.deltas[i]).c_str(),
@@ -242,7 +194,7 @@ Status Dispatcher::PersistCache() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [key, ctx] : contexts_) {
-      ctx->stack.PublishToStore();
+      ctx->stack().PublishToStore();
     }
   }
   return store_->Save();
@@ -255,7 +207,7 @@ DispatcherStats Dispatcher::stats() const {
   out.failed_requests = failed_requests_;
   out.contexts = contexts_.size();
   for (const auto& [key, ctx] : contexts_) {
-    const runtime::OracleCacheStats s = ctx->stack.cache().stats();
+    const runtime::OracleCacheStats s = ctx->stack().cache().stats();
     out.cache.hits += s.hits;
     out.cache.misses += s.misses;
     out.cache.evictions += s.evictions;

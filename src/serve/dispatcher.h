@@ -10,6 +10,7 @@
 #include "catalog/catalog.h"
 #include "common/status.h"
 #include "core/discovery.h"
+#include "exp/figure_runner.h"
 #include "runtime/oracle_stack.h"
 #include "runtime/cache_store.h"
 #include "runtime/oracle_cache.h"
@@ -29,8 +30,9 @@ struct DispatcherOptions {
   /// Sizing of each shared per-(query, policy) oracle cache.
   runtime::OracleCacheOptions cache;
   /// Seed of every request's probe stream. Fixed per server, so equal
-  /// requests replay equal probe sequences — the determinism invariant.
-  uint64_t seed = 0x5eed;
+  /// requests replay equal probe sequences — the determinism invariant —
+  /// and the same as figure runs', so both analyze a pair alike.
+  uint64_t seed = exp::kDiscoverySeed;
   /// Deadline applied when a request carries deadline_ns == 0.
   /// 0 = unlimited.
   uint64_t default_deadline_ns = 0;
@@ -45,8 +47,6 @@ struct DispatcherOptions {
   runtime::ThreadPool* pool = nullptr;
   /// Clock for deadlines and latency faults; null = real steady clock.
   runtime::resilience::Clock* clock = nullptr;
-  /// TPC-H catalog scale factor (the paper's experiments use 100).
-  double scale_factor = 100.0;
   /// Oracle-cache snapshot file (COSTSENSE_CACHE_PATH); empty = no
   /// persistence. Loaded at construction so contexts materialize warm;
   /// PersistCache() writes the merged warmth back.
@@ -70,7 +70,8 @@ struct DispatcherStats {
 };
 
 /// Executes analysis requests against lazily materialized, shared
-/// per-(query, policy) optimizer contexts.
+/// per-(query, policy) exp::PairContexts over the TPC-H catalog at scale
+/// factor 100 (the paper's database size).
 ///
 /// Each context owns the optimizer for one TPC-H query under one storage
 /// layout plus the *shared, long-lived* memoizing CachingOracle that every
@@ -88,7 +89,6 @@ struct DispatcherStats {
 class Dispatcher {
  public:
   explicit Dispatcher(DispatcherOptions options);
-  ~Dispatcher();  // out of line: QueryContext is incomplete here
 
   /// Executes one request. Never fails at the C++ level: every outcome is
   /// an AnalysisResponse whose code is kOk, kDeadlineExceeded (budget
@@ -116,15 +116,13 @@ class Dispatcher {
   const DispatcherOptions& options() const { return options_; }
 
  private:
-  struct QueryContext;
-
   /// Returns the shared context for (query_number, policy), materializing
   /// it on first use.
-  QueryContext& GetContext(uint16_t query_number,
-                           storage::LayoutPolicy policy);
+  exp::PairContext& GetContext(uint16_t query_number,
+                               storage::LayoutPolicy policy);
 
   [[nodiscard]] Status Render(const AnalysisRequest& request,
-                              QueryContext& ctx, runtime::sink::Sink& out);
+                              exp::PairContext& ctx, runtime::sink::Sink& out);
 
   DispatcherOptions options_;
   catalog::Catalog catalog_;
@@ -134,7 +132,8 @@ class Dispatcher {
   runtime::OracleStackBuilder builder_;
 
   mutable std::mutex mu_;
-  std::map<std::pair<uint16_t, int>, std::unique_ptr<QueryContext>> contexts_;
+  std::map<std::pair<uint16_t, int>, std::unique_ptr<exp::PairContext>>
+      contexts_;
   uint64_t requests_ = 0;
   uint64_t failed_requests_ = 0;
 };

@@ -149,28 +149,8 @@ TEST(JoinEnumTest, EmptyQueryRejected) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(JoinEnumTest, DisablingJoinMethodsStillFindsPlans) {
-  for (int disable = 0; disable < 4; ++disable) {
-    catalog::Catalog cat = MakeCatalog();
-    Query q = QueryBuilder(cat, "chain")
-                  .Table("a", "a")
-                  .Table("b", "b")
-                  .Join("a", "b_id", "b", "id")
-                  .Build();
-    OptimizerOptions opts;
-    opts.enable_hash_join = disable != 0;
-    opts.enable_sort_merge_join = disable != 1;
-    opts.enable_index_nl_join = disable != 2;
-    opts.enable_block_nl_join = disable != 3;
-    Rig rig(std::move(cat), std::move(q), opts);
-    JoinEnumerator e(rig.model, rig.cat, rig.options);
-    const auto best = e.BestPlan(rig.space.BaselineCosts());
-    ASSERT_TRUE(best.ok()) << "disable=" << disable;
-  }
-}
-
 TEST(JoinEnumTest, RicherPlanSpaceNeverCostsMore) {
-  // Enabling more join methods / bushy shapes can only improve (or tie)
+  // Enabling index-only access / bushy shapes can only improve (or tie)
   // the estimated optimum.
   catalog::Catalog cat = MakeCatalog();
   Query q = QueryBuilder(cat, "chain")
@@ -184,7 +164,6 @@ TEST(JoinEnumTest, RicherPlanSpaceNeverCostsMore) {
   OptimizerOptions poor;
   poor.bushy_joins = false;
   poor.enable_index_only = false;
-  poor.enable_sort_merge_join = false;
 
   Rig rig_rich(MakeCatalog(), q, rich);
   Rig rig_poor(MakeCatalog(), q, poor);

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/vectors.h"
+#include "exp/report.h"
 #include "runtime/oracle_cache.h"
 #include "runtime/thread_pool.h"
 #include "serve/dispatcher.h"
@@ -280,10 +281,7 @@ TEST(CachingOracleSnapshotTest, ExportImportRoundTripSkipsExisting) {
 serve::DispatcherOptions QuickDispatcherOptions(runtime::ThreadPool* pool,
                                                 const std::string& cache_path) {
   serve::DispatcherOptions options;
-  options.discovery.random_samples = 16;
-  options.discovery.sampled_vertices = 48;
-  options.discovery.bisection_depth = 3;
-  options.discovery.completeness_rounds = 1;
+  options.discovery = exp::QuickDiscovery();
   options.pool = pool;
   options.cache_path = cache_path;
   return options;

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -18,7 +20,10 @@
 
 #include <fstream>
 
+#include "common/strings.h"
 #include "engine/artifact.h"
+#include "exp/figure_runner.h"
+#include "exp/report.h"
 #include "runtime/resilience/clock.h"
 #include "runtime/sink/stages.h"
 #include "runtime/thread_pool.h"
@@ -28,6 +33,8 @@
 #include "serve/session.h"
 #include "serve/snapshotter.h"
 #include "serve/transport.h"
+#include "tpch/queries.h"
+#include "tpch/schema.h"
 
 namespace costsense::serve {
 namespace {
@@ -453,14 +460,11 @@ TEST(AdmissionTest, CloseRejectsWaitersAndFutureAdmits) {
 // Server fixtures
 // ---------------------------------------------------------------------------
 
-/// The quick-mode analysis budget (matches bench_util's quick preset) so
-/// a full request costs tens of milliseconds, not seconds.
+/// The quick discovery budget, so a full request costs tens of
+/// milliseconds, not seconds.
 DispatcherOptions QuickDispatcherOptions(runtime::ThreadPool* pool) {
   DispatcherOptions options;
-  options.discovery.random_samples = 16;
-  options.discovery.sampled_vertices = 48;
-  options.discovery.bisection_depth = 3;
-  options.discovery.completeness_rounds = 1;
+  options.discovery = exp::QuickDiscovery();
   options.pool = pool;
   return options;
 }
@@ -597,6 +601,120 @@ TEST(ServeEquivalenceTest, ConcurrentSessionsMatchSerialByteForByte) {
     // session of each request replay probe points the first computed.
     EXPECT_GT(stats.dispatcher.cache.hits, 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// One pair pipeline: serve and figure runs share exp::PairContext
+// ---------------------------------------------------------------------------
+
+/// The body lines that start with `prefix`, in order.
+std::vector<std::string> LinesStartingWith(const std::string& body,
+                                           const std::string& prefix) {
+  std::vector<std::string> out;
+  std::istringstream lines(body);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(prefix, 0) == 0) out.push_back(line);
+  }
+  return out;
+}
+
+TEST(ServeEquivalenceTest, MatchesFigureRunner) {
+  runtime::ThreadPool pool(3);
+  const catalog::Catalog catalog = tpch::MakeTpchCatalog(100.0);
+  exp::FigureRunner::Options figure_options;
+  figure_options.deltas = {2, 10, 100, 1000};
+  figure_options.discovery = exp::QuickDiscovery();
+  figure_options.pool = &pool;
+  const exp::FigureRunner runner(catalog, figure_options);
+  Dispatcher dispatcher(QuickDispatcherOptions(&pool));
+
+  using storage::LayoutPolicy;
+  const std::vector<std::pair<uint16_t, LayoutPolicy>> pairs = {
+      {16, LayoutPolicy::kSharedDevice},
+      {16, LayoutPolicy::kPerTableColocated},
+      {16, LayoutPolicy::kPerTableAndIndex},
+      {19, LayoutPolicy::kSharedDevice},
+      {19, LayoutPolicy::kPerTableColocated},
+      {19, LayoutPolicy::kPerTableAndIndex},
+      {8, LayoutPolicy::kSharedDevice},
+  };
+  for (const auto& [qn, policy] : pairs) {
+    SCOPED_TRACE(StrFormat("Q%u under %s", static_cast<unsigned>(qn),
+                           storage::LayoutPolicyName(policy)));
+    const Result<exp::QueryAnalysis> analysis =
+        runner.Analyze(tpch::MakeTpchQuery(catalog, qn), policy);
+    ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
+    const Result<exp::FigureSeries> series = runner.GtcSeries(*analysis);
+    ASSERT_TRUE(series.ok()) << series.status().ToString();
+
+    // Discovery over the figures' widest band: same initial plan, same
+    // completeness verdict, same candidate plans in the same order.
+    const AnalysisResponse discovery = dispatcher.Handle(
+        MakeRequest(AnalysisKind::kDiscovery, policy, qn, {1000.0}));
+    ASSERT_TRUE(discovery.ok()) << discovery.body;
+    EXPECT_EQ(LinesStartingWith(discovery.body, "initial_plan="),
+              std::vector<std::string>{"initial_plan=" +
+                                       analysis->initial_plan_id});
+    EXPECT_EQ(LinesStartingWith(discovery.body, "plans="),
+              std::vector<std::string>{StrFormat(
+                  "plans=%zu complete=%d", analysis->candidate_plans.size(),
+                  analysis->discovery_complete ? 1 : 0)});
+    std::vector<std::string> served_ids;
+    for (const std::string& line :
+         LinesStartingWith(discovery.body, "plan ")) {
+      const size_t begin = line.find(": ") + 2;
+      served_ids.push_back(line.substr(begin, line.find(" margin=") - begin));
+    }
+    std::vector<std::string> figure_ids;
+    for (const core::PlanUsage& p : analysis->candidate_plans) {
+      figure_ids.push_back(p.plan_id);
+    }
+    EXPECT_EQ(served_ids, figure_ids);
+
+    // The GTC curve: every figure point, printed the way the server does.
+    const AnalysisResponse curve = dispatcher.Handle(MakeRequest(
+        AnalysisKind::kGtcSeries, policy, qn, figure_options.deltas));
+    ASSERT_TRUE(curve.ok()) << curve.body;
+    std::vector<std::string> want;
+    for (const exp::GtcPoint& p : series->points) {
+      want.push_back(StrFormat("delta=%s gtc=%s rival=%s",
+                               FormatDouble(p.delta).c_str(),
+                               FormatDouble(p.gtc).c_str(),
+                               p.worst_rival.c_str()));
+    }
+    EXPECT_EQ(LinesStartingWith(curve.body, "delta="), want);
+  }
+}
+
+TEST(ServeEquivalenceTest, RacingRequestsMaterializeOneSharedPairContext) {
+  runtime::ThreadPool pool(3);
+  Dispatcher dispatcher(QuickDispatcherOptions(&pool));
+  const AnalysisRequest request = MakeRequest(
+      AnalysisKind::kGtcSeries, storage::LayoutPolicy::kSharedDevice, 6,
+      {2.0, 100.0});
+
+  // Every client reaches the cold dispatcher at once, so they race to
+  // materialize the same (query, layout) context.
+  constexpr size_t kClients = 4;
+  std::latch start(kClients);
+  std::vector<AnalysisResponse> responses(kClients);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      start.arrive_and_wait();
+      responses[c] = dispatcher.Handle(request);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  for (size_t c = 0; c < kClients; ++c) {
+    ASSERT_TRUE(responses[c].ok()) << "client " << c << ": "
+                                   << responses[c].body;
+    EXPECT_EQ(responses[c].body, responses[0].body) << "client " << c;
+  }
+  const DispatcherStats stats = dispatcher.stats();
+  EXPECT_EQ(stats.contexts, 1u);
+  EXPECT_EQ(stats.requests, kClients);
 }
 
 // ---------------------------------------------------------------------------

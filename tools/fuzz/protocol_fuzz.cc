@@ -64,6 +64,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/feasible_region.h"
+#include "exp/report.h"
 #include "runtime/resilience/clock.h"
 #include "runtime/thread_pool.h"
 #include "serve/protocol.h"
@@ -487,13 +488,9 @@ int Run(uint64_t seed, uint64_t iters, uint64_t deadline_ms, bool verbose) {
   runtime::ThreadPool pool(1);
   serve::ServerOptions options;
   options.dispatcher.pool = &pool;
-  // Quick analysis budgets (the bench_util quick preset): accidental
-  // valid mutants trigger real analyses, and each must cost tens of
-  // milliseconds, not seconds.
-  options.dispatcher.discovery.random_samples = 16;
-  options.dispatcher.discovery.sampled_vertices = 48;
-  options.dispatcher.discovery.bisection_depth = 3;
-  options.dispatcher.discovery.completeness_rounds = 1;
+  // The quick discovery budget: accidental valid mutants trigger real
+  // analyses, and each must cost tens of milliseconds, not seconds.
+  options.dispatcher.discovery = exp::QuickDiscovery();
   serve::Server server(options);
 
   const std::vector<std::string> pool_frames = PoolFrames();
