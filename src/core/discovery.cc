@@ -12,6 +12,14 @@
 namespace costsense::core {
 namespace {
 
+/// Cap on witness pairs refined by bisection; above it a random subset of
+/// pairs is used (plan-rich queries would otherwise spend quadratic
+/// optimizer calls on segment refinement).
+constexpr size_t kMaxBisectionPairs = 300;
+
+/// Safety cap on the total number of plans to discover.
+constexpr size_t kMaxPlans = 512;
+
 /// Stable 64-bit hash of a plan id, used to key per-plan forked RNG
 /// streams: the same plan always extracts with the same stream, no matter
 /// how many other plans were discovered first or on which thread it runs.
@@ -180,9 +188,9 @@ class Discoverer {
     // Plan-rich queries would spend quadratic optimizer calls here; refine
     // a random subset of segments instead (the completeness probe catches
     // anything bisection misses).
-    if (pairs.size() > options_.max_bisection_pairs) {
+    if (pairs.size() > kMaxBisectionPairs) {
       rng_.Shuffle(pairs);
-      pairs.resize(options_.max_bisection_pairs);
+      pairs.resize(kMaxBisectionPairs);
     }
 
     // Level-synchronous bisection: each level probes the midpoints of
@@ -201,7 +209,7 @@ class Discoverer {
     }
     for (size_t depth = options_.bisection_depth;
          depth > 0 && !frontier.empty(); --depth) {
-      if (found_.size() >= options_.max_plans) return;
+      if (found_.size() >= kMaxPlans) return;
       std::vector<CostVector> mids;
       mids.reserve(frontier.size());
       for (const Segment& s : frontier) mids.push_back(GeoMid(s.a, s.b));
@@ -330,7 +338,7 @@ class Discoverer {
       const Result<CandidacyResult>& cr = *witnesses[k];
       if (!cr.ok()) return cr.status();
       if (!cr->candidate || cr->margin <= 0.0) continue;
-      if (found_.size() + probes.size() >= options_.max_plans) break;
+      if (found_.size() + probes.size() >= kMaxPlans) break;
       probes.push_back(cr->witness);
     }
     ProbeBatch(probes);

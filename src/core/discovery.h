@@ -30,15 +30,9 @@ struct DiscoveryOptions {
   /// optimal on the whole segment, so only differing endpoints can hide
   /// undiscovered plans between them).
   size_t bisection_depth = 5;
-  /// Cap on witness pairs refined by bisection; above it a random subset
-  /// of pairs is used (plan-rich queries would otherwise spend quadratic
-  /// optimizer calls on segment refinement).
-  size_t max_bisection_pairs = 300;
   /// Rounds of the completeness check: probe a deep-interior witness of
   /// each region of influence and verify the oracle agrees.
   size_t completeness_rounds = 3;
-  /// Safety cap on the total number of plans to discover.
-  size_t max_plans = 512;
   /// When the oracle does not reveal usage vectors, extract them by least
   /// squares with these options.
   ExtractionOptions extraction;

@@ -1,8 +1,6 @@
 #include "core/dominance.h"
 
-#include <algorithm>
-#include <cmath>
-#include <numeric>
+#include <utility>
 
 namespace costsense::core {
 
@@ -18,36 +16,11 @@ bool Dominates(const UsageVector& a, const UsageVector& b, double tol) {
 
 std::vector<PlanUsage> FilterDominated(std::vector<PlanUsage> plans,
                                        double tol) {
-  // Sort-by-sum prescreen: any plan that eliminates plan i — a dominator,
-  // or an earlier duplicate — has coordinates elementwise within tol of
-  // plan i's, so its usage sum can exceed sum_i by at most dims * tol
-  // (plus rounding). Floating-point addition is monotone, so the same
-  // bound holds for the floating-point sums. Scanning candidate
-  // eliminators in ascending-sum order and breaking past that window
-  // skips most pairs outright; the predicates actually applied are the
-  // exact ones from the naive scan, so the survivor set is identical and
-  // an over-generous rounding pad only costs extra checks.
-  const size_t n = plans.size();
-  std::vector<double> sums(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    double s = 0.0;
-    for (size_t k = 0; k < plans[i].usage.size(); ++k) s += plans[i].usage[k];
-    sums[i] = s;
-  }
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&sums](size_t a, size_t b) { return sums[a] < sums[b]; });
   // Decide survivors first, then move them out: moving as we scan would
   // leave earlier entries empty and break later dominance checks.
-  std::vector<bool> keep(n, true);
-  for (size_t i = 0; i < n; ++i) {
-    double cutoff =
-        sums[i] + tol * static_cast<double>(plans[i].usage.size());
-    cutoff += 1e-9 * (2.0 + std::fabs(cutoff));
-    for (size_t k = 0; k < n && keep[i]; ++k) {
-      const size_t j = order[k];
-      if (sums[j] - 1e-9 * std::fabs(sums[j]) > cutoff) break;
+  std::vector<bool> keep(plans.size(), true);
+  for (size_t i = 0; i < plans.size(); ++i) {
+    for (size_t j = 0; j < plans.size() && keep[i]; ++j) {
       if (i == j) continue;
       if (Dominates(plans[j].usage, plans[i].usage, tol)) keep[i] = false;
       // Collapse exact duplicates onto the earliest index.

@@ -115,16 +115,11 @@ bool Box::Contains(const CostVector& c, double tol) const {
 
 CostVector Box::SampleLogUniform(Rng& rng) const {
   CostVector v(dims());
-  SampleLogUniformInto(rng, v);
-  return v;
-}
-
-void Box::SampleLogUniformInto(Rng& rng, CostVector& out) const {
-  COSTSENSE_CHECK(out.size() == dims());
   for (size_t i = 0; i < dims(); ++i) {
-    out[i] = (lower_[i] == upper_[i]) ? lower_[i]
-                                      : rng.LogUniform(lower_[i], upper_[i]);
+    v[i] = (lower_[i] == upper_[i]) ? lower_[i]
+                                    : rng.LogUniform(lower_[i], upper_[i]);
   }
+  return v;
 }
 
 }  // namespace costsense::core

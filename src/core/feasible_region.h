@@ -66,10 +66,6 @@ class Box {
   /// multiplicative-error model.
   CostVector SampleLogUniform(Rng& rng) const;
 
-  /// SampleLogUniform into a caller-owned vector of dims() elements
-  /// (CHECKed); identical rng draw sequence, no allocation.
-  void SampleLogUniformInto(Rng& rng, CostVector& out) const;
-
  private:
   CostVector lower_;
   CostVector upper_;

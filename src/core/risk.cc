@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "core/plan_matrix.h"
-#include "linalg/kernels.h"
+#include "common/macros.h"
+#include "core/relative_cost.h"
 
 namespace costsense::core {
 
@@ -20,24 +20,16 @@ Result<RiskProfile> ComputeRiskProfile(const UsageVector& initial_usage,
   if (samples == 0) {
     return Status::InvalidArgument("need at least one sample");
   }
+  COSTSENSE_RETURN_IF_ERROR(CheckPlanSet(plans, box.dims()));
 
-  // Batched sampling loop: one flattened plan matrix, one scratch sample
-  // vector, one scratch cost vector — no per-sample allocation. ArgMin
-  // over the batched costs picks the same first-strict-minimum plan as
-  // the per-plan dot scan did, and every reduction accumulates left to
-  // right, so each sample's gtc is bit-identical to the scalar path.
-  const PlanMatrix matrix(plans);
   std::vector<double> gtcs;
   gtcs.reserve(samples);
-  CostVector c(box.dims());
-  std::vector<double> costs(matrix.rows());
   double sum = 0.0;
   size_t suboptimal = 0;
   size_t degenerate = 0;
   for (size_t i = 0; i < samples; ++i) {
-    box.SampleLogUniformInto(rng, c);
-    matrix.BatchTotalCosts(c, costs);
-    const double denom = costs[linalg::ArgMin(costs.data(), costs.size())];
+    const CostVector c = box.SampleLogUniform(rng);
+    const double denom = TotalCost(plans[OptimalPlanIndex(plans, c)].usage, c);
     // A degenerate draw (non-positive optimal cost) is counted and
     // skipped; the profile covers the remaining draws. Aborting here would
     // let one pathological corner of the band kill a whole table run.

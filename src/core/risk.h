@@ -34,7 +34,9 @@ struct RiskProfile {
 
 /// Profiles plan `initial_usage` against the candidate set `plans` over
 /// `box` with `samples` Monte Carlo draws. `plans` must be the complete
-/// candidate set for GTC values to be exact per draw.
+/// candidate set for GTC values to be exact per draw. A plan that fails
+/// CheckPlanSet against the box (wrong dimension, non-finite usage) is an
+/// InvalidArgument naming it.
 [[nodiscard]] Result<RiskProfile> ComputeRiskProfile(const UsageVector& initial_usage,
                                        const std::vector<PlanUsage>& plans,
                                        const Box& box, Rng& rng,

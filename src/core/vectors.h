@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "linalg/vector.h"
 
 namespace costsense::core {
@@ -26,6 +27,13 @@ struct PlanUsage {
   std::string plan_id;
   UsageVector usage;
 };
+
+/// Validates a candidate plan set before it is priced: every usage vector
+/// must have `dims` entries, all finite. A non-finite entry would poison
+/// every total cost computed from that plan. Returns InvalidArgument naming
+/// the first offending plan; an empty set is valid.
+[[nodiscard]] Status CheckPlanSet(const std::vector<PlanUsage>& plans,
+                                  size_t dims);
 
 /// Semantic class of a resource dimension. Complementarity classification
 /// (paper Section 5.6) needs to know *what* a dimension measures: tuples

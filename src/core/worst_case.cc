@@ -6,8 +6,7 @@
 
 #include "common/macros.h"
 #include "common/strings.h"
-#include "core/plan_matrix.h"
-#include "linalg/kernels.h"
+#include "core/relative_cost.h"
 #include "lp/fractional.h"
 #include "runtime/thread_pool.h"
 
@@ -92,15 +91,14 @@ WorstCaseResult WorstCaseOverPlansByVertices(const UsageVector& initial_usage,
     out.worst_costs = box.Center();
     return out;
   }
-  const PlanMatrix matrix(plans);
-  std::vector<double> costs(matrix.rows());
+  const Status valid = CheckPlanSet(plans, box.dims());
+  COSTSENSE_CHECK_MSG(valid.ok(), valid.ToString().c_str());
   return SweepVertices(initial_usage, box,
                        [&](const CostVector& v, std::string& rival) {
-                         matrix.BatchTotalCosts(v, costs);
-                         const size_t ci =
-                             linalg::ArgMin(costs.data(), costs.size());
-                         rival = matrix.plan_id(ci);
-                         return costs[ci];
+                         const PlanUsage& best =
+                             plans[OptimalPlanIndex(plans, v)];
+                         rival = best.plan_id;
+                         return TotalCost(best.usage, v);
                        });
 }
 

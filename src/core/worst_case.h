@@ -51,8 +51,9 @@ struct WorstCaseResult {
     size_t max_dims = 20);
 
 /// Worst case over a *known* candidate plan set, by sweeping box vertices
-/// and computing the optimum by dot products (no oracle calls). Exact when
-/// `plans` contains every candidate optimal plan of the region.
+/// and picking the optimum at each with OptimalPlanIndex (no oracle
+/// calls). Exact when `plans` contains every candidate optimal plan of the
+/// region. Every plan must pass CheckPlanSet against the box (CHECKed).
 WorstCaseResult WorstCaseOverPlansByVertices(
     const UsageVector& initial_usage, const std::vector<PlanUsage>& plans,
     const Box& box);

@@ -18,6 +18,11 @@ namespace {
 
 using Key = std::vector<uint64_t>;
 
+/// Mantissa bits kept when quantizing cost coordinates into fault keys:
+/// the oracle cache's default, so a fault key corresponds to exactly one
+/// cache entry.
+constexpr int kKeyMantissaBits = OracleCacheOptions{}.mantissa_bits;
+
 /// Same construction as the oracle cache's key hash: FNV-1a over the
 /// quantized coordinates plus an avalanche finish. Keeping the hash local
 /// (rather than sharing the cache's internal one) decouples the fault
@@ -88,9 +93,6 @@ FaultInjectingOracle::FaultInjectingOracle(core::PlanOracle& base,
   COSTSENSE_CHECK_MSG(
       options_.perturb_rate >= 0.0 && options_.perturb_rate <= 1.0,
       "perturb_rate must be a probability");
-  COSTSENSE_CHECK_MSG(options_.key_mantissa_bits > 0 &&
-                          options_.key_mantissa_bits <= 52,
-                      "key_mantissa_bits out of range");
   shards_.reserve(kNumShards);
   for (size_t i = 0; i < kNumShards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -104,7 +106,7 @@ Result<core::OracleResult> FaultInjectingOracle::TryOptimize(
   Key key;
   key.reserve(c.size());
   for (double v : c) {
-    key.push_back(QuantizeCost(v, options_.key_mantissa_bits));
+    key.push_back(QuantizeCost(v, kKeyMantissaBits));
   }
   const uint64_t key_hash = HashKey(key);
   Shard& shard = *shards_[key_hash & (kNumShards - 1)];

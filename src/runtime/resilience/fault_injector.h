@@ -60,10 +60,6 @@ struct FaultInjectionOptions {
   /// Relative amplitude of the persistent perturbation: the factor is
   /// drawn uniformly from [1 - e, 1 + e].
   double perturb_rel_error = 0.01;
-  /// Mantissa bits kept when quantizing cost coordinates into fault keys.
-  /// Matches OracleCacheOptions::mantissa_bits so a fault key corresponds
-  /// to exactly one cache entry.
-  int key_mantissa_bits = 40;
   uint64_t seed = 0xFA17FA17;
 };
 

@@ -207,23 +207,4 @@ void AtomicFileSink::Abort() {
   }
 }
 
-// ---------------------------------------------------------------------------
-// FdSink
-// ---------------------------------------------------------------------------
-
-Status FdSink::Write(std::string_view span) {
-  size_t written = 0;
-  while (written < span.size()) {
-    const ssize_t n =
-        ::write(fd_, span.data() + written, span.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Unavailable(std::string("descriptor write failed: ") +
-                                 std::strerror(errno));
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::Ok();
-}
-
 }  // namespace costsense::runtime::sink

@@ -121,22 +121,6 @@ class AtomicFileSink final : public Sink {
   bool failed_ = false;
 };
 
-/// Terminal stage over a connected stream descriptor (the "socket"
-/// stage). Bytes go out with a retrying ::write loop; the descriptor is
-/// borrowed — Close is a flush-level no-op so transport ownership (and
-/// its cross-thread shutdown discipline) stays wherever it already lives.
-class FdSink final : public Sink {
- public:
-  explicit FdSink(int fd) : fd_(fd) {}
-
-  [[nodiscard]] Status Write(std::string_view span) override;
-  [[nodiscard]] Status Flush() override { return Status::Ok(); }
-  [[nodiscard]] Status Close() override { return Status::Ok(); }
-
- private:
-  const int fd_;
-};
-
 }  // namespace costsense::runtime::sink
 
 #endif  // COSTSENSE_RUNTIME_SINK_STAGES_H_

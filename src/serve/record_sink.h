@@ -17,7 +17,7 @@ namespace costsense::serve {
 /// logical record, batched into kRecords frames of up to
 /// `records_per_frame` records and sent through the transport. Flush()
 /// sends the partial batch; Close() flushes (the transport is borrowed —
-/// the session owns its lifecycle, exactly like the byte-level FdSink).
+/// the session owns its lifecycle, as StdioSink borrows its stream).
 ///
 /// This is the piece that makes Dispatcher::HandleStreaming a network
 /// protocol: the dispatcher writes plain records, this stage wraps them

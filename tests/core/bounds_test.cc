@@ -52,6 +52,10 @@ TEST(RelativeCostTest, OptimalPlanIndexPicksCheapest) {
                                         {"b", UsageVector{1.0, 2.0}}};
   EXPECT_EQ(OptimalPlanIndex(plans, CostVector{1.0, 3.0}), 0u);
   EXPECT_EQ(OptimalPlanIndex(plans, CostVector{3.0, 1.0}), 1u);
+  // A tie (both cost 3 at (1, 1)) goes to the first index, in either order.
+  EXPECT_EQ(OptimalPlanIndex(plans, CostVector{1.0, 1.0}), 0u);
+  const std::vector<PlanUsage> swapped = {plans[1], plans[0]};
+  EXPECT_EQ(OptimalPlanIndex(swapped, CostVector{1.0, 1.0}), 0u);
 }
 
 TEST(Theorem1Test, UpperBoundFormula) {

@@ -1,16 +1,14 @@
-// Tests for the batched plan-cost layer and the plain vertex sweep: the
-// PlanMatrix layout, bit-exact agreement between both vertex-sweep forms
-// and a naive per-vertex reference, and the sort-by-sum dominance
-// prescreen. Agreement is asserted with EXPECT_EQ on doubles on purpose:
-// the sweep promises byte-identical results, not merely close ones.
+// Tests for the reference vertex sweep: bit-exact agreement between both
+// vertex-sweep forms and a naive per-vertex reference, first-index ties on
+// the optimal plan, and the dominance filter's edge cases. Agreement is
+// asserted with EXPECT_EQ on doubles on purpose: the sweep promises
+// byte-identical results, not merely close ones.
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/dominance.h"
-#include "core/plan_matrix.h"
 #include "core/worst_case.h"
 #include "tests/core/fake_oracle.h"
 
@@ -109,42 +107,28 @@ TEST(BoxTest, VertexIntoMatchesVertex) {
   }
 }
 
-TEST(PlanMatrixTest, LayoutAndBatchedCosts) {
-  Rng rng(11);
-  const auto plans = RandomPlans(rng, 5, 9);
-  const PlanMatrix m(plans);
-  ASSERT_EQ(m.rows(), plans.size());
-  ASSERT_EQ(m.dims(), size_t{5});
-  for (size_t p = 0; p < m.rows(); ++p) {
-    EXPECT_EQ(m.plan_id(p), plans[p].plan_id);
-    for (size_t i = 0; i < m.dims(); ++i) {
-      EXPECT_EQ(m.at(p, i), plans[p].usage[i]);
-    }
-  }
-  // Batched costs must be bit-identical to per-plan TotalCost.
-  const Box box = RandomBox(rng, 5);
-  CostVector c = box.Center();
-  std::vector<double> costs;
-  m.BatchTotalCosts(c, costs);
-  ASSERT_EQ(costs.size(), plans.size());
-  for (size_t p = 0; p < plans.size(); ++p) {
-    EXPECT_EQ(costs[p], TotalCost(plans[p].usage, c));
-  }
-}
-
-TEST(PlanMatrixTest, EmptyPlanSet) {
-  const PlanMatrix m({});
-  EXPECT_EQ(m.rows(), size_t{0});
-  std::vector<double> costs{1.0, 2.0};
-  m.BatchTotalCosts(CostVector{1.0}, costs);
-  EXPECT_TRUE(costs.empty());
-
+TEST(VertexSweepTest, EmptyPlanSetKeepsDefaultResult) {
   Rng rng(3);
   const Box box = RandomBox(rng, 3);
   const WorstCaseResult r =
       WorstCaseOverPlansByVertices(UsageVector{1.0, 1.0, 1.0}, {}, box);
   EXPECT_EQ(r.gtc, 1.0);
+  EXPECT_EQ(r.worst_costs, box.Center());
   EXPECT_EQ(r.degenerate_vertices, size_t{0});
+}
+
+TEST(VertexSweepTest, IdenticalRivalsReportTheFirst) {
+  // "twin_a" and "twin_b" cost the same at every vertex; the first one in
+  // the candidate set must be reported as the worst rival.
+  const std::vector<PlanUsage> plans = {{"initial", UsageVector{1.0, 0.0}},
+                                        {"twin_a", UsageVector{0.0, 1.0}},
+                                        {"twin_b", UsageVector{0.0, 1.0}}};
+  const Box box = Box::MultiplicativeBand(CostVector{1.0, 1.0}, 10.0);
+  const WorstCaseResult r =
+      WorstCaseOverPlansByVertices(plans[0].usage, plans, box);
+  EXPECT_DOUBLE_EQ(r.gtc, 100.0);
+  EXPECT_EQ(r.worst_rival, "twin_a");
+  ExpectSameResult(NaivePlansSweep(plans[0].usage, plans, box), r);
 }
 
 TEST(VertexSweepTest, PlanSweepMatchesNaiveReference) {
@@ -208,85 +192,6 @@ TEST(VertexSweepTest, OracleSweepMatchesNaiveReference) {
     ExpectSameResult(want, *got);
     EXPECT_EQ(oracle.calls(), box.VertexCount());
   }
-}
-
-/// Reference implementation of FilterDominated: the pre-prescreen
-/// all-pairs scan, copied verbatim from the seed.
-std::vector<PlanUsage> NaiveFilterDominated(std::vector<PlanUsage> plans,
-                                            double tol) {
-  std::vector<bool> keep(plans.size(), true);
-  for (size_t i = 0; i < plans.size(); ++i) {
-    for (size_t j = 0; j < plans.size() && keep[i]; ++j) {
-      if (i == j) continue;
-      if (Dominates(plans[j].usage, plans[i].usage, tol)) keep[i] = false;
-      if (j < i && linalg::ApproxEqual(plans[j].usage, plans[i].usage, tol)) {
-        keep[i] = false;
-      }
-    }
-  }
-  std::vector<PlanUsage> out;
-  for (size_t i = 0; i < plans.size(); ++i) {
-    if (keep[i]) out.push_back(std::move(plans[i]));
-  }
-  return out;
-}
-
-TEST(DominancePrescreenTest, SameSurvivorsAsNaiveScan) {
-  Rng rng(99);
-  for (int t = 0; t < 30; ++t) {
-    const size_t dims = 1 + rng.Index(6);
-    auto plans = RandomPlans(rng, dims, 2 + rng.Index(20));
-    // Seed eliminations: exact duplicates and dominated copies.
-    const size_t base = plans.size();
-    const size_t extras = 1 + rng.Index(4);
-    for (size_t k = 0; k < extras; ++k) {
-      PlanUsage copy = plans[rng.Index(base)];
-      copy.plan_id += "_copy" + std::to_string(k);
-      if (rng.Uniform() < 0.5) {
-        // Strictly worse in one coordinate: dominated.
-        copy.usage[rng.Index(dims)] += rng.LogUniform(1.0, 10.0);
-      }
-      plans.push_back(std::move(copy));
-    }
-    for (double tol : {0.0, 1e-9, 0.5}) {
-      const auto want = NaiveFilterDominated(plans, tol);
-      const auto got = FilterDominated(plans, tol);
-      ASSERT_EQ(want.size(), got.size()) << "tol=" << tol;
-      for (size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(want[i].plan_id, got[i].plan_id);
-        EXPECT_EQ(want[i].usage, got[i].usage);
-      }
-    }
-  }
-}
-
-TEST(PlanMatrixTest, ValidatedRejectsNonFiniteUsageWithTypedStatus) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-  const std::vector<PlanUsage> good = {{"a", UsageVector{1.0, 2.0}},
-                                       {"b", UsageVector{2.0, 1.0}}};
-  const Result<PlanMatrix> ok = PlanMatrix::Validated(good);
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok->rows(), 2u);
-  EXPECT_EQ(ok->dims(), 2u);
-
-  // Garbage usage vectors — a faulty oracle reply or a degenerate fit —
-  // must surface as InvalidArgument naming the plan, not as a CHECK abort.
-  const std::vector<PlanUsage> with_nan = {{"a", UsageVector{1.0, 2.0}},
-                                           {"bad", UsageVector{kNan, 1.0}}};
-  const Result<PlanMatrix> nan_result = PlanMatrix::Validated(with_nan);
-  ASSERT_FALSE(nan_result.ok());
-  EXPECT_EQ(nan_result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(nan_result.status().message().find("bad"), std::string::npos);
-
-  const std::vector<PlanUsage> with_inf = {{"c", UsageVector{kInf, 1.0}}};
-  EXPECT_EQ(PlanMatrix::Validated(with_inf).status().code(),
-            StatusCode::kInvalidArgument);
-
-  const std::vector<PlanUsage> ragged = {{"a", UsageVector{1.0, 2.0}},
-                                         {"short", UsageVector{1.0}}};
-  EXPECT_EQ(PlanMatrix::Validated(ragged).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(DominancePrescreenTest, EdgeCases) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/worst_case.h"
 
 namespace costsense::core {
@@ -70,6 +73,36 @@ TEST(RiskTest, InvalidInputsRejected) {
   EXPECT_FALSE(ComputeRiskProfile(UsageVector{1.0},
                                   {{"a", UsageVector{1.0}}}, box, rng, 0)
                    .ok());
+}
+
+/// A garbage usage vector (a faulty oracle reply, a fit gone non-finite)
+/// must fail the profile with InvalidArgument naming the plan, not abort
+/// the process.
+void ExpectRejectsBadPlan(const UsageVector& bad_usage) {
+  const Box box = Box::MultiplicativeBand(CostVector{1.0, 1.0}, 10.0);
+  const std::vector<PlanUsage> plans = {{"a", UsageVector{1.0, 2.0}},
+                                        {"bad", bad_usage}};
+  Rng rng(5);
+  const Result<RiskProfile> profile =
+      ComputeRiskProfile(plans[0].usage, plans, box, rng, 10);
+  ASSERT_FALSE(profile.ok());
+  EXPECT_EQ(profile.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(profile.status().message().find("bad"), std::string::npos)
+      << profile.status().ToString();
+}
+
+TEST(RiskTest, NanPlanIsInvalidArgument) {
+  ExpectRejectsBadPlan(
+      UsageVector{std::numeric_limits<double>::quiet_NaN(), 1.0});
+}
+
+TEST(RiskTest, InfPlanIsInvalidArgument) {
+  ExpectRejectsBadPlan(
+      UsageVector{1.0, std::numeric_limits<double>::infinity()});
+}
+
+TEST(RiskTest, PlanOneDimensionShortIsInvalidArgument) {
+  ExpectRejectsBadPlan(UsageVector{1.0});
 }
 
 TEST(RiskTest, DeterministicGivenSeed) {

@@ -9,13 +9,15 @@
 #   3  ctest suite failed
 #   4  costsense-lint found violations (its JSON is on stdout) or its
 #      configuration is broken (e.g. unparseable layers.toml)
-#   5  AddressSanitizer build or its test subset failed
+#   5  AddressSanitizer + UndefinedBehaviorSanitizer build or its test
+#      subset failed
 #   6  ThreadSanitizer build or its test subset failed
 #   7  the protocol fuzz smoke found a violation
 #
 # The sanitizer stages rebuild into their own trees (build-asan,
 # build-tsan) and run the label subsets the root CMakeLists documents for
-# them: resilience under ASan, concurrency under TSan. Set
+# them: resilience and kernels under ASan+UBSan (one tree, UBSan halting
+# on the first finding), concurrency under TSan. Set
 # COSTSENSE_CI_SKIP_SANITIZERS=1 to stop after the lint gate (fast local
 # pre-push loop).
 set -u
@@ -52,11 +54,12 @@ if [ "${COSTSENSE_CI_SKIP_SANITIZERS:-0}" = "1" ]; then
   exit 0
 fi
 
-stage "AddressSanitizer (build-asan/, ctest -L resilience)"
-cmake -B "$ROOT/build-asan" -S "$ROOT" -DCOSTSENSE_ASAN=ON >/dev/null || exit 5
+stage "AddressSanitizer + UBSan (build-asan/, ctest -L 'resilience|kernels')"
+cmake -B "$ROOT/build-asan" -S "$ROOT" -DCOSTSENSE_ASAN=ON \
+  -DCOSTSENSE_UBSAN=ON >/dev/null || exit 5
 cmake --build "$ROOT/build-asan" -j "$JOBS" || exit 5
-ctest --test-dir "$ROOT/build-asan" -L resilience --output-on-failure \
-  -j "$JOBS" || exit 5
+UBSAN_OPTIONS=halt_on_error=1 ctest --test-dir "$ROOT/build-asan" \
+  -L 'resilience|kernels' --output-on-failure -j "$JOBS" || exit 5
 
 stage "ThreadSanitizer (build-tsan/, ctest -L concurrency)"
 cmake -B "$ROOT/build-tsan" -S "$ROOT" -DCOSTSENSE_TSAN=ON >/dev/null || exit 6
