@@ -198,8 +198,6 @@ PlanNodePtr CostModel::Sort(PlanNodePtr child,
   node->order = std::move(keys);
   node->usage = child->usage;
   ChargeSort(node->usage, child->output_rows, child->output_pages);
-  node->id = StrFormat("SORT[%s](%s)", KeysToString(node->order).c_str(),
-                       child->id.c_str());
   node->left = std::move(child);
   return node;
 }
@@ -207,8 +205,7 @@ PlanNodePtr CostModel::Sort(PlanNodePtr child,
 PlanNodePtr CostModel::FinishJoin(OpType op, PlanNodePtr left,
                                   PlanNodePtr right, const JoinProps& props,
                                   core::UsageVector usage,
-                                  std::vector<query::SortKey> order,
-                                  std::string id) const {
+                                  std::vector<query::SortKey> order) const {
   auto node = std::make_shared<PlanNode>();
   node->op = op;
   node->join_edge = props.edge;
@@ -220,7 +217,6 @@ PlanNodePtr CostModel::FinishJoin(OpType op, PlanNodePtr left,
   node->output_pages = PagesFor(props.output_rows, props.output_width_bytes);
   node->order = std::move(order);
   node->usage = std::move(usage);
-  node->id = std::move(id);
   node->left = std::move(left);
   node->right = std::move(right);
   return node;
@@ -247,12 +243,10 @@ PlanNodePtr CostModel::HashJoin(PlanNodePtr left, PlanNodePtr right,
                            (config_.cpu_join_output_instructions +
                             props.residual_edges *
                                 config_.cpu_predicate_instructions));
-  std::string id = StrFormat("HSJ[e%d](%s,%s)", props.edge,
-                             left->id.c_str(), right->id.c_str());
   // Hash join output follows the probe (left) order only when nothing
   // spilled; stay conservative and declare it unordered.
   return FinishJoin(OpType::kHashJoin, std::move(left), std::move(right),
-                    props, std::move(usage), {}, std::move(id));
+                    props, std::move(usage), {});
 }
 
 PlanNodePtr CostModel::SortMergeJoin(PlanNodePtr left, PlanNodePtr right,
@@ -275,10 +269,8 @@ PlanNodePtr CostModel::SortMergeJoin(PlanNodePtr left, PlanNodePtr right,
       left_holds_edge_left
           ? query::SortKey{edge.left_ref, edge.left_column}
           : query::SortKey{edge.right_ref, edge.right_column}};
-  std::string id = StrFormat("SMJ[e%d](%s,%s)", props.edge,
-                             left->id.c_str(), right->id.c_str());
   return FinishJoin(OpType::kSortMergeJoin, std::move(left), std::move(right),
-                    props, std::move(usage), std::move(order), std::move(id));
+                    props, std::move(usage), std::move(order));
 }
 
 PlanNodePtr CostModel::IndexNLJoin(PlanNodePtr left, size_t right_ref,
@@ -348,15 +340,14 @@ PlanNodePtr CostModel::IndexNLJoin(PlanNodePtr left, size_t right_ref,
   inner->output_pages =
       PagesFor(inner->output_rows, inner->output_width_bytes);
   inner->usage = space_.ZeroUsage();
-  inner->id = StrFormat("PROBE(%s.%s%s)", tref.alias.c_str(),
-                        idx.name.c_str(), index_only ? ":io" : "");
+  // Built for every INL candidate, so concatenated rather than printf'd.
+  inner->id = "PROBE(" + tref.alias + "." + idx.name +
+              (index_only ? ":io)" : ")");
 
   // Nested loops preserves the outer order.
   std::vector<query::SortKey> order = left->order;
-  std::string id = StrFormat("INL[e%d](%s,%s)", props.edge,
-                             left->id.c_str(), inner->id.c_str());
   return FinishJoin(OpType::kIndexNLJoin, std::move(left), std::move(inner),
-                    props, std::move(usage), std::move(order), std::move(id));
+                    props, std::move(usage), std::move(order));
 }
 
 PlanNodePtr CostModel::BlockNLJoin(PlanNodePtr left, PlanNodePtr right,
@@ -383,10 +374,8 @@ PlanNodePtr CostModel::BlockNLJoin(PlanNodePtr left, PlanNodePtr right,
                            (config_.cpu_join_output_instructions +
                             props.residual_edges *
                                 config_.cpu_predicate_instructions));
-  std::string id = StrFormat("BNL[e%d](%s,%s)", props.edge,
-                             left->id.c_str(), right->id.c_str());
   return FinishJoin(OpType::kBlockNLJoin, std::move(left), std::move(right),
-                    props, std::move(usage), {}, std::move(id));
+                    props, std::move(usage), {});
 }
 
 PlanNodePtr CostModel::Aggregate(PlanNodePtr child, bool sort_based) const {
@@ -395,6 +384,7 @@ PlanNodePtr CostModel::Aggregate(PlanNodePtr child, bool sort_based) const {
   auto node = std::make_shared<PlanNode>();
   node->op = OpType::kAggregate;
   node->keys = agg.group_keys;
+  node->sort_based = sort_based;
   node->tables = child->tables;
   node->output_rows = std::min(agg.output_groups, child->output_rows);
   node->output_width_bytes = child->output_width_bytes;
@@ -416,8 +406,6 @@ PlanNodePtr CostModel::Aggregate(PlanNodePtr child, bool sort_based) const {
                       std::max(1.0, spill / config_.prefetch_pages), spill);
     }
   }
-  node->id = StrFormat("AGG[%s](%s)", sort_based ? "sort" : "hash",
-                       child->id.c_str());
   node->left = std::move(child);
   return node;
 }

@@ -106,8 +106,7 @@ class CostModel {
 
   PlanNodePtr FinishJoin(OpType op, PlanNodePtr left, PlanNodePtr right,
                          const JoinProps& props, core::UsageVector usage,
-                         std::vector<query::SortKey> order,
-                         std::string id) const;
+                         std::vector<query::SortKey> order) const;
 };
 
 }  // namespace costsense::opt

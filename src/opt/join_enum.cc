@@ -313,16 +313,17 @@ Result<PlanNodePtr> JoinEnumerator::BestPlan(const core::CostVector& costs) {
     }
   }
 
-  // Cheapest, with a deterministic tie-break on the canonical id.
+  // Cheapest, with a deterministic tie-break on the canonical id, which
+  // is rendered only for exact cost ties.
   size_t best = 0;
   for (size_t i = 1; i < finals.size(); ++i) {
     if (finals[i].cost < finals[best].cost ||
         (finals[i].cost == finals[best].cost &&
-         finals[i].plan->id < finals[best].plan->id)) {
+         RenderPlanId(*finals[i].plan) < RenderPlanId(*finals[best].plan))) {
       best = i;
     }
   }
-  return finals[best].plan;
+  return WithRenderedIds(*finals[best].plan);
 }
 
 }  // namespace costsense::opt

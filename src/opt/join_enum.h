@@ -25,8 +25,8 @@ class JoinEnumerator {
                  const OptimizerOptions& options);
 
   /// Returns the estimated optimal plan under `costs` (fully annotated,
-  /// including its resource usage vector). Fails on malformed queries
-  /// (too many tables, missing refs).
+  /// including its resource usage vector and every node's id). Fails on
+  /// malformed queries (too many tables, missing refs).
   [[nodiscard]] Result<PlanNodePtr> BestPlan(const core::CostVector& costs);
 
   /// Cardinality shared by every plan covering subset `mask` (exposed for

@@ -38,6 +38,42 @@ bool OrderSatisfies(const std::vector<query::SortKey>& produced,
   return true;
 }
 
+namespace {
+
+/// The id text of an inner node, given its children's ids.
+std::string ComposeId(const PlanNode& node, const std::string& left,
+                      const std::string& right) {
+  switch (node.op) {
+    case OpType::kSort:
+      return StrFormat("SORT[%s](%s)", KeysToString(node.keys).c_str(),
+                       left.c_str());
+    case OpType::kAggregate:
+      return StrFormat("AGG[%s](%s)", node.sort_based ? "sort" : "hash",
+                       left.c_str());
+    default:
+      return StrFormat("%s[e%d](%s,%s)", OpTypeName(node.op), node.join_edge,
+                       left.c_str(), right.c_str());
+  }
+}
+
+}  // namespace
+
+std::string RenderPlanId(const PlanNode& node) {
+  if (!node.left) return node.id;
+  return ComposeId(node, RenderPlanId(*node.left),
+                   node.right ? RenderPlanId(*node.right) : std::string());
+}
+
+PlanNodePtr WithRenderedIds(const PlanNode& root) {
+  auto copy = std::make_shared<PlanNode>(root);
+  if (!root.left) return copy;
+  copy->left = WithRenderedIds(*root.left);
+  if (root.right) copy->right = WithRenderedIds(*root.right);
+  copy->id = ComposeId(*copy, copy->left->id,
+                       copy->right ? copy->right->id : std::string());
+  return copy;
+}
+
 std::string KeysToString(const std::vector<query::SortKey>& keys) {
   std::vector<std::string> parts;
   parts.reserve(keys.size());

@@ -57,6 +57,9 @@ struct PlanNode {
 
   /// For kSort / kAggregate: the keys sorted/grouped on.
   std::vector<query::SortKey> keys;
+  /// For kAggregate: grouping consumes input already ordered on the group
+  /// keys (else it hashes).
+  bool sort_based = false;
 
   // Annotations.
   /// Bitmask of query refs covered by this subtree.
@@ -69,10 +72,21 @@ struct PlanNode {
   std::vector<query::SortKey> order;
   /// Cumulative resource usage of the subtree (paper Section 3.2).
   core::UsageVector usage;
-  /// Canonical id: equal strings identify equal plans. Computed once at
-  /// construction by the cost model.
+  /// Canonical id: equal strings identify equal plans. The cost model
+  /// sets it on leaves only (SCAN, IXS, PROBE); inner nodes of candidate
+  /// plans leave it empty, since the enumerator ranks candidates by cost.
+  /// Every node of a plan the optimizer returns carries its id, filled by
+  /// WithRenderedIds.
   std::string id;
 };
+
+/// Renders `node`'s canonical id from its operator fields and its leaves'
+/// ids, e.g. "HSJ[e0](SCAN(a),SORT[r1.c0](SCAN(b)))". Leaves return their
+/// own id.
+std::string RenderPlanId(const PlanNode& node);
+
+/// Copies the plan tree under `root` with every node's id rendered.
+PlanNodePtr WithRenderedIds(const PlanNode& root);
 
 /// True if stream order `produced` satisfies requirement `required`
 /// (i.e. `required` is a prefix of `produced`).

@@ -49,6 +49,16 @@ struct OracleCacheEntry {
   core::OracleResult result;
 };
 
+/// What CachingOracle::Import did with a snapshot.
+struct OracleCacheImport {
+  /// Entries stored (keys the cache did not hold yet).
+  size_t inserted = 0;
+  /// Entries refused because their key or usage vector does not have the
+  /// cache's dimension: such a key could never be hit, and such a usage
+  /// would reach discovery as a malformed reply.
+  size_t dropped = 0;
+};
+
 /// Quantizes a cost coordinate to `mantissa_bits` of mantissa, rounding to
 /// nearest (the carry into the exponent field is exactly binade rounding
 /// for finite IEEE doubles). Exposed for tests.
@@ -60,6 +70,10 @@ uint64_t QuantizeCost(double value, int mantissa_bits);
 /// result — which is what makes concurrent misses benign: whichever
 /// thread computes first stores the same value any loser would.
 double DequantizeCost(uint64_t quantized, int mantissa_bits);
+
+/// The shard among `shards` (a power of two) that quantized key `key`
+/// lives in. Exposed for tests.
+size_t ShardOfKey(const std::vector<uint64_t>& key, size_t shards);
 
 /// A sharded, memoizing, thread-safe PlanOracle decorator.
 ///
@@ -75,6 +89,11 @@ double DequantizeCost(uint64_t quantized, int mantissa_bits);
 /// keys, so two genuinely different cost vectors never alias. Results are
 /// computed at the key's canonical (dequantized) point, which keeps runs
 /// bit-identical regardless of thread count and probe order.
+///
+/// Memory is flat: each distinct (plan_id, usage) reply is stored once per
+/// cache, and a resident entry is its quantized key, its total cost, a
+/// reply index and two LRU links in per-shard arrays, plus an
+/// open-addressing index slot — no per-entry heap allocation.
 class CachingOracle : public core::PlanOracle {
  public:
   /// `base` is not owned and must outlive this.
@@ -83,7 +102,7 @@ class CachingOracle : public core::PlanOracle {
   ~CachingOracle() override;
 
   core::OracleResult Optimize(const core::CostVector& c) override;
-  size_t dims() const override { return base_.dims(); }
+  size_t dims() const override { return dims_; }
 
   OracleCacheStats stats() const;
 
@@ -97,20 +116,24 @@ class CachingOracle : public core::PlanOracle {
   /// Seeds entries into the cache (the warm-start path). Existing keys
   /// are left untouched, capacity bounds still evict, and hit/miss
   /// counters are unaffected — a warm run's first probe of an imported
-  /// key counts as an ordinary hit. Returns the number inserted.
-  size_t Import(const std::vector<OracleCacheEntry>& entries);
+  /// key counts as an ordinary hit. Entries whose key or usage vector is
+  /// not dims() long are dropped and counted.
+  OracleCacheImport Import(const std::vector<OracleCacheEntry>& entries);
 
   /// Mantissa bits the cache quantizes keys with (snapshot compatibility).
   int mantissa_bits() const { return options_.mantissa_bits; }
 
  private:
   struct Shard;
+  struct Replies;
 
   core::PlanOracle& base_;
   const OracleCacheOptions options_;
   const size_t shard_mask_;
   const size_t per_shard_capacity_;
+  const size_t dims_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::unique_ptr<Replies> replies_;
 };
 
 }  // namespace costsense::runtime

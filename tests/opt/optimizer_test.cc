@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <functional>
+#include <string_view>
 
 #include "common/rng.h"
 #include "core/feasible_region.h"
 #include "opt/explain.h"
 #include "query/builder.h"
+#include "tpch/queries.h"
+#include "tpch/schema.h"
 
 namespace costsense::opt {
 namespace {
@@ -296,6 +301,69 @@ TEST(OptimizerTest, ExplainRendersTree) {
   const std::string summary =
       ExplainSummary(*r->plan, rig.space, rig.space.BaselineCosts());
   EXPECT_NE(summary.find("total cost"), std::string::npos);
+}
+
+/// FNV-1a over raw bytes, chained through `h`.
+uint64_t Fnv1a(uint64_t h, std::string_view bytes) {
+  for (const char ch : bytes) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+uint64_t Fnv1a(uint64_t h, double value) {
+  const uint64_t bits = std::bit_cast<uint64_t>(value);
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (bits >> (byte * 8)) & 0xffULL;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// True if every node under `node` carries the id rendered from its
+/// fields and its children's ids.
+bool EveryNodeHasItsId(const PlanNode& node) {
+  if (node.id.empty() || node.id != RenderPlanId(node)) return false;
+  return (!node.left || EveryNodeHasItsId(*node.left)) &&
+         (!node.right || EveryNodeHasItsId(*node.right));
+}
+
+TEST(OptimizerTest, TpchAnswersMatchPinnedDigest) {
+  // Pins every answer the optimizer gives over TPC-H Q1-Q22 x the three
+  // paper layouts x 20 cost vectors (the baseline, then 19 log-uniform
+  // draws from the 100x band around it): the chosen plan's id and the
+  // exact bits of its total cost and usage vector. Any change to the
+  // plan space, the pruning, the tie-break or the id text moves it.
+  const catalog::Catalog cat = tpch::MakeTpchCatalog(100.0);
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  size_t answers = 0;
+  for (int qn = 1; qn <= 22; ++qn) {
+    const Query q = tpch::MakeTpchQuery(cat, qn);
+    for (const LayoutPolicy policy :
+         {LayoutPolicy::kSharedDevice, LayoutPolicy::kPerTableAndIndex,
+          LayoutPolicy::kPerTableColocated}) {
+      const StorageLayout layout(policy, cat, query::ReferencedTables(q));
+      const storage::ResourceSpace space = layout.BuildResourceSpace();
+      const Optimizer optimizer(cat, layout, space);
+      const core::Box box =
+          core::Box::MultiplicativeBand(space.BaselineCosts(), 100.0);
+      Rng rng(static_cast<uint64_t>(qn * 3 + static_cast<int>(policy)));
+      for (int i = 0; i < 20; ++i) {
+        const core::CostVector c =
+            i == 0 ? space.BaselineCosts() : box.SampleLogUniform(rng);
+        const Result<Optimized> r = optimizer.Optimize(q, c);
+        ASSERT_TRUE(r.ok()) << q.name << ": " << r.status().ToString();
+        EXPECT_TRUE(EveryNodeHasItsId(*r->plan)) << r->plan->id;
+        digest = Fnv1a(digest, r->plan->id);
+        digest = Fnv1a(digest, r->total_cost);
+        for (const double u : r->plan->usage) digest = Fnv1a(digest, u);
+        ++answers;
+      }
+    }
+  }
+  EXPECT_EQ(answers, 22u * 3u * 20u);
+  EXPECT_EQ(digest, 0x9f3fa1a996b540f3ULL) << std::hex << "0x" << digest;
 }
 
 }  // namespace

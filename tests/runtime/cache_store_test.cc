@@ -253,8 +253,9 @@ TEST(CachingOracleSnapshotTest, ExportImportRoundTripSkipsExisting) {
   CachingOracle warmed(fresh_base);
   // Compute one of the two points first: import must not overwrite it.
   warmed.Optimize({1.0, 1.0});
-  const size_t inserted = warmed.Import(snapshot);
-  EXPECT_EQ(inserted, 1u);
+  const OracleCacheImport imported = warmed.Import(snapshot);
+  EXPECT_EQ(imported.inserted, 1u);
+  EXPECT_EQ(imported.dropped, 0u);
 
   OracleCacheStats stats = warmed.stats();
   EXPECT_EQ(stats.imported, 1u);

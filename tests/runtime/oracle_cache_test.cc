@@ -1,11 +1,20 @@
 // Tests of the sharded memoizing oracle cache: hit/miss accounting,
-// quantized-key merging, the bounded-eviction guarantee, LRU recency, and
-// correctness under concurrent hammering from a thread pool.
+// quantized-key merging, the bounded-eviction guarantee, LRU recency,
+// reply interning, snapshot import validation, a model-based check
+// against a reference LRU, and correctness under concurrent hammering
+// from a thread pool.
 #include "runtime/oracle_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <list>
+#include <map>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -170,6 +179,301 @@ TEST(CachingOracleTest, ConcurrentHammerIsCorrectAndBounded) {
   // everything (racing first-misses may duplicate a handful of computes).
   EXPECT_GT(stats.hit_rate(), 0.9);
   EXPECT_LE(base.calls(), 32u * 8u);
+}
+
+/// Replies scripted by the first cost coordinate, all under one plan id:
+/// usage vectors that differ, one that differs only in the sign of a
+/// zero, and a narrow reply without usage.
+class ScriptedOracle : public core::PlanOracle {
+ public:
+  core::OracleResult Optimize(const core::CostVector& c) override {
+    ++calls;
+    core::OracleResult r;
+    r.plan_id = "p";
+    r.total_cost = 10.0 * c[0];
+    switch (static_cast<int>(c[0])) {
+      case 1:
+        r.usage = core::UsageVector{1.0, 2.0};
+        break;
+      case 2:
+        r.usage = core::UsageVector{3.0, 4.0};
+        break;
+      case 3:
+        break;  // narrow: no usage
+      case 4:
+        r.usage = core::UsageVector{0.0, 2.0};
+        break;
+      default:
+        r.usage = core::UsageVector{-0.0, 2.0};
+        break;
+    }
+    return r;
+  }
+  size_t dims() const override { return 2; }
+  size_t calls = 0;
+};
+
+bool SameReply(const core::OracleResult& a, const core::OracleResult& b) {
+  if (a.plan_id != b.plan_id ||
+      std::bit_cast<uint64_t>(a.total_cost) !=
+          std::bit_cast<uint64_t>(b.total_cost) ||
+      a.usage.has_value() != b.usage.has_value()) {
+    return false;
+  }
+  if (!a.usage.has_value()) return true;
+  if (a.usage->size() != b.usage->size()) return false;
+  for (size_t i = 0; i < a.usage->size(); ++i) {
+    if (std::bit_cast<uint64_t>((*a.usage)[i]) !=
+        std::bit_cast<uint64_t>((*b.usage)[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(CachingOracleTest, InternedRepliesStayDistinct) {
+  // Replies are stored once per distinct (plan_id, usage); one plan id
+  // with different usage vectors, with a -0.0 for a 0.0, or without usage
+  // must each come back exactly as the base oracle gave it.
+  ScriptedOracle base;
+  ScriptedOracle reference;
+  CachingOracle cache(base);
+  std::vector<core::OracleResult> first;
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 1; i <= 5; ++i) {
+      const core::CostVector c{static_cast<double>(i), 1.0};
+      const core::OracleResult got = cache.Optimize(c);
+      EXPECT_TRUE(SameReply(got, reference.Optimize(c))) << "point " << i;
+      if (round == 0) first.push_back(got);
+    }
+  }
+  EXPECT_EQ(base.calls, 5u);
+  EXPECT_EQ(cache.stats().hits, 5u);
+  EXPECT_FALSE(first[2].usage.has_value());
+  EXPECT_TRUE(std::signbit((*first[4].usage)[0]));
+  EXPECT_FALSE(std::signbit((*first[3].usage)[0]));
+
+  // The snapshot carries each entry's own reply too.
+  const std::vector<OracleCacheEntry> exported = cache.Export();
+  ASSERT_EQ(exported.size(), 5u);
+  for (const OracleCacheEntry& entry : exported) {
+    const core::CostVector c{DequantizeCost(entry.key[0], 40),
+                             DequantizeCost(entry.key[1], 40)};
+    EXPECT_TRUE(SameReply(entry.result, reference.Optimize(c)));
+  }
+}
+
+TEST(CachingOracleTest, ImportDropsEntriesOfTheWrongDimension) {
+  core::FakeOracle base(TwoPlans(), /*white_box=*/true);
+  CachingOracle cache(base);
+  const uint64_t one = QuantizeCost(1.0, 40);
+  const uint64_t two = QuantizeCost(2.0, 40);
+  std::vector<OracleCacheEntry> entries(3);
+  // Well formed: stored.
+  entries[0].key = {one, one};
+  entries[0].result = {"a", 11.0, core::UsageVector{1.0, 10.0}};
+  // A key one coordinate short: no probe could ever hit it.
+  entries[1].key = {two};
+  entries[1].result = {"a", 11.0, core::UsageVector{1.0, 10.0}};
+  // The right key with a usage vector of the wrong length: it would be
+  // served to discovery as a malformed reply.
+  entries[2].key = {one, two};
+  entries[2].result = {"b", 12.0, core::UsageVector{10.0}};
+
+  const OracleCacheImport counts = cache.Import(entries);
+  EXPECT_EQ(counts.inserted, 1u);
+  EXPECT_EQ(counts.dropped, 2u);
+  const OracleCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.imported, 1u);
+
+  // Only the well-formed entry is re-published on save...
+  const std::vector<OracleCacheEntry> exported = cache.Export();
+  ASSERT_EQ(exported.size(), 1u);
+  EXPECT_EQ(exported[0].key, entries[0].key);
+  // ...and the point behind the malformed usage is computed afresh.
+  const core::OracleResult r = cache.Optimize({1.0, 2.0});
+  EXPECT_EQ(base.calls(), 1u);
+  ASSERT_TRUE(r.usage.has_value());
+  EXPECT_EQ(r.usage->size(), 2u);
+}
+
+/// A reference LRU cache, one std::list + std::map per shard, fed the
+/// same operations as a CachingOracle.
+class ReferenceCache {
+ public:
+  using Key = std::vector<uint64_t>;
+
+  ReferenceCache(core::PlanOracle& base, size_t shards, size_t per_shard)
+      : base_(base), shards_(shards), per_shard_(per_shard) {}
+
+  core::OracleResult Optimize(const core::CostVector& c) {
+    Key key;
+    core::CostVector canonical(c.size());
+    for (size_t i = 0; i < c.size(); ++i) {
+      key.push_back(QuantizeCost(c[i], 40));
+      canonical[i] = DequantizeCost(key.back(), 40);
+    }
+    Shard& shard = shards_[ShardOfKey(key, shards_.size())];
+    auto it = shard.map.find(key);
+    if (it != shard.map.end()) {
+      ++stats.hits;
+      shard.order.splice(shard.order.begin(), shard.order, it->second.second);
+      return it->second.first;
+    }
+    ++stats.misses;
+    const core::OracleResult result = base_.Optimize(canonical);
+    Insert(shard, key, result);
+    return result;
+  }
+
+  void Import(const std::vector<OracleCacheEntry>& entries) {
+    for (const OracleCacheEntry& entry : entries) {
+      if (entry.key.size() != base_.dims() ||
+          (entry.result.usage.has_value() &&
+           entry.result.usage->size() != base_.dims())) {
+        ++dropped;
+        continue;
+      }
+      Shard& shard = shards_[ShardOfKey(entry.key, shards_.size())];
+      if (shard.map.count(entry.key) != 0) continue;
+      ++stats.imported;
+      Insert(shard, entry.key, entry.result);
+    }
+  }
+
+  void Clear() {
+    for (Shard& shard : shards_) {
+      shard.map.clear();
+      shard.order.clear();
+    }
+  }
+
+  size_t entries() const {
+    size_t n = 0;
+    for (const Shard& shard : shards_) n += shard.map.size();
+    return n;
+  }
+
+  /// Resident (key, reply) pairs in key order.
+  std::vector<std::pair<Key, core::OracleResult>> Contents() const {
+    std::vector<std::pair<Key, core::OracleResult>> out;
+    for (const Shard& shard : shards_) {
+      for (const auto& [key, value] : shard.map) {
+        out.emplace_back(key, value.first);
+      }
+    }
+    std::sort(out.begin(), out.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    return out;
+  }
+
+  OracleCacheStats stats;
+  size_t dropped = 0;
+
+ private:
+  struct Shard {
+    std::list<Key> order;  // most recent first
+    std::map<Key, std::pair<core::OracleResult, std::list<Key>::iterator>>
+        map;
+  };
+
+  void Insert(Shard& shard, const Key& key, const core::OracleResult& r) {
+    shard.order.push_front(key);
+    shard.map.emplace(key, std::make_pair(r, shard.order.begin()));
+    if (shard.map.size() > per_shard_) {
+      shard.map.erase(shard.order.back());
+      shard.order.pop_back();
+      ++stats.evictions;
+    }
+  }
+
+  core::PlanOracle& base_;
+  std::vector<Shard> shards_;
+  const size_t per_shard_;
+};
+
+TEST(CachingOracleTest, MatchesReferenceLruUnderRandomOperations) {
+  // Random Optimize / Import / Clear sequences over a small point set, so
+  // keys collide, recur, get evicted and come back. Every reply, every
+  // counter and the exported contents must match the reference.
+  const std::vector<core::PlanUsage> plans = {
+      {"a", core::UsageVector{1.0, 10.0}},
+      {"b", core::UsageVector{10.0, 1.0}},
+      {"c", core::UsageVector{4.0, 4.0}}};
+  std::vector<core::CostVector> points;
+  for (double x : {1.0, 2.0, 3.0, 5.0}) {
+    for (double y : {1.0, 2.5, 7.0}) points.push_back({x, y});
+  }
+  // (shards, per-shard capacity): every small capacity, where evictions
+  // churn the index, plus one past 16-bit slot positions.
+  std::vector<std::pair<size_t, size_t>> configs;
+  for (size_t shards : {1, 2}) {
+    for (size_t per_shard = 1; per_shard <= 8; ++per_shard) {
+      configs.emplace_back(shards, per_shard);
+    }
+  }
+  configs.emplace_back(1, 70000);
+  for (const auto& [shards, per_shard] : configs) {
+    core::FakeOracle base(plans, /*white_box=*/true);
+    core::FakeOracle reference_base(plans, /*white_box=*/true);
+    OracleCacheOptions options;
+    options.shards = shards;
+    options.max_entries = per_shard * shards;
+    CachingOracle cache(base, options);
+    ReferenceCache reference(reference_base, shards, per_shard);
+    Rng rng(1000 * shards + per_shard);
+    size_t dropped = 0;
+    for (int step = 0; step < 400; ++step) {
+      const std::string where = "shards=" + std::to_string(shards) +
+                                " per_shard=" + std::to_string(per_shard) +
+                                " step=" + std::to_string(step);
+      const uint64_t op = rng.Index(20);
+      if (op == 0) {
+        cache.Clear();
+        reference.Clear();
+      } else if (op <= 3) {
+        // A snapshot of 1-4 entries with arbitrary replies, some narrow,
+        // some of the wrong dimension.
+        std::vector<OracleCacheEntry> batch(1 + rng.Index(4));
+        for (OracleCacheEntry& entry : batch) {
+          const core::CostVector& p = points[rng.Index(points.size())];
+          for (double v : p) entry.key.push_back(QuantizeCost(v, 40));
+          if (rng.Index(8) == 0) entry.key.pop_back();
+          entry.result.plan_id = rng.Index(2) == 0 ? "a" : "imported";
+          entry.result.total_cost = static_cast<double>(rng.Index(100));
+          if (rng.Index(3) != 0) {
+            entry.result.usage = core::UsageVector{
+                static_cast<double>(rng.Index(5)), 1.0};
+          }
+          if (rng.Index(10) == 0) {
+            entry.result.usage = core::UsageVector{1.0, 2.0, 3.0};
+          }
+        }
+        dropped += cache.Import(batch).dropped;
+        reference.Import(batch);
+        EXPECT_EQ(dropped, reference.dropped) << where;
+      } else {
+        const core::CostVector& p = points[rng.Index(points.size())];
+        const core::OracleResult got = cache.Optimize(p);
+        EXPECT_TRUE(SameReply(got, reference.Optimize(p))) << where;
+      }
+      const OracleCacheStats stats = cache.stats();
+      ASSERT_EQ(stats.hits, reference.stats.hits) << where;
+      ASSERT_EQ(stats.misses, reference.stats.misses) << where;
+      ASSERT_EQ(stats.evictions, reference.stats.evictions) << where;
+      ASSERT_EQ(stats.imported, reference.stats.imported) << where;
+      ASSERT_EQ(stats.entries, reference.entries()) << where;
+      const std::vector<OracleCacheEntry> exported = cache.Export();
+      const auto contents = reference.Contents();
+      ASSERT_EQ(exported.size(), contents.size()) << where;
+      for (size_t i = 0; i < exported.size(); ++i) {
+        EXPECT_EQ(exported[i].key, contents[i].first) << where;
+        EXPECT_TRUE(SameReply(exported[i].result, contents[i].second))
+            << where;
+      }
+    }
+  }
 }
 
 }  // namespace
