@@ -79,7 +79,8 @@ std::vector<exp::FigureSeries> RunWorstCaseFigure(
   metrics.threads = pool.num_threads();
 
   // Phase 1 — analysis: every query discovers its candidate plans
-  // concurrently (and each discovery fans out further over the same pool).
+  // concurrently (and each discovery fans out its cache misses over the
+  // same pool).
   runtime::WallTimer timer;
   const std::vector<Result<exp::QueryAnalysis>> analyses =
       runner.AnalyzeMany(config.queries, policy);

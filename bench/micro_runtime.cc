@@ -1,21 +1,30 @@
 // Micro-benchmarks of the parallel analysis runtime: fork-join dispatch
-// overhead of ThreadPool::ParallelFor at several pool sizes, and the
-// hit/miss path costs of the sharded memoizing oracle cache. These price
-// the fixed costs that the figure drivers amortize over real optimizer
-// calls (an optimizer invocation is ~100us-10ms; a cache hit should be
-// ~100ns, so memoization pays off after a single duplicate probe).
+// overhead of ThreadPool::ParallelFor at several pool sizes, the hit/miss
+// path costs of the sharded memoizing oracle cache, and a fully warm
+// discovery (a warm serve request's probe work). These price the fixed
+// costs that the figure drivers amortize over real optimizer calls (an
+// optimizer invocation is ~100us-10ms; a cache hit should be ~100ns, so
+// memoization pays off after a single duplicate probe).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "catalog/catalog.h"
+#include "common/macros.h"
 #include "common/rng.h"
+#include "core/discovery.h"
 #include "core/vectors.h"
+#include "exp/figure_runner.h"
+#include "exp/report.h"
 #include "runtime/oracle_stack.h"
 #include "runtime/oracle_cache.h"
 #include "runtime/thread_pool.h"
+#include "storage/layout.h"
 #include "tests/core/fake_oracle.h"
+#include "tpch/queries.h"
+#include "tpch/schema.h"
 
 namespace costsense {
 namespace {
@@ -102,6 +111,36 @@ void BM_OracleCacheConcurrent(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleCacheConcurrent)->Arg(1)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMicrosecond);
+
+/// One quick-mode discovery of Q8 on the shared layout over the 1000x
+/// band, with every probe already in the pair's cache: the serve-warm
+/// request path. Only optimizer work fans out, so a warm discovery should
+/// hand the pool no task at any pool size (`pool_tasks` per iteration).
+void BM_WarmDiscovery(benchmark::State& state) {
+  const catalog::Catalog catalog = tpch::MakeTpchCatalog(100.0);
+  runtime::OracleStackBuilder builder;
+  exp::PairContext pair(catalog, tpch::MakeTpchQuery(catalog, 8),
+                        storage::LayoutPolicy::kSharedDevice, builder);
+  runtime::ThreadPool pool(static_cast<size_t>(state.range(0)));
+  const core::Box box = core::Box::MultiplicativeBand(pair.baseline(), 1000);
+  auto discover = [&] {
+    runtime::ProbeChain probes(pair.stack().cache(), {});
+    Result<core::DiscoveryResult> d =
+        pair.Discover(probes.oracle(), box, exp::kDiscoverySeed,
+                      exp::QuickDiscovery(), pool);
+    COSTSENSE_CHECK(d.ok());
+    return d->plans.size();
+  };
+  discover();  // warm the cache
+  pool.Drain();
+  const size_t tasks_before = pool.stats().tasks_run;
+  for (auto _ : state) benchmark::DoNotOptimize(discover());
+  pool.Drain();
+  state.counters["pool_tasks"] = benchmark::Counter(
+      static_cast<double>(pool.stats().tasks_run - tasks_before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_WarmDiscovery)->Arg(1)->Arg(4)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace costsense

@@ -83,19 +83,31 @@ class Discoverer {
   }
 
  private:
-  /// Evaluates the oracle at every point (fanning out over the pool when
-  /// one is configured) and records first-seen witnesses in point order —
-  /// the same order a serial probe loop would, so the discovered set is
-  /// independent of thread count and scheduling. A probe that errors
+  /// Evaluates the oracle at every point and records first-seen witnesses
+  /// in point order — the same order a serial probe loop would, so the
+  /// discovered set is independent of thread count and scheduling. Points
+  /// the oracle has memoized are answered on this thread; only the rest,
+  /// which run the optimizer, fan out over the pool. A probe that errors
   /// leaves an empty slot and is counted, never recorded: degradation is
   /// losing witnesses, not inventing them.
   std::vector<std::optional<OracleResult>> ProbeBatch(
       const std::vector<CostVector>& points) {
     std::vector<std::optional<OracleResult>> results(points.size());
-    const Status pool_status =
-        runtime::ForEachIndex(options_.pool, points.size(), [&](size_t i) {
+    auto probe = [&](size_t i) {
       Result<OracleResult> r = oracle_.TryOptimize(points[i]);
       if (r.ok()) results[i] = std::move(r).value();
+    };
+    std::vector<size_t> pooled;
+    for (size_t i = 0; i < points.size(); ++i) {
+      if (oracle_.Memoized(points[i])) {
+        probe(i);
+      } else {
+        pooled.push_back(i);
+      }
+    }
+    const Status pool_status =
+        runtime::ForEachIndex(options_.pool, pooled.size(), [&](size_t k) {
+      probe(pooled[k]);
       return Status::Ok();
     });
     COSTSENSE_CHECK(pool_status.ok());  // bodies always return Ok
@@ -239,35 +251,45 @@ class Discoverer {
     todo.reserve(found_.size());
     for (const auto& [id, f] : found_) todo.emplace_back(id, &f);
 
-    // Per-plan extraction is independent: each plan gets its own RNG
-    // stream forked from the shared generator and keyed by plan id, so
-    // the sample set — and therefore the fit — is the same whether plans
-    // extract one after another or all at once. White-box plans skip the
-    // oracle entirely. A failed extraction (thin region) yields an empty
-    // slot: skip the plan rather than poison the set.
+    // White-box plans take the usage the oracle revealed, on this thread.
+    // Only least-squares extractions probe the oracle, so only they fan
+    // out. Each gets its own RNG stream forked from the shared generator
+    // and keyed by plan id, so the sample set — and therefore the fit — is
+    // the same whether plans extract one after another or all at once. A
+    // failed extraction (thin region) yields an empty slot: skip the plan
+    // rather than poison the set.
     std::vector<std::optional<DiscoveredPlan>> slots(todo.size());
     std::vector<ExtractionTelemetry> telemetry(todo.size());
+    std::vector<size_t> narrow;
+    for (size_t k = 0; k < todo.size(); ++k) {
+      const auto& [id, f] = todo[k];
+      DiscoveredPlan& dp = slots[k].emplace();
+      dp.plan.plan_id = id;
+      dp.witness = f->witness;
+      if (f->usage.has_value()) {
+        dp.plan.usage = *f->usage;
+      } else {
+        narrow.push_back(k);
+      }
+    }
     Status st = runtime::ForEachIndex(
-        options_.pool, todo.size(), [&](size_t k) {
+        options_.pool, narrow.size(), [&](size_t n) {
+          const size_t k = narrow[n];
           const auto& [id, f] = todo[k];
-          DiscoveredPlan dp;
-          dp.plan.plan_id = id;
-          dp.witness = f->witness;
-          if (f->usage.has_value()) {
-            dp.plan.usage = *f->usage;
-          } else {
-            Rng stream = rng_.Fork(PlanStreamId(id));
-            Result<ExtractedUsage> ex =
-                ExtractUsageVector(oracle_, id, f->witness, box_, stream,
-                                   options_.extraction, &telemetry[k]);
-            // Thin region or probes lost to oracle failures: skip the plan
-            // rather than poison the set (telemetry keeps the accounting).
-            if (!ex.ok()) return Status::Ok();
-            dp.plan.usage = ex->usage;
-            dp.usage_from_least_squares = true;
-            dp.extraction_error = ex->validation_error;
+          Rng stream = rng_.Fork(PlanStreamId(id));
+          Result<ExtractedUsage> ex =
+              ExtractUsageVector(oracle_, id, f->witness, box_, stream,
+                                 options_.extraction, &telemetry[k]);
+          // Thin region or probes lost to oracle failures: skip the plan
+          // rather than poison the set (telemetry keeps the accounting).
+          if (!ex.ok()) {
+            slots[k].reset();
+            return Status::Ok();
           }
-          slots[k] = std::move(dp);
+          DiscoveredPlan& dp = *slots[k];
+          dp.plan.usage = ex->usage;
+          dp.usage_from_least_squares = true;
+          dp.extraction_error = ex->validation_error;
           return Status::Ok();
         });
     if (!st.ok()) return st;
@@ -285,11 +307,11 @@ class Discoverer {
   /// Annotates per-plan interior margins. Each margin is one LP with
   /// |plans| constraints, so this is quadratic in the plan count; it is
   /// informational only and skipped for very large plan sets. The LPs are
-  /// independent and fan out over the pool.
+  /// microseconds each and run on this thread: a pool hand-off would cost
+  /// more than the work.
   void ComputeMargins(std::vector<DiscoveredPlan>& plans) const {
     if (plans.size() > 96) return;
-    const Status pool_status =
-        runtime::ForEachIndex(options_.pool, plans.size(), [&](size_t i) {
+    for (size_t i = 0; i < plans.size(); ++i) {
       std::vector<PlanUsage> rivals;
       rivals.reserve(plans.size() - 1);
       for (size_t j = 0; j < plans.size(); ++j) {
@@ -298,9 +320,7 @@ class Discoverer {
       Result<CandidacyResult> cr =
           FindRegionWitness(plans[i].plan.usage, rivals, box_);
       if (cr.ok() && cr->candidate) plans[i].margin = cr->margin;
-      return Status::Ok();
-    });
-    COSTSENSE_CHECK(pool_status.ok());  // bodies always return Ok
+    }
   }
 
   Status CompletenessProbe(const std::vector<DiscoveredPlan>& plans) {
@@ -314,33 +334,27 @@ class Discoverer {
       rng_.Shuffle(order);
       order.resize(kMaxProbesPerRound);
     }
-    // Phase 1 (parallel, pure LP): a deep-interior witness per region.
-    std::vector<std::optional<Result<CandidacyResult>>> witnesses(
-        order.size());
-    const Status pool_status =
-        runtime::ForEachIndex(options_.pool, order.size(), [&](size_t k) {
-      const DiscoveredPlan& dp = plans[order[k]];
+    // Phase 1 (pure LP, on this thread like ComputeMargins): a
+    // deep-interior witness per region.
+    std::vector<CostVector> probes;
+    for (size_t k : order) {
+      const DiscoveredPlan& dp = plans[k];
       std::vector<PlanUsage> rivals;
       for (const DiscoveredPlan& other : plans) {
         if (other.plan.plan_id != dp.plan.plan_id) {
           rivals.push_back(other.plan);
         }
       }
-      witnesses[k].emplace(FindRegionWitness(dp.plan.usage, rivals, box_));
-      return Status::Ok();
-    });
-    COSTSENSE_CHECK(pool_status.ok());  // bodies always return Ok
-    // Phase 2 (batched): the discovered set predicts each plan at its
-    // witness; probe them all — where the oracle disagrees, Record adds
-    // the new plan automatically.
-    std::vector<CostVector> probes;
-    for (size_t k = 0; k < order.size(); ++k) {
-      const Result<CandidacyResult>& cr = *witnesses[k];
+      Result<CandidacyResult> cr =
+          FindRegionWitness(dp.plan.usage, rivals, box_);
       if (!cr.ok()) return cr.status();
       if (!cr->candidate || cr->margin <= 0.0) continue;
       if (found_.size() + probes.size() >= kMaxPlans) break;
       probes.push_back(cr->witness);
     }
+    // Phase 2 (batched): the discovered set predicts each plan at its
+    // witness; probe them all — where the oracle disagrees, Record adds
+    // the new plan automatically.
     ProbeBatch(probes);
     return Status::Ok();
   }

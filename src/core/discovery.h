@@ -36,11 +36,13 @@ struct DiscoveryOptions {
   /// When the oracle does not reveal usage vectors, extract them by least
   /// squares with these options.
   ExtractionOptions extraction;
-  /// Optional thread pool for fanning out oracle probes, per-plan
-  /// least-squares extractions, and the margin/completeness LPs; null runs
-  /// everything inline. Parallel runs are bit-identical to serial ones:
-  /// probe points are generated serially from `rng`, evaluated
-  /// concurrently, and recorded in generation order, while per-plan
+  /// Optional thread pool for the work that runs the optimizer: oracle
+  /// probes the oracle has not memoized (PlanOracle::Memoized) and
+  /// per-plan least-squares extractions. Memoized probes and the
+  /// margin/completeness LPs run on the calling thread; null runs
+  /// everything there. Parallel runs are bit-identical to serial ones:
+  /// probe points are generated serially from `rng`, evaluated wherever
+  /// they are scheduled, and recorded in generation order, while per-plan
   /// extraction streams are forked from `rng` keyed by plan id. The oracle
   /// must be safe to call concurrently when a pool is supplied (wrap it in
   /// runtime::CachingOracle, or see blackbox::NarrowOptimizer).

@@ -38,6 +38,13 @@ class PlanOracle {
 
   /// Dimensionality of the resource cost space this oracle prices over.
   virtual size_t dims() const = 0;
+
+  /// Whether Optimize(c) would be answered from memory, without running an
+  /// optimizer. A scheduling hint only: drivers run memoized probes on the
+  /// calling thread and fan out the rest, and a concurrent insert or
+  /// eviction merely changes which thread runs a probe, never its answer.
+  /// Must not change any state, counter or recency order.
+  virtual bool Memoized(const CostVector& /*c*/) const { return false; }
 };
 
 /// The fallible flavor of the same interface. Real optimizer endpoints
@@ -55,6 +62,10 @@ class FalliblePlanOracle {
   [[nodiscard]] virtual Result<OracleResult> TryOptimize(const CostVector& c) = 0;
 
   virtual size_t dims() const = 0;
+
+  /// Same contract as PlanOracle::Memoized. A decorator that can fail or
+  /// stall on a memoized key (a fault injector) keeps the default false.
+  virtual bool Memoized(const CostVector& /*c*/) const { return false; }
 };
 
 /// Adapts an infallible PlanOracle to the fallible interface (every call
@@ -70,6 +81,9 @@ class InfallibleOracleAdapter final : public FalliblePlanOracle {
     return base_.Optimize(c);
   }
   size_t dims() const override { return base_.dims(); }
+  bool Memoized(const CostVector& c) const override {
+    return base_.Memoized(c);
+  }
 
  private:
   PlanOracle& base_;

@@ -65,7 +65,9 @@ WorstCaseResult WorstCaseOverPlansByVertices(
 /// polynomial in the dimension count, so it scales past 20 resources.
 /// The per-rival maximizations are independent and fan out over `pool`
 /// when non-null; rivals are reduced in input order, so results match the
-/// serial run exactly.
+/// serial run exactly. Each is a microsecond-sized LP, so the library's
+/// own callers (FigureRunner::GtcSeries, serve::Dispatcher) pass null: a
+/// pool hand-off costs more than the work.
 [[nodiscard]] Result<WorstCaseResult> WorstCaseOverPlansByLp(
     const UsageVector& initial_usage, const std::vector<PlanUsage>& plans,
     const Box& box, runtime::ThreadPool* pool = nullptr);

@@ -1,7 +1,6 @@
 #include "exp/figure_runner.h"
 
 #include <cmath>
-#include <optional>
 #include <utility>
 
 #include "common/macros.h"
@@ -110,28 +109,16 @@ Result<FigureSeries> FigureRunner::GtcSeries(
       core::WorstCaseConstantBound(analysis.candidate_plans);
   series.has_complementary_plans = std::isinf(series.constant_bound);
 
-  // The per-delta analyses are independent, so fan them out across the
-  // pool (each one's per-rival LPs nest onto the same pool) and reduce in
-  // delta order afterwards — the emitted series is byte-identical to the
-  // serial loop at any thread count.
-  const std::vector<double>& deltas = options_.deltas;
-  std::vector<std::optional<Result<core::WorstCaseResult>>> slots(
-      deltas.size());
-  const Status pool_status =
-      runtime::ForEachIndex(&pool(), deltas.size(), [&](size_t i) {
-        const core::Box box =
-            core::Box::MultiplicativeBand(analysis.baseline, deltas[i]);
-        Result<core::WorstCaseResult> wc = core::WorstCaseOverPlansByLp(
-            analysis.initial_usage, analysis.candidate_plans, box, &pool());
-        slots[i].emplace(std::move(wc));
-        return Status::Ok();
-      });
-  COSTSENSE_CHECK(pool_status.ok());  // bodies always return Ok
-  for (size_t i = 0; i < deltas.size(); ++i) {
-    const Result<core::WorstCaseResult>& wc = *slots[i];
+  // One exact linear-fractional program per rival and delta, all on this
+  // thread: each is microseconds, less than a pool hand-off.
+  for (double delta : options_.deltas) {
+    const core::Box box =
+        core::Box::MultiplicativeBand(analysis.baseline, delta);
+    Result<core::WorstCaseResult> wc = core::WorstCaseOverPlansByLp(
+        analysis.initial_usage, analysis.candidate_plans, box, nullptr);
     if (!wc.ok()) return wc.status();
     GtcPoint p;
-    p.delta = deltas[i];
+    p.delta = delta;
     p.gtc = wc->gtc;
     p.worst_rival = wc->worst_rival;
     series.points.push_back(std::move(p));

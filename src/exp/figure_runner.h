@@ -103,7 +103,8 @@ class PairContext {
 
   /// Discovers the candidate optimal plans over `box`, probing through
   /// `oracle` (a runtime::ProbeChain stacked above stack().cache()) with
-  /// the probe stream seeded by `seed` and fanned out on `pool`.
+  /// the probe stream seeded by `seed`; probes that miss the cache fan out
+  /// on `pool`.
   [[nodiscard]] Result<core::DiscoveryResult> Discover(
       core::FalliblePlanOracle& oracle, const core::Box& box, uint64_t seed,
       core::DiscoveryOptions options, runtime::ThreadPool& pool) const;
@@ -136,11 +137,14 @@ class PairContext {
 /// multiplicative error band, and evaluate worst-case global relative cost
 /// at each delta via the exact linear-fractional program.
 ///
-/// Analyses fan out over a runtime::ThreadPool at two granularities —
-/// across queries (AnalyzeMany) and within a query (discovery probes,
-/// extraction, per-rival LPs) — and every optimizer call goes through a
-/// sharded memoizing runtime::CachingOracle. Results are bit-identical
-/// for any thread count, including 1 (the serial path).
+/// Optimizer work fans out over a runtime::ThreadPool at two
+/// granularities — across queries (AnalyzeMany) and within a query
+/// (discovery probes the cache has not memoized, least-squares
+/// extraction) — and every optimizer call goes through a sharded
+/// memoizing runtime::CachingOracle. Memoized probes and the LPs
+/// (margins, completeness witnesses, the worst-case series) run on the
+/// calling thread. Results are bit-identical for any thread count,
+/// including 1 (the serial path).
 class FigureRunner {
  public:
   struct Options {
@@ -149,7 +153,7 @@ class FigureRunner {
     /// Plans are discovered once over the widest band (deltas.back()).
     uint64_t seed = kDiscoverySeed;
     core::DiscoveryOptions discovery;
-    /// Pool for per-query and per-probe fan-out; null uses the
+    /// Pool for per-query and per-miss fan-out; null uses the
     /// process-global pool (sized by runtime::GlobalThreadCount(), which
     /// engine::Engine::Create configures; 1 = serial).
     runtime::ThreadPool* pool = nullptr;
@@ -187,8 +191,8 @@ class FigureRunner {
       storage::LayoutPolicy policy) const;
 
   /// Evaluates the worst-case curve from an analysis (pure geometry; no
-  /// further optimizer calls). Per-rival fractional programs fan out over
-  /// the pool.
+  /// further optimizer calls). The per-delta, per-rival fractional
+  /// programs run on the calling thread.
   [[nodiscard]] Result<FigureSeries> GtcSeries(const QueryAnalysis& analysis) const;
 
   /// Section 8.2's census of the candidate plan set.

@@ -322,12 +322,26 @@ CachingOracle::CachingOracle(core::PlanOracle& base,
 
 CachingOracle::~CachingOracle() = default;
 
-core::OracleResult CachingOracle::Optimize(const core::CostVector& c) {
-  COSTSENSE_CHECK(c.size() == dims_);
+std::vector<uint64_t> CachingOracle::KeyOf(const core::CostVector& c) const {
   std::vector<uint64_t> key(dims_);
   for (size_t i = 0; i < dims_; ++i) {
     key[i] = QuantizeCost(c[i], options_.mantissa_bits);
   }
+  return key;
+}
+
+bool CachingOracle::Memoized(const core::CostVector& c) const {
+  if (c.size() != dims_) return false;
+  const std::vector<uint64_t> key = KeyOf(c);
+  const uint64_t hash = HashKey(key.data(), dims_);
+  Shard& shard = *shards_[hash & shard_mask_];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  return shard.Find(key.data(), hash) != kNone;
+}
+
+core::OracleResult CachingOracle::Optimize(const core::CostVector& c) {
+  COSTSENSE_CHECK(c.size() == dims_);
+  const std::vector<uint64_t> key = KeyOf(c);
   const uint64_t hash = HashKey(key.data(), dims_);
   Shard& shard = *shards_[hash & shard_mask_];
 

@@ -104,6 +104,11 @@ class CachingOracle : public core::PlanOracle {
   core::OracleResult Optimize(const core::CostVector& c) override;
   size_t dims() const override { return dims_; }
 
+  /// True when `c`'s quantized key is resident. A read-only lookup: it
+  /// moves no counter and no LRU link. False for a vector of the wrong
+  /// dimension (Optimize would reject it).
+  bool Memoized(const core::CostVector& c) const override;
+
   OracleCacheStats stats() const;
 
   /// Drops every entry (counters are preserved).
@@ -126,6 +131,9 @@ class CachingOracle : public core::PlanOracle {
  private:
   struct Shard;
   struct Replies;
+
+  /// `c`'s quantized cache key (c must be dims() long).
+  std::vector<uint64_t> KeyOf(const core::CostVector& c) const;
 
   core::PlanOracle& base_;
   const OracleCacheOptions options_;

@@ -70,6 +70,10 @@ class ResilientOracle final : public core::FalliblePlanOracle {
 
   [[nodiscard]] Result<core::OracleResult> TryOptimize(const core::CostVector& c) override;
   size_t dims() const override { return base_.dims(); }
+  /// Forwards: a memoized reply below needs no retry.
+  bool Memoized(const core::CostVector& c) const override {
+    return base_.Memoized(c);
+  }
 
   ResilienceStats stats() const;
 

@@ -39,7 +39,11 @@ size_t GlobalThreadCount();
 struct PoolStats {
   /// Concurrency level (worker threads + the participating caller).
   size_t threads = 1;
-  /// Tasks executed by worker threads since construction.
+  /// Submitted tasks run since construction: by a worker thread, or
+  /// inline by Submit itself on a pool without workers (num_threads ==
+  /// 1). Loop iterations ParallelFor's caller runs are not tasks, so a
+  /// ParallelFor adds at most min(threads - 1, n - 1) helper tasks and
+  /// ForEachIndex without a pool adds none.
   size_t tasks_run = 0;
   /// Tasks waiting in the queue right now (instantaneous depth — the
   /// quantity admission control and load monitoring watch).

@@ -162,8 +162,9 @@ Status Dispatcher::Render(const AnalysisRequest& request,
     case AnalysisKind::kGtcSeries: {
       // Worst-case global relative cost per requested delta, in request
       // order, via the exact linear-fractional program (no further oracle
-      // calls). kWorstCase is the single-delta special case; an explicit
-      // box replaces its LP region (a gtcseries curve stays
+      // calls; microseconds per rival, so on this thread, not the pool).
+      // kWorstCase is the single-delta special case; an explicit box
+      // replaces its LP region (a gtcseries curve stays
       // delta-parameterized by definition).
       const size_t count =
           request.kind == AnalysisKind::kWorstCase ? 1 : request.deltas.size();
@@ -175,7 +176,7 @@ Status Dispatcher::Render(const AnalysisRequest& request,
                          : core::Box::MultiplicativeBand(ctx.baseline(),
                                                          request.deltas[i]);
         Result<core::WorstCaseResult> wc = core::WorstCaseOverPlansByLp(
-            ctx.initial_usage(), plans, delta_box, &pool);
+            ctx.initial_usage(), plans, delta_box, nullptr);
         if (!wc.ok()) return wc.status();
         st = out.Write(StrFormat("delta=%s gtc=%s rival=%s\n",
                                  FormatDouble(request.deltas[i]).c_str(),

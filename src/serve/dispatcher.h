@@ -42,8 +42,9 @@ struct DispatcherOptions {
   /// ManualClock; production servers leave the rate at 0). Requests never
   /// retry: a failed probe fails the request.
   runtime::resilience::FaultInjectionOptions faults;
-  /// Pool the per-request discovery probes and per-rival LPs fan out on;
-  /// null uses the process-global pool.
+  /// Pool each request's optimizer work (discovery probes that miss the
+  /// shared cache) fans out on; memoized probes and the LPs run on the
+  /// request's thread. null uses the process-global pool.
   runtime::ThreadPool* pool = nullptr;
   /// Clock for deadlines and latency faults; null = real steady clock.
   runtime::resilience::Clock* clock = nullptr;
