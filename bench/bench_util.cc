@@ -15,7 +15,6 @@ namespace costsense::bench {
 
 FigureBenchConfig MakeFigureBenchConfig(const engine::EngineConfig& config) {
   FigureBenchConfig bench{tpch::MakeTpchCatalog(100.0), {}, {}, config.quick};
-  bench.options.cache = config.cache;
   if (bench.quick) {
     for (int qn : exp::QuickQueryNumbers()) {
       bench.queries.push_back(tpch::MakeTpchQuery(bench.catalog, qn));
@@ -67,7 +66,6 @@ std::vector<exp::FigureSeries> RunWorstCaseFigure(
     runtime::CacheStoreOptions store_options;
     store_options.path = eng.config().cache_path;
     store_options.catalog_hash = config.catalog.Fingerprint();
-    store_options.mantissa_bits = config.options.cache.mantissa_bits;
     store = std::make_unique<runtime::CacheStore>(std::move(store_options));
     config.options.store = store.get();
   }

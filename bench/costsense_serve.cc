@@ -21,7 +21,8 @@
 // catalog mismatch, with typed telemetry) and persists it on clean
 // shutdown; with serve_stats_interval_ms set it writes periodic stats
 // snapshots through the artifact sinks while serving, not only at
-// shutdown, and reaps idle sessions on the same cadence.
+// shutdown. With serve_idle_timeout_ms set it reaps idle sessions, on the
+// stats cadence when there is one and once per timeout otherwise.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -64,7 +65,6 @@ int ServeMain(engine::Engine& eng, int argc, char** argv) {
   serve::ServerOptions options;
   options.max_inflight = config.serve_inflight;
   options.max_queued = config.serve_queue;
-  options.dispatcher.cache = config.cache;
   options.dispatcher.default_deadline_ns =
       static_cast<uint64_t>(config.serve_deadline_ms) * 1'000'000ULL;
   options.dispatcher.pool = &eng.pool();
@@ -92,9 +92,10 @@ int ServeMain(engine::Engine& eng, int argc, char** argv) {
                options.max_queued, config.serve_deadline_ms, drain_timeout_ms,
                config.serve_idle_timeout_ms, eng.pool().num_threads());
 
-  // The periodic in-flight stats snapshotter (and idle watchdog driver);
-  // inert when the interval knob is 0. It shares the artifact writer with
-  // the shutdown record below, so it is stopped before that write.
+  // The periodic in-flight stats snapshotter and idle watchdog driver;
+  // inert when both the interval and the idle timeout are 0. It shares
+  // the artifact writer with the shutdown record below, so it is stopped
+  // before that write.
   std::unique_ptr<engine::ArtifactWriter> writer = eng.MakeArtifactWriter();
   serve::SnapshotterOptions snapshot_options;
   snapshot_options.interval_ns =

@@ -128,7 +128,6 @@ int LoadgenMain(engine::Engine& eng, int argc, char** argv) {
   serve::ServerOptions options;
   options.max_inflight = config.serve_inflight;
   options.max_queued = config.serve_queue;
-  options.dispatcher.cache = config.cache;
   options.dispatcher.default_deadline_ns =
       static_cast<uint64_t>(config.serve_deadline_ms) * 1'000'000ULL;
   options.dispatcher.pool = &eng.pool();

@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "common/hash.h"
 #include "common/macros.h"
 
 namespace costsense::catalog {
@@ -10,24 +11,13 @@ namespace {
 /// FNV-1a accumulation helpers for Catalog::Fingerprint(). Doubles are
 /// hashed by IEEE-754 bit pattern, so any statistical perturbation —
 /// however small — changes the fingerprint.
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void HashBytes(uint64_t& h, const void* data, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-}
-
-void HashU64(uint64_t& h, uint64_t v) { HashBytes(h, &v, sizeof(v)); }
+void HashU64(uint64_t& h, uint64_t v) { h = Fnv1aU64(h, v); }
 void HashDouble(uint64_t& h, double v) {
   HashU64(h, std::bit_cast<uint64_t>(v));
 }
 void HashString(uint64_t& h, const std::string& s) {
   HashU64(h, s.size());
-  HashBytes(h, s.data(), s.size());
+  h = Fnv1a(h, s);
 }
 
 }  // namespace
@@ -77,7 +67,7 @@ std::vector<int> Catalog::IndexesOn(int table_id) const {
 }
 
 uint64_t Catalog::Fingerprint() const {
-  uint64_t h = kFnvOffset;
+  uint64_t h = kFnv1aOffsetBasis;
   HashDouble(h, config_.page_size_bytes);
   HashDouble(h, config_.buffer_pool_pages);
   HashDouble(h, config_.sort_heap_pages);

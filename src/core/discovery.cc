@@ -5,6 +5,7 @@
 #include <optional>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/macros.h"
 #include "core/region_of_influence.h"
 #include "runtime/thread_pool.h"
@@ -20,23 +21,10 @@ constexpr size_t kMaxBisectionPairs = 300;
 /// Safety cap on the total number of plans to discover.
 constexpr size_t kMaxPlans = 512;
 
-/// Stable 64-bit hash of a plan id, used to key per-plan forked RNG
-/// streams: the same plan always extracts with the same stream, no matter
-/// how many other plans were discovered first or on which thread it runs.
-uint64_t PlanStreamId(const std::string& plan_id) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char ch : plan_id) {
-    h ^= ch;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 /// Book-keeping for one plan while discovery is running.
 struct Found {
   CostVector witness;
   std::optional<UsageVector> usage;  // white-box usage if the oracle gave it
-  double total_cost_at_witness = 0.0;
 };
 
 class Discoverer {
@@ -127,7 +115,6 @@ class Discoverer {
     if (inserted) {
       it->second.witness = c;
       it->second.usage = r.usage;
-      it->second.total_cost_at_witness = r.total_cost;
     }
   }
 
@@ -276,7 +263,10 @@ class Discoverer {
         options_.pool, narrow.size(), [&](size_t n) {
           const size_t k = narrow[n];
           const auto& [id, f] = todo[k];
-          Rng stream = rng_.Fork(PlanStreamId(id));
+          // Keyed by the plan id's hash: the same plan always extracts
+          // with the same stream, however many plans came first and on
+          // whichever thread it runs.
+          Rng stream = rng_.Fork(Fnv1a(kFnv1aOffsetBasis, id));
           Result<ExtractedUsage> ex =
               ExtractUsageVector(oracle_, id, f->witness, box_, stream,
                                  options_.extraction, &telemetry[k]);

@@ -24,8 +24,6 @@ constexpr Knob kKnobs[] = {
     {"quick", "COSTSENSE_QUICK"},
     {"bench_json", "COSTSENSE_BENCH_JSON"},
     {"artifact_json", "COSTSENSE_ARTIFACT_JSON"},
-    {"cache_entries", "COSTSENSE_CACHE_ENTRIES"},
-    {"cache_shards", "COSTSENSE_CACHE_SHARDS"},
     {"serve_inflight", "COSTSENSE_SERVE_INFLIGHT"},
     {"serve_queue", "COSTSENSE_SERVE_QUEUE"},
     {"serve_deadline_ms", "COSTSENSE_SERVE_DEADLINE_MS"},
@@ -58,6 +56,10 @@ constexpr RetiredKnob kRetiredKnobs[] = {
     {"COSTSENSE_MAX_RETRIES",
      "it changed no output; figure runs keep the default retry budget and "
      "the server never retries"},
+    {"COSTSENSE_CACHE_ENTRIES",
+     "nothing set it; every oracle cache keeps the default sizing"},
+    {"COSTSENSE_CACHE_SHARDS",
+     "nothing set it; every oracle cache keeps the default sizing"},
 };
 
 [[nodiscard]] Status BadValue(std::string_view source, std::string_view value,
@@ -96,12 +98,6 @@ bool ParseQuick(std::string_view value) {
   if (key == "artifact_json") {
     config->artifact_json_path = std::string(value);
     return Status::Ok();
-  }
-  if (key == "cache_entries") {
-    return ParseSize(source, value, 1, &config->cache.max_entries);
-  }
-  if (key == "cache_shards") {
-    return ParseSize(source, value, 1, &config->cache.shards);
   }
   if (key == "serve_inflight") {
     return ParseSize(source, value, 1, &config->serve_inflight);
@@ -207,8 +203,6 @@ std::vector<std::pair<std::string, std::string>> EngineConfig::KnobTable()
   rows.emplace_back("quick", quick ? "1" : "0");
   rows.emplace_back("bench_json", bench_json_path);
   rows.emplace_back("artifact_json", artifact_json_path);
-  rows.emplace_back("cache_entries", StrFormat("%zu", cache.max_entries));
-  rows.emplace_back("cache_shards", StrFormat("%zu", cache.shards));
   rows.emplace_back("serve_inflight", StrFormat("%zu", serve_inflight));
   rows.emplace_back("serve_queue", StrFormat("%zu", serve_queue));
   rows.emplace_back("serve_deadline_ms", StrFormat("%zu", serve_deadline_ms));

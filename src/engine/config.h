@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "runtime/oracle_cache.h"
 
 namespace costsense::engine {
 
@@ -29,8 +28,6 @@ namespace costsense::engine {
 ///   bench_json     COSTSENSE_BENCH_JSON     perf-JSON append path
 ///   artifact_json  COSTSENSE_ARTIFACT_JSON  structured-artifact sidecar
 ///                                           path (JSON lines)
-///   cache_entries  COSTSENSE_CACHE_ENTRIES  oracle-cache entry bound >= 1
-///   cache_shards   COSTSENSE_CACHE_SHARDS   oracle-cache shard count >= 1
 ///   serve_inflight COSTSENSE_SERVE_INFLIGHT server: concurrent requests
 ///                                           >= 1
 ///   serve_queue    COSTSENSE_SERVE_QUEUE    server: admission wait-queue
@@ -52,10 +49,11 @@ namespace costsense::engine {
 ///                                           server: idle-session watchdog
 ///                                           reclaim threshold, 0 = off
 ///
-/// Retired knobs (the sweep-kernel, sidecar-chain, fault-rate and
-/// retry-budget variables, listed in config.cc) name settings that no
-/// longer exist. FromEnv refuses any of them when set, so a script written
-/// for them fails at startup instead of silently getting other behavior.
+/// Retired knobs (the sweep-kernel, sidecar-chain, fault-rate,
+/// retry-budget and cache-sizing variables, listed in config.cc) name
+/// settings that no longer exist. FromEnv refuses any of them when set, so
+/// a script written for them fails at startup instead of silently getting
+/// other behavior.
 struct EngineConfig {
   /// Concurrency level; 0 means hardware concurrency at pool build time.
   size_t threads = 0;
@@ -66,8 +64,6 @@ struct EngineConfig {
   /// Structured artifact sidecar (series/tables/metrics as JSON lines)
   /// written when non-empty; figure stdout is unaffected.
   std::string artifact_json_path;
-  /// Memoizing oracle-cache sizing for the per-query stacks.
-  runtime::OracleCacheOptions cache;
   /// costsense-serve admission bounds: concurrent requests and the wait
   /// queue behind them (see serve::AdmissionController).
   size_t serve_inflight = 4;

@@ -1,10 +1,10 @@
 #include "runtime/cache_store.h"
 
-#include <bit>
 #include <cstring>
 #include <fstream>
 #include <utility>
 
+#include "common/bytes.h"
 #include "runtime/sink/stages.h"
 
 namespace costsense::runtime {
@@ -17,77 +17,20 @@ constexpr uint32_t kFormatVersion = 1;
 /// is a few KiB: scope + plan id + ~64 coordinates + usage vector).
 constexpr uint32_t kMaxRecordBytes = 1 << 20;
 
-void PutU16(std::string& out, uint16_t v) {
-  out.push_back(static_cast<char>(v >> 8));
-  out.push_back(static_cast<char>(v & 0xff));
-}
-
-void PutU32(std::string& out, uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-void PutU64(std::string& out, uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-/// Bounds-checked big-endian reader over a loaded snapshot. Any read past
-/// the end sets `ok` false and stays false; callers check once per record.
-struct Reader {
-  std::string_view data;
-  size_t pos = 0;
-  bool ok = true;
-
-  bool Remaining(size_t n) const { return ok && data.size() - pos >= n; }
-
-  uint64_t TakeBits(int bytes) {
-    if (!Remaining(static_cast<size_t>(bytes))) {
-      ok = false;
-      return 0;
-    }
-    uint64_t v = 0;
-    for (int i = 0; i < bytes; ++i) {
-      v = (v << 8) | static_cast<uint8_t>(data[pos++]);
-    }
-    return v;
-  }
-
-  uint16_t TakeU16() { return static_cast<uint16_t>(TakeBits(2)); }
-  uint32_t TakeU32() { return static_cast<uint32_t>(TakeBits(4)); }
-  uint64_t TakeU64() { return TakeBits(8); }
-
-  std::string_view TakeBytes(size_t n) {
-    if (!Remaining(n)) {
-      ok = false;
-      return {};
-    }
-    std::string_view v = data.substr(pos, n);
-    pos += n;
-    return v;
-  }
-};
-
 std::string EncodeRecordBody(std::string_view scope,
                              const OracleCacheEntry& entry) {
   std::string body;
-  PutU16(body, static_cast<uint16_t>(scope.size()));
+  PutU16(&body, static_cast<uint16_t>(scope.size()));
   body.append(scope);
-  PutU16(body, static_cast<uint16_t>(entry.key.size()));
-  for (uint64_t q : entry.key) PutU64(body, q);
-  PutU16(body, static_cast<uint16_t>(entry.result.plan_id.size()));
+  PutU16(&body, static_cast<uint16_t>(entry.key.size()));
+  for (uint64_t q : entry.key) PutU64(&body, q);
+  PutU16(&body, static_cast<uint16_t>(entry.result.plan_id.size()));
   body.append(entry.result.plan_id);
-  PutU64(body, std::bit_cast<uint64_t>(entry.result.total_cost));
+  PutF64(&body, entry.result.total_cost);
+  PutU8(&body, entry.result.usage.has_value() ? 1 : 0);
   if (entry.result.usage.has_value()) {
-    body.push_back(1);
-    PutU16(body, static_cast<uint16_t>(entry.result.usage->size()));
-    for (double u : *entry.result.usage) {
-      PutU64(body, std::bit_cast<uint64_t>(u));
-    }
-  } else {
-    body.push_back(0);
+    PutU16(&body, static_cast<uint16_t>(entry.result.usage->size()));
+    for (double u : *entry.result.usage) PutF64(&body, u);
   }
   return body;
 }
@@ -96,26 +39,23 @@ std::string EncodeRecordBody(std::string_view scope,
 /// body is malformed (short fields or trailing bytes).
 bool DecodeRecordBody(std::string_view body, std::string& scope,
                       OracleCacheEntry& entry) {
-  Reader r{body};
-  scope = std::string(r.TakeBytes(r.TakeU16()));
-  const uint16_t dims = r.TakeU16();
+  ByteReader r(body);
+  scope = std::string(r.Bytes(r.U16()));
+  const uint16_t dims = r.U16();
   entry.key.clear();
   entry.key.reserve(dims);
-  for (uint16_t i = 0; i < dims && r.ok; ++i) entry.key.push_back(r.TakeU64());
-  entry.result.plan_id = std::string(r.TakeBytes(r.TakeU16()));
-  entry.result.total_cost = std::bit_cast<double>(r.TakeU64());
+  for (uint16_t i = 0; i < dims && r.ok(); ++i) entry.key.push_back(r.U64());
+  entry.result.plan_id = std::string(r.Bytes(r.U16()));
+  entry.result.total_cost = r.F64();
   entry.result.usage.reset();
-  const uint64_t has_usage = r.TakeBits(1);
-  if (r.ok && has_usage != 0) {
-    const uint16_t n = r.TakeU16();
+  if (r.U8() != 0) {
+    const uint16_t n = r.U16();
     std::vector<double> usage;
     usage.reserve(n);
-    for (uint16_t i = 0; i < n && r.ok; ++i) {
-      usage.push_back(std::bit_cast<double>(r.TakeU64()));
-    }
-    if (r.ok) entry.result.usage = core::UsageVector(std::move(usage));
+    for (uint16_t i = 0; i < n && r.ok(); ++i) usage.push_back(r.F64());
+    if (r.ok()) entry.result.usage = core::UsageVector(std::move(usage));
   }
-  return r.ok && r.pos == body.size();
+  return r.ok() && r.remaining() == 0;
 }
 
 }  // namespace
@@ -142,21 +82,21 @@ void CacheStore::LoadLocked() {
     return;
   }
 
-  Reader r{bytes};
+  ByteReader r(bytes);
   // Header. Magic/version problems are reported as rejected_version even
   // when the file is too short to hold the magic: a 2-byte file is not a
   // truncated snapshot, it is not a snapshot.
-  std::string_view magic = r.TakeBytes(sizeof(kMagic));
-  const uint32_t version = r.TakeU32();
-  if (!r.ok || std::memcmp(magic.data(), kMagic, sizeof(kMagic)) != 0 ||
+  std::string_view magic = r.Bytes(sizeof(kMagic));
+  const uint32_t version = r.U32();
+  if (!r.ok() || std::memcmp(magic.data(), kMagic, sizeof(kMagic)) != 0 ||
       version != kFormatVersion) {
     telemetry_.rejected_version = 1;
     return;
   }
-  const uint64_t catalog_hash = r.TakeU64();
-  const uint32_t mantissa_bits = r.TakeU32();
-  const uint64_t record_count = r.TakeU64();
-  if (!r.ok) {
+  const uint64_t catalog_hash = r.U64();
+  const uint32_t mantissa_bits = r.U32();
+  const uint64_t record_count = r.U64();
+  if (!r.ok()) {
     telemetry_.rejected_truncated = 1;
     return;
   }
@@ -164,7 +104,7 @@ void CacheStore::LoadLocked() {
     telemetry_.rejected_catalog = 1;
     return;
   }
-  if (mantissa_bits != static_cast<uint32_t>(options_.mantissa_bits)) {
+  if (mantissa_bits != static_cast<uint32_t>(kKeyMantissaBits)) {
     telemetry_.rejected_quantization = 1;
     return;
   }
@@ -173,13 +113,13 @@ void CacheStore::LoadLocked() {
   // a snapshot is only ever adopted whole.
   std::map<std::string, std::vector<OracleCacheEntry>, std::less<>> staged;
   for (uint64_t i = 0; i < record_count; ++i) {
-    const uint32_t body_len = r.TakeU32();
-    const uint32_t crc = r.TakeU32();
-    if (!r.ok || body_len > kMaxRecordBytes || !r.Remaining(body_len)) {
+    const uint32_t body_len = r.U32();
+    const uint32_t crc = r.U32();
+    if (!r.ok() || body_len > kMaxRecordBytes || r.remaining() < body_len) {
       telemetry_.rejected_truncated = 1;
       return;
     }
-    std::string_view body = r.TakeBytes(body_len);
+    std::string_view body = r.Bytes(body_len);
     if (Crc32(body) != crc) {
       telemetry_.rejected_crc = 1;
       return;
@@ -192,7 +132,7 @@ void CacheStore::LoadLocked() {
     }
     staged[std::move(scope)].push_back(std::move(entry));
   }
-  if (r.pos != bytes.size()) {
+  if (r.remaining() != 0) {
     // Trailing garbage after the declared records: refuse it too.
     telemetry_.rejected_truncated = 1;
     return;
@@ -229,14 +169,14 @@ Status CacheStore::Save() {
   sink::AtomicFileSink file(options_.path);
   std::string header;
   header.append(kMagic, sizeof(kMagic));
-  PutU32(header, kFormatVersion);
-  PutU64(header, options_.catalog_hash);
-  PutU32(header, static_cast<uint32_t>(options_.mantissa_bits));
+  PutU32(&header, kFormatVersion);
+  PutU64(&header, options_.catalog_hash);
+  PutU32(&header, static_cast<uint32_t>(kKeyMantissaBits));
   uint64_t record_count = 0;
   for (const auto& [scope, entries] : scopes_) {
     record_count += entries.size();
   }
-  PutU64(header, record_count);
+  PutU64(&header, record_count);
   Status st = file.Write(header);
   if (!st.ok()) return st;
 

@@ -56,18 +56,15 @@ struct CacheStoreOptions {
   /// q-error-perturbed variant of this one — are wrong answers, not warm
   /// ones.
   uint64_t catalog_hash = 0;
-  /// Quantization of the cost keys (OracleCacheOptions::mantissa_bits).
-  /// Keys quantized differently do not address the same buckets, so a
-  /// mismatch also refuses the snapshot.
-  int mantissa_bits = 40;
 };
 
 /// A crash-safe on-disk snapshot of one or more CachingOracles.
 ///
-/// File format (all integers big-endian, matching the wire protocol):
+/// File format (common/bytes.h, the wire protocol's codec: all integers
+/// big-endian):
 ///
 ///   header   "CSOC" | u32 format version | u64 catalog hash |
-///            u32 mantissa bits | u64 record count
+///            u32 key mantissa bits (kKeyMantissaBits) | u64 record count
 ///   record   u32 body length | u32 CRC32(body) | body
 ///   body     u16 scope length, scope bytes (the query id, e.g. "Q6/shared")
 ///            u16 dims, dims x u64 quantized cost key

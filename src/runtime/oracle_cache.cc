@@ -16,22 +16,6 @@ namespace {
 
 constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
 
-/// FNV-1a over the quantized coordinates, finished with a splitmix-style
-/// avalanche: the low bits pick the shard, the high 32 the index slot.
-uint64_t HashKey(const uint64_t* key, size_t dims) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < dims; ++i) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (key[i] >> (byte * 8)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  return h;
-}
-
 size_t RoundUpToPowerOfTwo(size_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;
@@ -101,6 +85,14 @@ double DequantizeCost(uint64_t quantized, int mantissa_bits) {
   const int drop = 52 - mantissa_bits;
   if (drop <= 0) return std::bit_cast<double>(quantized);
   return std::bit_cast<double>(quantized << drop);
+}
+
+std::vector<uint64_t> QuantizeKey(const core::CostVector& c) {
+  std::vector<uint64_t> key(c.size());
+  for (size_t i = 0; i < c.size(); ++i) {
+    key[i] = QuantizeCost(c[i], kKeyMantissaBits);
+  }
+  return key;
 }
 
 size_t ShardOfKey(const std::vector<uint64_t>& key, size_t shards) {
@@ -313,7 +305,6 @@ CachingOracle::CachingOracle(core::PlanOracle& base,
           options.max_entries / (shard_mask_ + 1), 1, kNone - 1)),
       dims_(base.dims()),
       replies_(std::make_unique<Replies>()) {
-  COSTSENSE_CHECK(options_.mantissa_bits > 0 && options_.mantissa_bits <= 52);
   shards_.reserve(shard_mask_ + 1);
   for (size_t i = 0; i <= shard_mask_; ++i) {
     shards_.push_back(std::make_unique<Shard>(dims_, per_shard_capacity_));
@@ -322,17 +313,9 @@ CachingOracle::CachingOracle(core::PlanOracle& base,
 
 CachingOracle::~CachingOracle() = default;
 
-std::vector<uint64_t> CachingOracle::KeyOf(const core::CostVector& c) const {
-  std::vector<uint64_t> key(dims_);
-  for (size_t i = 0; i < dims_; ++i) {
-    key[i] = QuantizeCost(c[i], options_.mantissa_bits);
-  }
-  return key;
-}
-
 bool CachingOracle::Memoized(const core::CostVector& c) const {
   if (c.size() != dims_) return false;
-  const std::vector<uint64_t> key = KeyOf(c);
+  const std::vector<uint64_t> key = QuantizeKey(c);
   const uint64_t hash = HashKey(key.data(), dims_);
   Shard& shard = *shards_[hash & shard_mask_];
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -341,7 +324,7 @@ bool CachingOracle::Memoized(const core::CostVector& c) const {
 
 core::OracleResult CachingOracle::Optimize(const core::CostVector& c) {
   COSTSENSE_CHECK(c.size() == dims_);
-  const std::vector<uint64_t> key = KeyOf(c);
+  const std::vector<uint64_t> key = QuantizeKey(c);
   const uint64_t hash = HashKey(key.data(), dims_);
   Shard& shard = *shards_[hash & shard_mask_];
 
@@ -365,7 +348,7 @@ core::OracleResult CachingOracle::Optimize(const core::CostVector& c) {
   // that misses on this key produces the identical result.
   core::CostVector canonical(dims_);
   for (size_t i = 0; i < dims_; ++i) {
-    canonical[i] = DequantizeCost(key[i], options_.mantissa_bits);
+    canonical[i] = DequantizeCost(key[i], kKeyMantissaBits);
   }
   core::OracleResult result = base_.Optimize(canonical);
   const uint32_t reply = replies_->Intern(result);

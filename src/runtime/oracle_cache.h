@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/hash.h"
 #include "core/oracle.h"
 
 namespace costsense::runtime {
@@ -18,12 +19,6 @@ struct OracleCacheOptions {
   /// Total entry bound across all shards; each shard evicts its least
   /// recently used entry once it exceeds max_entries / shards.
   size_t max_entries = 1 << 16;
-  /// Mantissa bits retained when quantizing each cost coordinate for the
-  /// cache key (52 = exact doubles). The default 40 bits (~12 significant
-  /// decimal digits) merges probe points that differ only by float round-off
-  /// — e.g. a box center recomputed as sqrt((c/d)*(c*d)) versus the
-  /// baseline c itself.
-  int mantissa_bits = 40;
 };
 
 /// Hit/miss/eviction counters for a CachingOracle.
@@ -59,6 +54,13 @@ struct OracleCacheImport {
   size_t dropped = 0;
 };
 
+/// Mantissa bits kept when quantizing each cost coordinate into a key
+/// (52 = exact doubles). 40 bits (~12 significant decimal digits) merge
+/// probe points that differ only by float round-off — e.g. a box center
+/// recomputed as sqrt((c/d)*(c*d)) versus the baseline c itself. The
+/// snapshot header records it (runtime/cache_store.h).
+inline constexpr int kKeyMantissaBits = 40;
+
 /// Quantizes a cost coordinate to `mantissa_bits` of mantissa, rounding to
 /// nearest (the carry into the exponent field is exactly binade rounding
 /// for finite IEEE doubles). Exposed for tests.
@@ -70,6 +72,25 @@ uint64_t QuantizeCost(double value, int mantissa_bits);
 /// result — which is what makes concurrent misses benign: whichever
 /// thread computes first stores the same value any loser would.
 double DequantizeCost(uint64_t quantized, int mantissa_bits);
+
+/// The quantized key of cost vector `c`: each coordinate at
+/// kKeyMantissaBits. This is what counts as one optimizer probe — the
+/// cache memoizes per key, the fault injector scripts faults per key and
+/// the retry tier draws backoff jitter per key.
+std::vector<uint64_t> QuantizeKey(const core::CostVector& c);
+
+/// Hash of a quantized key: FNV-1a over the key's little-endian bytes,
+/// started from the offset basis xor `seed`, then a splitmix-style finish
+/// so the low bits (the cache shard) and the high 32 (its index slot) are
+/// both well mixed. Inline: the cache hashes on every lookup.
+inline uint64_t HashKey(const uint64_t* key, size_t dims, uint64_t seed = 0) {
+  uint64_t h = kFnv1aOffsetBasis ^ seed;
+  for (size_t i = 0; i < dims; ++i) h = Fnv1aU64(h, key[i]);
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  return h;
+}
 
 /// The shard among `shards` (a power of two) that quantized key `key`
 /// lives in. Exposed for tests.
@@ -125,15 +146,9 @@ class CachingOracle : public core::PlanOracle {
   /// not dims() long are dropped and counted.
   OracleCacheImport Import(const std::vector<OracleCacheEntry>& entries);
 
-  /// Mantissa bits the cache quantizes keys with (snapshot compatibility).
-  int mantissa_bits() const { return options_.mantissa_bits; }
-
  private:
   struct Shard;
   struct Replies;
-
-  /// `c`'s quantized cache key (c must be dims() long).
-  std::vector<uint64_t> KeyOf(const core::CostVector& c) const;
 
   core::PlanOracle& base_;
   const OracleCacheOptions options_;

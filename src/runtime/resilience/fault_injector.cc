@@ -18,31 +18,12 @@ namespace {
 
 using Key = std::vector<uint64_t>;
 
-/// Mantissa bits kept when quantizing cost coordinates into fault keys:
-/// the oracle cache's default, so a fault key corresponds to exactly one
-/// cache entry.
-constexpr int kKeyMantissaBits = OracleCacheOptions{}.mantissa_bits;
-
-/// Same construction as the oracle cache's key hash: FNV-1a over the
-/// quantized coordinates plus an avalanche finish. Keeping the hash local
-/// (rather than sharing the cache's internal one) decouples the fault
-/// stream from cache implementation changes.
-uint64_t HashKey(const Key& key) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (uint64_t q : key) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (q >> (byte * 8)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  return h;
-}
-
+/// Fault keys are the oracle cache's keys (QuantizeKey/HashKey), so a
+/// fault key corresponds to exactly one cache entry.
 struct KeyHash {
-  size_t operator()(const Key& key) const { return HashKey(key); }
+  size_t operator()(const Key& key) const {
+    return HashKey(key.data(), key.size());
+  }
 };
 
 constexpr size_t kNumShards = 16;  // power of two
@@ -103,12 +84,8 @@ FaultInjectingOracle::~FaultInjectingOracle() = default;
 
 Result<core::OracleResult> FaultInjectingOracle::TryOptimize(
     const core::CostVector& c) {
-  Key key;
-  key.reserve(c.size());
-  for (double v : c) {
-    key.push_back(QuantizeCost(v, kKeyMantissaBits));
-  }
-  const uint64_t key_hash = HashKey(key);
+  Key key = QuantizeKey(c);
+  const uint64_t key_hash = HashKey(key.data(), key.size());
   Shard& shard = *shards_[key_hash & (kNumShards - 1)];
 
   KeyState* state = nullptr;

@@ -18,24 +18,6 @@ constexpr uint64_t kBackoffBaseNs = 1000;
 constexpr double kBackoffMultiplier = 2.0;
 constexpr double kBackoffJitter = 0.25;
 constexpr uint64_t kJitterSeed = 0x0e51113e;
-/// Mantissa bits of the jitter-stream key (matches the oracle cache and
-/// fault injector keying).
-constexpr int kKeyMantissaBits = 40;
-
-uint64_t HashQuantized(const core::CostVector& c) {
-  uint64_t h = 0xcbf29ce484222325ULL ^ kJitterSeed;
-  for (double v : c) {
-    const uint64_t q = QuantizeCost(v, kKeyMantissaBits);
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (q >> (byte * 8)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  return h;
-}
 
 [[nodiscard]] Status ValidateReply(const core::OracleResult& r) {
   if (!std::isfinite(r.total_cost)) {
@@ -114,7 +96,9 @@ Result<core::OracleResult> ResilientOracle::TryOptimize(
     if (attempt == options_.max_retries || run_budget_spent()) break;
 
     if (!jitter.has_value()) {
-      jitter.emplace(Rng(kJitterSeed).Fork(HashQuantized(c)));
+      const std::vector<uint64_t> key = QuantizeKey(c);
+      jitter.emplace(
+          Rng(kJitterSeed).Fork(HashKey(key.data(), key.size(), kJitterSeed)));
     }
     double backoff = static_cast<double>(kBackoffBaseNs);
     for (size_t k = 0; k < attempt; ++k) backoff *= kBackoffMultiplier;

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/bytes.h"
 #include "runtime/sink/crc32.h"
 
 namespace costsense::runtime::sink {
@@ -15,12 +16,6 @@ namespace {
 [[nodiscard]] Status ClosedError(const char* stage) {
   return Status::FailedPrecondition(std::string(stage) +
                                     " sink used after Close");
-}
-
-void PutU32(std::string& out, uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-  }
 }
 
 }  // namespace
@@ -68,8 +63,8 @@ Status StdioSink::Flush() {
 Status CrcFrameSink::Write(std::string_view record) {
   std::string frame;
   frame.reserve(8 + record.size());
-  PutU32(frame, static_cast<uint32_t>(record.size()));
-  PutU32(frame, Crc32(record));
+  PutU32(&frame, static_cast<uint32_t>(record.size()));
+  PutU32(&frame, Crc32(record));
   frame.append(record);
   return down_.Write(frame);
 }

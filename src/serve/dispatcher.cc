@@ -20,10 +20,8 @@ Dispatcher::Dispatcher(DispatcherOptions options)
     runtime::CacheStoreOptions store_options;
     store_options.path = options_.cache_path;
     store_options.catalog_hash = catalog_.Fingerprint();
-    store_options.mantissa_bits = options_.cache.mantissa_bits;
     store_ = std::make_unique<runtime::CacheStore>(std::move(store_options));
   }
-  builder_.WithCache(options_.cache);
   builder_.WithStore(store_.get());
 }
 

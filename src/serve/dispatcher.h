@@ -27,8 +27,6 @@ struct DispatcherOptions {
   /// Discovery budget applied to every request (the request's deltas pick
   /// the band; the budget is a server policy, not a client knob).
   core::DiscoveryOptions discovery;
-  /// Sizing of each shared per-(query, policy) oracle cache.
-  runtime::OracleCacheOptions cache;
   /// Seed of every request's probe stream. Fixed per server, so equal
   /// requests replay equal probe sequences — the determinism invariant —
   /// and the same as figure runs', so both analyze a pair alike.

@@ -1,117 +1,16 @@
 #include "serve/protocol.h"
 
 #include <cmath>
-#include <cstring>
 
+#include "common/bytes.h"
 #include "common/strings.h"
 
 namespace costsense::serve {
 namespace {
 
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v >> 8));
-  out->push_back(static_cast<char>(v & 0xff));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-/// Bounds-checked big-endian reader over a frame payload. Every Take*
-/// reports truncation as a typed error instead of reading past the end.
-class Reader {
- public:
-  explicit Reader(std::string_view payload) : rest_(payload) {}
-
-  size_t remaining() const { return rest_.size(); }
-
-  [[nodiscard]] Status TakeU8(uint8_t* out) {
-    if (rest_.size() < 1) return Truncated("u8");
-    *out = static_cast<uint8_t>(rest_[0]);
-    rest_.remove_prefix(1);
-    return Status::Ok();
-  }
-
-  [[nodiscard]] Status TakeU16(uint16_t* out) {
-    if (rest_.size() < 2) return Truncated("u16");
-    *out = static_cast<uint16_t>(
-        (static_cast<uint16_t>(static_cast<uint8_t>(rest_[0])) << 8) |
-        static_cast<uint16_t>(static_cast<uint8_t>(rest_[1])));
-    rest_.remove_prefix(2);
-    return Status::Ok();
-  }
-
-  [[nodiscard]] Status TakeU32(uint32_t* out) {
-    if (rest_.size() < 4) return Truncated("u32");
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v = (v << 8) | static_cast<uint8_t>(rest_[static_cast<size_t>(i)]);
-    }
-    *out = v;
-    rest_.remove_prefix(4);
-    return Status::Ok();
-  }
-
-  [[nodiscard]] Status TakeU64(uint64_t* out) {
-    if (rest_.size() < 8) return Truncated("u64");
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v = (v << 8) | static_cast<uint8_t>(rest_[static_cast<size_t>(i)]);
-    }
-    *out = v;
-    rest_.remove_prefix(8);
-    return Status::Ok();
-  }
-
-  [[nodiscard]] Status TakeF64(double* out) {
-    uint64_t bits = 0;
-    Status st = TakeU64(&bits);
-    if (!st.ok()) return st;
-    std::memcpy(out, &bits, sizeof(bits));
-    return Status::Ok();
-  }
-
-  [[nodiscard]] Status TakeBytes(size_t n, std::string* out) {
-    if (rest_.size() < n) return Truncated("byte block");
-    out->assign(rest_.data(), n);
-    rest_.remove_prefix(n);
-    return Status::Ok();
-  }
-
- private:
-  [[nodiscard]] Status Truncated(const char* what) const {
-    return Status::InvalidArgument(
-        StrFormat("truncated frame payload: expected %s with %zu byte(s) "
-                  "remaining",
-                  what, rest_.size()));
-  }
-
-  std::string_view rest_;
-};
-
-[[nodiscard]] Status TakeKind(Reader& r, AnalysisKind* out) {
-  uint8_t kind = 0;
-  Status st = r.TakeU8(&kind);
-  if (!st.ok()) return st;
+[[nodiscard]] Status TakeKind(ByteReader& r, AnalysisKind* out) {
+  const uint8_t kind = r.U8();
+  if (!r.ok()) return r.status();
   if (kind > static_cast<uint8_t>(AnalysisKind::kGtcSeries)) {
     return Status::InvalidArgument(StrFormat("unknown analysis kind %u", kind));
   }
@@ -119,16 +18,25 @@ class Reader {
   return Status::Ok();
 }
 
-[[nodiscard]] Status TakePolicy(Reader& r, storage::LayoutPolicy* out) {
-  uint8_t policy = 0;
-  Status st = r.TakeU8(&policy);
-  if (!st.ok()) return st;
+[[nodiscard]] Status TakePolicy(ByteReader& r, storage::LayoutPolicy* out) {
+  const uint8_t policy = r.U8();
+  if (!r.ok()) return r.status();
   if (policy >
       static_cast<uint8_t>(storage::LayoutPolicy::kPerTableColocated)) {
     return Status::InvalidArgument(
         StrFormat("unknown storage layout policy %u", policy));
   }
   *out = static_cast<storage::LayoutPolicy>(policy);
+  return Status::Ok();
+}
+
+[[nodiscard]] Status TakeQueryNumber(ByteReader& r, uint16_t* out) {
+  *out = r.U16();
+  if (!r.ok()) return r.status();
+  if (*out < 1 || *out > 22) {
+    return Status::InvalidArgument(
+        StrFormat("query number %u outside TPC-H range 1..22", *out));
+  }
   return Status::Ok();
 }
 
@@ -167,10 +75,9 @@ std::string EncodeRequest(const AnalysisRequest& request) {
 }
 
 Result<AnalysisRequest> DecodeRequest(std::string_view payload) {
-  Reader r(payload);
-  uint8_t version = 0;
-  Status st = r.TakeU8(&version);
-  if (!st.ok()) return st;
+  ByteReader r(payload, "frame payload");
+  const uint8_t version = r.U8();
+  if (!r.ok()) return r.status();
   if (version != kProtocolVersionV2) {
     return Status::InvalidArgument(
         StrFormat("unsupported protocol version %u (this server speaks %u)",
@@ -179,26 +86,16 @@ Result<AnalysisRequest> DecodeRequest(std::string_view payload) {
 
   AnalysisRequest out;
   out.version = version;
-  st = TakeKind(r, &out.kind);
+  Status st = TakeKind(r, &out.kind);
   if (!st.ok()) return st;
-
   st = TakePolicy(r, &out.policy);
   if (!st.ok()) return st;
-
-  st = r.TakeU16(&out.query_number);
-  if (!st.ok()) return st;
-  if (out.query_number < 1 || out.query_number > 22) {
-    return Status::InvalidArgument(
-        StrFormat("query number %u outside TPC-H range 1..22",
-                  out.query_number));
-  }
-
-  st = r.TakeU64(&out.deadline_ns);
+  st = TakeQueryNumber(r, &out.query_number);
   if (!st.ok()) return st;
 
-  uint16_t ndeltas = 0;
-  st = r.TakeU16(&ndeltas);
-  if (!st.ok()) return st;
+  out.deadline_ns = r.U64();
+  const uint16_t ndeltas = r.U16();
+  if (!r.ok()) return r.status();
   if (ndeltas == 0 || ndeltas > kMaxDeltas) {
     return Status::InvalidArgument(
         StrFormat("delta count %u outside 1..%u", ndeltas, kMaxDeltas));
@@ -206,9 +103,8 @@ Result<AnalysisRequest> DecodeRequest(std::string_view payload) {
   out.deltas.clear();
   out.deltas.reserve(ndeltas);
   for (uint16_t i = 0; i < ndeltas; ++i) {
-    double delta = 0.0;
-    st = r.TakeF64(&delta);
-    if (!st.ok()) return st;
+    const double delta = r.F64();
+    if (!r.ok()) return r.status();
     if (!std::isfinite(delta) || delta <= 1.0) {
       return Status::InvalidArgument(StrFormat(
           "delta %u is %g; error-band factors must be finite and > 1",
@@ -216,31 +112,24 @@ Result<AnalysisRequest> DecodeRequest(std::string_view payload) {
     }
     out.deltas.push_back(delta);
   }
-  uint8_t has_box = 0;
-  st = r.TakeU8(&has_box);
-  if (!st.ok()) return st;
+  const uint8_t has_box = r.U8();
+  if (!r.ok()) return r.status();
   if (has_box > 1) {
     return Status::InvalidArgument(
         StrFormat("has-box flag is %u; must be 0 or 1", has_box));
   }
   if (has_box == 1) {
-    uint16_t dims = 0;
-    st = r.TakeU16(&dims);
-    if (!st.ok()) return st;
+    const uint16_t dims = r.U16();
+    if (!r.ok()) return r.status();
     if (dims == 0 || dims > kMaxBoxDims) {
       return Status::InvalidArgument(StrFormat(
           "box dimension count %u outside 1..%u", dims, kMaxBoxDims));
     }
     std::vector<double> lower(dims);
     std::vector<double> upper(dims);
-    for (uint16_t i = 0; i < dims; ++i) {
-      st = r.TakeF64(&lower[i]);
-      if (!st.ok()) return st;
-    }
-    for (uint16_t i = 0; i < dims; ++i) {
-      st = r.TakeF64(&upper[i]);
-      if (!st.ok()) return st;
-    }
+    for (double& v : lower) v = r.F64();
+    for (double& v : upper) v = r.F64();
+    if (!r.ok()) return r.status();
     // Box::Validated enforces positive, finite, element-wise ordered
     // bounds as a typed error — the wire never reaches the CHECKing
     // constructor.
@@ -283,10 +172,9 @@ std::string EncodeResponseFrame(const ResponseFrame& frame) {
 }
 
 Result<ResponseFrame> DecodeResponseFrame(std::string_view payload) {
-  Reader r(payload);
-  uint8_t version = 0;
-  Status st = r.TakeU8(&version);
-  if (!st.ok()) return st;
+  ByteReader r(payload, "frame payload");
+  const uint8_t version = r.U8();
+  if (!r.ok()) return r.status();
   if (version != kProtocolVersionV2) {
     return Status::InvalidArgument(StrFormat(
         "response frame version %u; the frame stream is version %u only",
@@ -294,9 +182,8 @@ Result<ResponseFrame> DecodeResponseFrame(std::string_view payload) {
   }
 
   ResponseFrame out;
-  uint8_t type = 0;
-  st = r.TakeU8(&type);
-  if (!st.ok()) return st;
+  const uint8_t type = r.U8();
+  if (!r.ok()) return r.status();
   if (type > static_cast<uint8_t>(ResponseFrameType::kStatus)) {
     return Status::InvalidArgument(
         StrFormat("unknown response frame type %u", type));
@@ -305,56 +192,44 @@ Result<ResponseFrame> DecodeResponseFrame(std::string_view payload) {
 
   switch (out.type) {
     case ResponseFrameType::kHeader: {
-      st = TakeKind(r, &out.kind);
+      Status st = TakeKind(r, &out.kind);
       if (!st.ok()) return st;
       st = TakePolicy(r, &out.policy);
       if (!st.ok()) return st;
-      st = r.TakeU16(&out.query_number);
+      st = TakeQueryNumber(r, &out.query_number);
       if (!st.ok()) return st;
-      if (out.query_number < 1 || out.query_number > 22) {
-        return Status::InvalidArgument(
-            StrFormat("query number %u outside TPC-H range 1..22",
-                      out.query_number));
-      }
       break;
     }
     case ResponseFrameType::kRecords: {
       while (r.remaining() > 0) {
-        uint32_t len = 0;
-        st = r.TakeU32(&len);
-        if (!st.ok()) return st;
+        const uint32_t len = r.U32();
+        if (!r.ok()) return r.status();
         if (len > r.remaining()) {
           return Status::InvalidArgument(StrFormat(
               "record length %u exceeds %zu frame byte(s) remaining", len,
               r.remaining()));
         }
-        std::string record;
-        st = r.TakeBytes(len, &record);
-        if (!st.ok()) return st;
-        out.records.push_back(std::move(record));
+        out.records.emplace_back(r.Bytes(len));
       }
       break;
     }
     case ResponseFrameType::kStatus: {
-      uint8_t code = 0;
-      st = r.TakeU8(&code);
-      if (!st.ok()) return st;
+      const uint8_t code = r.U8();
+      if (!r.ok()) return r.status();
       if (code > static_cast<uint8_t>(StatusCode::kDeadlineExceeded)) {
         return Status::InvalidArgument(
             StrFormat("unknown status code %u", code));
       }
       out.code = static_cast<StatusCode>(code);
-      uint32_t len = 0;
-      st = r.TakeU32(&len);
-      if (!st.ok()) return st;
+      const uint32_t len = r.U32();
+      if (!r.ok()) return r.status();
       if (len != r.remaining()) {
         return Status::InvalidArgument(StrFormat(
             "status message length %u disagrees with %zu frame byte(s) "
             "remaining",
             len, r.remaining()));
       }
-      st = r.TakeBytes(len, &out.message);
-      if (!st.ok()) return st;
+      out.message = std::string(r.Bytes(len));
       break;
     }
   }

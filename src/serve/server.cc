@@ -54,12 +54,12 @@ size_t Server::ReapIdleSessions() {
   std::lock_guard<std::mutex> lock(mu_);
   for (Session* session : active_) {
     const uint64_t last = session->last_activity_ns();
-    if (now > last && now - last >= options_.idle_timeout_ns) {
-      // Abort() only touches the transport (thread-safe close); the
-      // session deregisters itself before destruction, so this pointer is
-      // valid for as long as we hold the registry lock.
-      // costsense-lint: allow(R8, "Abort closes, never blocks; the session pointer is only valid while the registry lock pins it")
-      session->Abort();
+    // Abort() only touches the transport (thread-safe close); the
+    // session deregisters itself before destruction, so this pointer is
+    // valid for as long as we hold the registry lock.
+    if (now > last && now - last >= options_.idle_timeout_ns &&
+        // costsense-lint: allow(R8, "Abort closes, never blocks; the session pointer is only valid while the registry lock pins it")
+        session->Abort()) {
       ++reaped;
     }
   }
@@ -80,8 +80,7 @@ void Server::DrainSessions() {
         // wake with end-of-stream and the sessions deregister on exit.
         for (Session* session : active_) {
           // costsense-lint: allow(R8, "Abort closes, never blocks; the session pointer is only valid while the registry lock pins it")
-          session->Abort();
-          ++shutdown_.forced_sessions;
+          if (session->Abort()) ++shutdown_.forced_sessions;
         }
         break;
       }

@@ -34,7 +34,11 @@ Session::Session(Server& server, std::unique_ptr<FrameTransport> transport)
                           std::memory_order_relaxed);
 }
 
-void Session::Abort() { transport_->Close(); }
+bool Session::Abort() {
+  if (aborted_.exchange(true)) return false;
+  transport_->Close();
+  return true;
+}
 
 Status Session::Run() {
   runtime::resilience::Clock& clock = server_.clock();

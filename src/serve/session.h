@@ -33,7 +33,9 @@ class Session {
   /// Force-closes the transport from another thread (the server's drain
   /// deadline or idle watchdog). A Run() blocked in Recv wakes with end
   /// of stream and exits; an idle peer just sees its connection drop.
-  void Abort();
+  /// True only for the first call, so a session that stays registered
+  /// until its thread exits is counted as reclaimed once.
+  bool Abort();
 
   /// Server-clock timestamp of the last protocol activity (frame received
   /// or response sent); the idle watchdog's input.
@@ -52,6 +54,7 @@ class Session {
   std::unique_ptr<FrameTransport> transport_;
   uint64_t requests_served_ = 0;
   std::atomic<uint64_t> last_activity_ns_{0};
+  std::atomic<bool> aborted_{false};
 };
 
 /// Client-side round trip: sends `request` and reassembles the response

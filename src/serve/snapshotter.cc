@@ -23,8 +23,13 @@ runtime::resilience::Clock& StatsSnapshotter::clock() const {
                                    : runtime::resilience::Clock::Real();
 }
 
+uint64_t StatsSnapshotter::period_ns() const {
+  return options_.interval_ns != 0 ? options_.interval_ns
+                                   : server_.options().idle_timeout_ns;
+}
+
 void StatsSnapshotter::Start() {
-  if (options_.interval_ns == 0 || thread_.joinable()) return;
+  if (period_ns() == 0 || thread_.joinable()) return;
   stop_.store(false, std::memory_order_release);
   thread_ = std::thread([this] { Loop(); });
 }
@@ -36,19 +41,22 @@ void StatsSnapshotter::Stop() {
 
 void StatsSnapshotter::Loop() {
   runtime::resilience::Clock& clk = clock();
+  const uint64_t period = period_ns();
   while (!stop_.load(std::memory_order_acquire)) {
-    // Sleep one interval in bounded steps, re-checking the stop flag so
-    // shutdown never waits out a long interval.
+    // Sleep one period in bounded steps, re-checking the stop flag so
+    // shutdown never waits out a long period.
     uint64_t slept = 0;
-    while (slept < options_.interval_ns &&
-           !stop_.load(std::memory_order_acquire)) {
-      const uint64_t step =
-          std::min(kMaxSleepStepNs, options_.interval_ns - slept);
+    while (slept < period && !stop_.load(std::memory_order_acquire)) {
+      const uint64_t step = std::min(kMaxSleepStepNs, period - slept);
       clk.SleepFor(step);
       slept += step;
     }
     if (stop_.load(std::memory_order_acquire)) break;
-    TickOnce();
+    if (options_.interval_ns != 0) {
+      TickOnce();
+    } else {
+      server_.ReapIdleSessions();
+    }
   }
 }
 

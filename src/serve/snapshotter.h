@@ -15,10 +15,10 @@ namespace costsense::serve {
 /// Tuning for the periodic stats snapshotter.
 struct SnapshotterOptions {
   /// Interval between snapshots (COSTSENSE_SERVE_STATS_INTERVAL_MS).
-  /// 0 disables the background thread; TickOnce() still works.
+  /// 0 writes no periodic snapshot; TickOnce() still works.
   uint64_t interval_ns = 0;
-  /// Clock the interval runs on; null = real steady clock. Tests drive
-  /// TickOnce() directly and never need the thread.
+  /// Clock the background thread sleeps on; null = real steady clock.
+  /// Tests drive TickOnce() directly, or run the thread on a ManualClock.
   runtime::resilience::Clock* clock = nullptr;
 };
 
@@ -27,7 +27,9 @@ struct SnapshotterOptions {
 /// watchdog on the same cadence. Each tick writes one RuntimeMetrics
 /// record named "serve-stats" (sequence number, admission and cache
 /// counters, active sessions) and flushes the sinks, so an aborted server
-/// still leaves every snapshot up to the last tick on disk.
+/// still leaves every snapshot up to the last tick on disk. With no
+/// snapshot interval but a server idle timeout, the background thread
+/// still runs the watchdog, once per idle timeout, and writes nothing.
 ///
 /// The server and the writer must outlive this object. Stop() (or
 /// destruction) joins the background thread; after that the writer is
@@ -42,8 +44,8 @@ class StatsSnapshotter {
   StatsSnapshotter(const StatsSnapshotter&) = delete;
   StatsSnapshotter& operator=(const StatsSnapshotter&) = delete;
 
-  /// Launches the background thread (no-op when interval_ns == 0 or
-  /// already started).
+  /// Launches the background thread: when interval_ns or the server's
+  /// idle_timeout_ns is nonzero, and not already started.
   void Start();
 
   /// Stops and joins the background thread. Idempotent; pending sleep is
@@ -60,6 +62,9 @@ class StatsSnapshotter {
 
  private:
   runtime::resilience::Clock& clock() const;
+  /// The background thread's cadence: the snapshot interval, else the
+  /// idle timeout; 0 = no thread.
+  uint64_t period_ns() const;
   void Loop();
 
   Server& server_;

@@ -7,27 +7,11 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/bytes.h"
 #include "common/strings.h"
 
 namespace costsense::serve {
 namespace {
-
-std::string FramePrefix(uint32_t length) {
-  std::string prefix(4, '\0');
-  for (int i = 0; i < 4; ++i) {
-    prefix[static_cast<size_t>(i)] =
-        static_cast<char>((length >> (24 - 8 * i)) & 0xff);
-  }
-  return prefix;
-}
-
-uint32_t ParsePrefix(const char* bytes) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v = (v << 8) | static_cast<uint8_t>(bytes[i]);
-  }
-  return v;
-}
 
 [[nodiscard]] Status CheckFrameSize(size_t length) {
   if (length > kMaxFrameBytes) {
@@ -139,8 +123,9 @@ Status SocketTransport::SendFrame(std::string_view payload) {
   if (closed_.load(std::memory_order_acquire)) {
     return Status::Unavailable("transport closed; frame not sent");
   }
-  std::string frame =
-      FramePrefix(static_cast<uint32_t>(payload.size()));
+  std::string frame;
+  frame.reserve(4 + payload.size());
+  PutU32(&frame, static_cast<uint32_t>(payload.size()));
   frame.append(payload.data(), payload.size());
   return SendAll(fd_, frame.data(), frame.size());
 }
@@ -154,7 +139,8 @@ Result<std::string> SocketTransport::RecvFrame() {
   Status st = RecvAll(fd_, prefix, sizeof(prefix), &eof);
   if (!st.ok()) return st;
   if (eof) return Status::NotFound("end of stream");
-  uint32_t length = ParsePrefix(prefix);
+  const uint32_t length =
+      ByteReader(std::string_view(prefix, sizeof(prefix))).U32();
   st = CheckFrameSize(length);
   if (!st.ok()) return st;
   std::string payload(length, '\0');

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "catalog/selectivity.h"
+#include "tpch/schema.h"
 
 namespace costsense::catalog {
 namespace {
@@ -58,6 +59,13 @@ TEST(CatalogTest, IndexConstructionAndLookup) {
   EXPECT_DOUBLE_EQ(idx.leaf_pages, std::ceil(100000.0 / 238.0));
   EXPECT_EQ(idx.levels, 3);
   EXPECT_TRUE(idx.clustered);
+}
+
+TEST(CatalogTest, TpchFingerprintIsPinned) {
+  // Snapshots are keyed by this value (runtime/cache_store.h): if it
+  // moves, every saved snapshot is refused as a foreign catalog.
+  EXPECT_EQ(tpch::MakeTpchCatalog(100.0).Fingerprint(),
+            0x20ac81e0ddcc262eULL);
 }
 
 TEST(SelectivityTest, Equality) {

@@ -28,9 +28,8 @@ TEST(EngineConfigTest, EmptyEnvironmentYieldsDefaults) {
   EXPECT_FALSE(config->quick);
   EXPECT_TRUE(config->bench_json_path.empty());
   EXPECT_TRUE(config->artifact_json_path.empty());
-  EXPECT_EQ(config->cache.shards, runtime::OracleCacheOptions{}.shards);
-  EXPECT_EQ(config->cache.max_entries,
-            runtime::OracleCacheOptions{}.max_entries);
+  EXPECT_EQ(config->serve_inflight, 4u);
+  EXPECT_EQ(config->serve_queue, 16u);
 }
 
 TEST(EngineConfigTest, ParsesEveryKnobFromEnv) {
@@ -39,8 +38,8 @@ TEST(EngineConfigTest, ParsesEveryKnobFromEnv) {
       {"COSTSENSE_QUICK", "1"},
       {"COSTSENSE_BENCH_JSON", "/tmp/bench.jsonl"},
       {"COSTSENSE_ARTIFACT_JSON", "/tmp/artifacts.jsonl"},
-      {"COSTSENSE_CACHE_ENTRIES", "1024"},
-      {"COSTSENSE_CACHE_SHARDS", "4"},
+      {"COSTSENSE_SERVE_INFLIGHT", "8"},
+      {"COSTSENSE_SERVE_QUEUE", "0"},
   };
   const Result<EngineConfig> config = EngineConfig::FromEnv(MapLookup(env));
   ASSERT_TRUE(config.ok()) << config.status().ToString();
@@ -48,8 +47,8 @@ TEST(EngineConfigTest, ParsesEveryKnobFromEnv) {
   EXPECT_TRUE(config->quick);
   EXPECT_EQ(config->bench_json_path, "/tmp/bench.jsonl");
   EXPECT_EQ(config->artifact_json_path, "/tmp/artifacts.jsonl");
-  EXPECT_EQ(config->cache.max_entries, 1024u);
-  EXPECT_EQ(config->cache.shards, 4u);
+  EXPECT_EQ(config->serve_inflight, 8u);
+  EXPECT_EQ(config->serve_queue, 0u);
 }
 
 TEST(EngineConfigTest, QuickKeepsItsDocumentedEnvSemantics) {
@@ -69,8 +68,8 @@ TEST(EngineConfigTest, QuickKeepsItsDocumentedEnvSemantics) {
 TEST(EngineConfigTest, MalformedValuesAreTypedErrorsNamingTheVariable) {
   const std::map<std::string, std::string> bad = {
       {"COSTSENSE_THREADS", "banana"},
-      {"COSTSENSE_CACHE_ENTRIES", "0"},
-      {"COSTSENSE_CACHE_SHARDS", "-2"},
+      {"COSTSENSE_SERVE_DEADLINE_MS", "soon"},
+      {"COSTSENSE_SERVE_IDLE_TIMEOUT_MS", "-2"},
       // Digits only: a blank-prefixed sign must not wrap to a huge count,
       // and a count past the integer range must not saturate silently.
       {"COSTSENSE_SERVE_QUEUE", " -5"},
@@ -129,10 +128,29 @@ TEST(EngineConfigTest, RetiredFaultKnobsAreRefused) {
   }
 }
 
+TEST(EngineConfigTest, RetiredCacheSizingKnobsAreRefused) {
+  // Nothing set the oracle-cache sizing; every cache keeps the default.
+  // A stale script that still sets it fails at startup, naming the
+  // variable, whatever its value — even one the old parser accepted.
+  for (const char* name :
+       {"COSTSENSE_CACHE_ENTRIES", "COSTSENSE_CACHE_SHARDS"}) {
+    const std::map<std::string, std::string> env = {{name, "1024"}};
+    const Result<EngineConfig> config = EngineConfig::FromEnv(MapLookup(env));
+    ASSERT_FALSE(config.ok()) << name;
+    EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(config.status().message().find(name), std::string::npos)
+        << config.status().ToString();
+    EXPECT_NE(config.status().message().find("no longer supported"),
+              std::string::npos)
+        << config.status().ToString();
+  }
+}
+
 TEST(EngineConfigTest, RetiredOverrideKeysAreUnknown) {
   EngineConfig config;
-  for (const char* assignment : {"kernel=scalar", "artifact_chain=plain",
-                                 "fault_rate=0.25", "max_retries=7"}) {
+  for (const char* assignment :
+       {"kernel=scalar", "artifact_chain=plain", "fault_rate=0.25",
+        "max_retries=7", "cache_entries=1024", "cache_shards=4"}) {
     const Status st = config.ApplyOverride(assignment);
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << assignment;
     EXPECT_NE(st.message().find("unknown engine config key"),
@@ -184,8 +202,14 @@ void ExpectSameConfig(const EngineConfig& a, const EngineConfig& b) {
   EXPECT_EQ(a.quick, b.quick);
   EXPECT_EQ(a.bench_json_path, b.bench_json_path);
   EXPECT_EQ(a.artifact_json_path, b.artifact_json_path);
-  EXPECT_EQ(a.cache.max_entries, b.cache.max_entries);
-  EXPECT_EQ(a.cache.shards, b.cache.shards);
+  EXPECT_EQ(a.serve_inflight, b.serve_inflight);
+  EXPECT_EQ(a.serve_queue, b.serve_queue);
+  EXPECT_EQ(a.serve_deadline_ms, b.serve_deadline_ms);
+  EXPECT_EQ(a.serve_socket, b.serve_socket);
+  EXPECT_EQ(a.cache_path, b.cache_path);
+  EXPECT_EQ(a.serve_stats_interval_ms, b.serve_stats_interval_ms);
+  EXPECT_EQ(a.serve_drain_timeout_ms, b.serve_drain_timeout_ms);
+  EXPECT_EQ(a.serve_idle_timeout_ms, b.serve_idle_timeout_ms);
 }
 
 TEST(EngineConfigTest, KnobTableRoundTripsEveryKnob) {
@@ -197,8 +221,14 @@ TEST(EngineConfigTest, KnobTableRoundTripsEveryKnob) {
   original.quick = true;
   original.bench_json_path = "/tmp/b.jsonl";
   original.artifact_json_path = "/tmp/a.jsonl";
-  original.cache.max_entries = 512;
-  original.cache.shards = 2;
+  original.serve_inflight = 2;
+  original.serve_queue = 0;
+  original.serve_deadline_ms = 250;
+  original.serve_socket = "/tmp/s.sock";
+  original.cache_path = "/tmp/c.snap";
+  original.serve_stats_interval_ms = 1000;
+  original.serve_drain_timeout_ms = 500;
+  original.serve_idle_timeout_ms = 60000;
 
   for (const EngineConfig& seed : {original, EngineConfig()}) {
     EngineConfig rebuilt;

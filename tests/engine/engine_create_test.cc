@@ -72,8 +72,8 @@ TEST(EngineCreateTest, MalformedEnvironmentIsInvalidArgument) {
   } kCases[] = {
       {"COSTSENSE_THREADS", "banana"},
       {"COSTSENSE_THREADS", "-2"},
-      {"COSTSENSE_CACHE_ENTRIES", "0"},
-      {"COSTSENSE_CACHE_SHARDS", "zero"},
+      {"COSTSENSE_SERVE_STATS_INTERVAL_MS", "0.5"},
+      {"COSTSENSE_SERVE_DRAIN_TIMEOUT_MS", "forever"},
       {"COSTSENSE_SERVE_INFLIGHT", "0"},
       {"COSTSENSE_SERVE_QUEUE", "-1"},
       {"COSTSENSE_SERVE_DEADLINE_MS", "soon"},

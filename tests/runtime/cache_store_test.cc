@@ -56,12 +56,10 @@ OracleCacheEntry MakeEntry(uint64_t k0, const std::string& plan, double cost,
   return entry;
 }
 
-CacheStoreOptions Options(const std::string& path, uint64_t catalog_hash = 7,
-                          int mantissa_bits = 40) {
+CacheStoreOptions Options(const std::string& path, uint64_t catalog_hash = 7) {
   CacheStoreOptions options;
   options.path = path;
   options.catalog_hash = catalog_hash;
-  options.mantissa_bits = mantissa_bits;
   return options;
 }
 
@@ -207,8 +205,15 @@ TEST(CacheStoreCorruptionTest, ForeignCatalogRejected) {
 
 TEST(CacheStoreCorruptionTest, QuantizationMismatchRejected) {
   const std::string path = "cache_store_test_quant.snap";
-  WriteSnapshot(path);  // mantissa_bits = 40
-  CacheStore store(Options(path, /*catalog_hash=*/7, /*mantissa_bits=*/52));
+  WriteSnapshot(path);
+  std::string bytes = ReadFile(path);
+  // Header: "CSOC" | u32 version | u64 catalog hash | u32 mantissa bits.
+  // The saved field is kKeyMantissaBits; a snapshot quantized at 52 bits
+  // addresses other buckets and must be refused whole.
+  ASSERT_EQ(bytes.substr(16, 4), std::string("\0\0\0\x28", 4));
+  bytes.replace(16, 4, std::string("\0\0\0\x34", 4));
+  WriteFile(path, bytes);
+  CacheStore store(Options(path));
   ExpectWholeFileRejection(store, &CacheStoreTelemetry::rejected_quantization);
 }
 

@@ -48,6 +48,48 @@ TEST(QuantizeCostTest, RoundTripsAndMerges) {
   EXPECT_NE(QuantizeCost(c, 52), QuantizeCost(0.3, 52));
 }
 
+// The quantized cost key decides what counts as one optimizer probe: the
+// cache's shard and slot, the fault injector's per-key script and the
+// retry tier's jitter stream all derive from it. The values below are
+// pinned so that no change re-keys snapshots, moves fault schedules or
+// shifts cache shards unnoticed.
+TEST(CostKeyTest, QuantizeKeyUsesKeyMantissaBits) {
+  EXPECT_EQ(kKeyMantissaBits, 40);
+  const core::CostVector c{1.0, 2.0, 24.1};
+  EXPECT_EQ(QuantizeKey(c), (std::vector<uint64_t>{
+                                0x3ff0000000000ULL, 0x4000000000000ULL,
+                                0x403819999999aULL}));
+  EXPECT_TRUE(QuantizeKey(core::CostVector(std::vector<double>{})).empty());
+}
+
+TEST(CostKeyTest, HashKeyAndShardOfKeyMatchPinnedValues) {
+  // The retry tier's jitter-stream seed.
+  constexpr uint64_t kJitterSeed = 0x0e51113e;
+  const struct {
+    std::vector<uint64_t> key;
+    uint64_t hash;         // seed 0: cache and fault injector
+    uint64_t jitter_hash;  // seed kJitterSeed: retry backoff jitter
+    size_t shard16;
+    size_t shard1024;
+  } kPins[] = {
+      {{}, 0x660642d432da5c21ULL, 0x2c445d265c084d7bULL, 1, 33},
+      {{0x3ff0000000000ULL}, 0x5bc0dde4232376a8ULL, 0xae7de1a0f2028d70ULL, 8,
+       680},
+      {{0x3ff0000000000ULL, 0x4000000000000ULL, 0x403819999999aULL},
+       0x815bd62b2f5f8920ULL, 0x19053ca2f8c41e0bULL, 0, 288},
+      {{0x403819999999aULL, 0x4022000000000ULL, 0x3eb0c6f7a0b5fULL,
+        0x3fd3333333333ULL},
+       0x05c5f09c14aa0ee2ULL, 0x54adca84797e7054ULL, 2, 738},
+  };
+  for (const auto& pin : kPins) {
+    EXPECT_EQ(HashKey(pin.key.data(), pin.key.size()), pin.hash);
+    EXPECT_EQ(HashKey(pin.key.data(), pin.key.size(), kJitterSeed),
+              pin.jitter_hash);
+    EXPECT_EQ(ShardOfKey(pin.key, 16), pin.shard16);
+    EXPECT_EQ(ShardOfKey(pin.key, 1024), pin.shard1024);
+  }
+}
+
 TEST(CachingOracleTest, HitsAndMisses) {
   core::FakeOracle base(TwoPlans(), /*white_box=*/true);
   CachingOracle cache(base);
@@ -212,8 +254,8 @@ TEST(CachingOracleTest, ConcurrentHammerIsCorrectAndBounded) {
     core::CostVector canonical(p.size());
     for (size_t d = 0; d < p.size(); ++d) {
       canonical[d] =
-          DequantizeCost(QuantizeCost(p[d], options.mantissa_bits),
-                         options.mantissa_bits);
+          DequantizeCost(QuantizeCost(p[d], kKeyMantissaBits),
+                         kKeyMantissaBits);
     }
     const core::OracleResult want = reference.Optimize(canonical);
     if (got.plan_id != want.plan_id || got.total_cost != want.total_cost) {

@@ -1149,9 +1149,8 @@ TEST(SnapshotterTest, TickOnceWritesFlushedRecordsAndDrivesWatchdog) {
   Server server(options);
 
   engine::JsonWriter writer(path);
-  SnapshotterOptions snapshot_options;  // interval 0: Start() is a no-op
+  SnapshotterOptions snapshot_options;  // interval 0: manual ticks only
   StatsSnapshotter snapshotter(server, writer, snapshot_options);
-  snapshotter.Start();
 
   EXPECT_EQ(snapshotter.TickOnce(), 0u);  // no sessions, nothing to reap
   {
@@ -1174,6 +1173,51 @@ TEST(SnapshotterTest, TickOnceWritesFlushedRecordsAndDrivesWatchdog) {
   EXPECT_NE(written.find("\"snapshot_seq\":1"), std::string::npos);
   EXPECT_NE(written.find("\"snapshot_seq\":2"), std::string::npos);
   EXPECT_NE(written.find("\"idle_reaped\":1"), std::string::npos);
+}
+
+TEST(SnapshotterTest, IdleTimeoutAloneRunsTheWatchdog) {
+  // An idle timeout without a stats interval still reaps idle sessions
+  // from the background thread, and writes no serve-stats record.
+  const std::string path = "snapshotter_idle_test.jsonl";
+  {
+    std::ofstream truncate(path, std::ios::trunc);
+  }
+  runtime::resilience::ManualClock clock;
+  runtime::ThreadPool pool(1);
+  ServerOptions options;
+  options.dispatcher = QuickDispatcherOptions(&pool);
+  options.dispatcher.clock = &clock;
+  options.idle_timeout_ns = 1'000'000'000;
+  Server server(options);
+
+  engine::JsonWriter writer(path);
+  SnapshotterOptions snapshot_options;  // interval 0
+  // The thread sleeps on the virtual clock, so its sleeps are what age
+  // the session past the timeout.
+  snapshot_options.clock = &clock;
+  StatsSnapshotter snapshotter(server, writer, snapshot_options);
+  {
+    WedgedSession session(server);
+    snapshotter.Start();
+    // The real-time bound only turns a watchdog that never runs into a
+    // failure instead of a hang.
+    runtime::resilience::Clock& real = runtime::resilience::Clock::Real();
+    const uint64_t give_up = real.NowNanos() + 10'000'000'000ULL;
+    while (server.stats().idle_reaped == 0 && real.NowNanos() < give_up) {
+      real.SleepFor(1'000'000);
+    }
+    snapshotter.Stop();
+    // On failure the session is still wedged: return and let its
+    // destructor close the client instead of joining here.
+    ASSERT_EQ(server.stats().idle_reaped, 1u);
+    session.thread.join();
+    EXPECT_TRUE(session.run_status.ok()) << session.run_status.ToString();
+  }
+  EXPECT_EQ(snapshotter.ticks(), 0u);
+  std::ifstream in(path);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written.find("serve-stats"), std::string::npos) << written;
 }
 
 }  // namespace

@@ -16,8 +16,9 @@
 #
 # The sanitizer stages rebuild into their own trees (build-asan,
 # build-tsan) and run the label subsets the root CMakeLists documents for
-# them: resilience, kernels and runtime under ASan+UBSan (one tree, UBSan
-# halting on the first finding), concurrency under TSan. Set
+# them: resilience, kernels, runtime, serve and persistence under
+# ASan+UBSan (one tree, UBSan halting on the first finding; serve and
+# persistence run the wire and snapshot decoders), concurrency under TSan. Set
 # COSTSENSE_CI_SKIP_SANITIZERS=1 to stop after the lint gate (fast local
 # pre-push loop).
 set -u
@@ -54,12 +55,13 @@ if [ "${COSTSENSE_CI_SKIP_SANITIZERS:-0}" = "1" ]; then
   exit 0
 fi
 
-stage "AddressSanitizer + UBSan (build-asan/, ctest -L 'resilience|kernels|runtime')"
+stage "AddressSanitizer + UBSan (build-asan/, ctest -L 'resilience|kernels|runtime|serve|persistence')"
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DCOSTSENSE_ASAN=ON \
   -DCOSTSENSE_UBSAN=ON >/dev/null || exit 5
 cmake --build "$ROOT/build-asan" -j "$JOBS" || exit 5
 UBSAN_OPTIONS=halt_on_error=1 ctest --test-dir "$ROOT/build-asan" \
-  -L 'resilience|kernels|runtime' --output-on-failure -j "$JOBS" || exit 5
+  -L 'resilience|kernels|runtime|serve|persistence' --output-on-failure \
+  -j "$JOBS" || exit 5
 
 stage "ThreadSanitizer (build-tsan/, ctest -L concurrency)"
 cmake -B "$ROOT/build-tsan" -S "$ROOT" -DCOSTSENSE_TSAN=ON >/dev/null || exit 6
