@@ -24,12 +24,13 @@
 // shutdown. With serve_idle_timeout_ms set it reaps idle sessions, on the
 // stats cadence when there is one and once per timeout otherwise.
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "bench/bench_util.h"
 #include "engine/artifact.h"
+#include "engine/config.h"
 #include "exp/report.h"
 #include "runtime/metrics.h"
 #include "serve/server.h"
@@ -44,21 +45,24 @@ int ServeMain(engine::Engine& eng, int argc, char** argv) {
   size_t drain_timeout_ms_flag = 0;
   bool drain_flag_set = false;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string sessions_prefix = "--max-sessions=";
-    const std::string drain_prefix = "--drain-timeout-ms=";
-    if (arg.rfind(sessions_prefix, 0) == 0) {
-      max_sessions =
-          static_cast<size_t>(std::atol(arg.c_str() + sessions_prefix.size()));
-    } else if (arg.rfind(drain_prefix, 0) == 0) {
-      drain_timeout_ms_flag =
-          static_cast<size_t>(std::atol(arg.c_str() + drain_prefix.size()));
-      drain_flag_set = true;
-    } else {
-      std::fprintf(stderr, "costsense-serve: unknown argument %s\n",
-                   arg.c_str());
+    const std::string_view arg(argv[i]);
+    const size_t eq = arg.find('=');
+    const std::string_view flag = arg.substr(0, eq);
+    size_t* target = flag == "--max-sessions"       ? &max_sessions
+                     : flag == "--drain-timeout-ms" ? &drain_timeout_ms_flag
+                                                    : nullptr;
+    if (target == nullptr || eq == std::string_view::npos) {
+      std::fprintf(stderr, "costsense-serve: unknown argument %s\n", argv[i]);
       return 2;
     }
+    // Min 0: 0 keeps its meaning (serve until torn down / no drain bound).
+    const Status parsed =
+        engine::ParseSize(flag, arg.substr(eq + 1), 0, target);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "costsense-serve: %s\n", parsed.ToString().c_str());
+      return 2;
+    }
+    if (target == &drain_timeout_ms_flag) drain_flag_set = true;
   }
 
   const engine::EngineConfig& config = eng.config();

@@ -1,7 +1,8 @@
 // Micro-benchmarks of the parallel analysis runtime: fork-join dispatch
 // overhead of ThreadPool::ParallelFor at several pool sizes, the hit/miss
 // path costs of the sharded memoizing oracle cache, and a fully warm
-// discovery (a warm serve request's probe work). These price the fixed
+// discovery (a warm serve request's probe work, with its heap
+// allocations). These price the fixed
 // costs that the figure drivers amortize over real optimizer calls (an
 // optimizer invocation is ~100us-10ms; a cache hit should be ~100ns, so
 // memoization pays off after a single duplicate probe).
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <vector>
 
+#include "bench/alloc_counter.h"
 #include "bench/bench_util.h"
 #include "catalog/catalog.h"
 #include "common/macros.h"
@@ -112,16 +114,19 @@ void BM_OracleCacheConcurrent(benchmark::State& state) {
 BENCHMARK(BM_OracleCacheConcurrent)->Arg(1)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMicrosecond);
 
-/// One quick-mode discovery of Q8 on the shared layout over the 1000x
-/// band, with every probe already in the pair's cache: the serve-warm
-/// request path. Only optimizer work fans out, so a warm discovery should
-/// hand the pool no task at any pool size (`pool_tasks` per iteration).
+/// One quick-mode discovery of a query (range 0: Q8, the plan-richest
+/// quick query, or Q11) on the shared layout over the 1000x band, with
+/// every probe already in the pair's cache: the serve-warm request path.
+/// Only optimizer work fans out, so a warm discovery should hand the pool
+/// (range 1: its size) no task (`pool_tasks` per iteration). `allocs` is
+/// the heap allocations per iteration, probe chain included.
 void BM_WarmDiscovery(benchmark::State& state) {
   const catalog::Catalog catalog = tpch::MakeTpchCatalog(100.0);
   runtime::OracleStackBuilder builder;
-  exp::PairContext pair(catalog, tpch::MakeTpchQuery(catalog, 8),
-                        storage::LayoutPolicy::kSharedDevice, builder);
-  runtime::ThreadPool pool(static_cast<size_t>(state.range(0)));
+  exp::PairContext pair(
+      catalog, tpch::MakeTpchQuery(catalog, static_cast<int>(state.range(0))),
+      storage::LayoutPolicy::kSharedDevice, builder);
+  runtime::ThreadPool pool(static_cast<size_t>(state.range(1)));
   const core::Box box = core::Box::MultiplicativeBand(pair.baseline(), 1000);
   auto discover = [&] {
     runtime::ProbeChain probes(pair.stack().cache(), {});
@@ -134,13 +139,23 @@ void BM_WarmDiscovery(benchmark::State& state) {
   discover();  // warm the cache
   pool.Drain();
   const size_t tasks_before = pool.stats().tasks_run;
+  const size_t allocs_before = bench::HeapAllocations();
   for (auto _ : state) benchmark::DoNotOptimize(discover());
+  const size_t allocs = bench::HeapAllocations() - allocs_before;
   pool.Drain();
   state.counters["pool_tasks"] = benchmark::Counter(
       static_cast<double>(pool.stats().tasks_run - tasks_before),
       benchmark::Counter::kAvgIterations);
+  state.counters["allocs"] = benchmark::Counter(
+      static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_WarmDiscovery)->Arg(1)->Arg(4)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_WarmDiscovery)
+    ->ArgNames({"query", "pool"})
+    ->Args({8, 1})
+    ->Args({8, 4})
+    ->Args({11, 1})
+    ->Args({11, 4})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace costsense

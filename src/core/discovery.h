@@ -37,8 +37,8 @@ struct DiscoveryOptions {
   /// squares with these options.
   ExtractionOptions extraction;
   /// Optional thread pool for the work that runs the optimizer: oracle
-  /// probes the oracle has not memoized (PlanOracle::Memoized) and
-  /// per-plan least-squares extractions. Memoized probes and the
+  /// probes the oracle cannot recall from memory (PlanOracle::Recall) and
+  /// per-plan least-squares extractions. Recalled probes and the
   /// margin/completeness LPs run on the calling thread; null runs
   /// everything there. Parallel runs are bit-identical to serial ones:
   /// probe points are generated serially from `rng`, evaluated wherever
@@ -71,7 +71,7 @@ struct DiscoveryResult {
   /// True if the final completeness round found no new plan (the
   /// discovered regions of influence tile the feasible region as far as
   /// interior probing can tell — the practical analogue of the paper's
-  /// Observation-3 polytope check).
+  /// Observation-3 polytope check) and no plan's usage extraction failed.
   bool complete = false;
   /// Probes that returned an error after the oracle stack's own retries
   /// and were skipped (fallible overload only; 0 against an infallible
@@ -79,6 +79,12 @@ struct DiscoveryResult {
   /// counts mean the discovered set is a partial view: plans witnessed
   /// only by failed probes may be missing.
   size_t failed_probes = 0;
+  /// Plans the oracle chose whose least-squares usage extraction failed
+  /// in the final round (a thin region of influence, a rank-deficient
+  /// sample cloud, or probes lost to oracle failures). They are missing
+  /// from `plans`, so a nonzero count also clears `complete`. Always 0
+  /// against an oracle that reveals usage vectors.
+  size_t failed_extractions = 0;
 };
 
 /// Finds the candidate optimal plans of the feasible box through the
@@ -95,7 +101,7 @@ struct DiscoveryResult {
 /// skipped and counted in DiscoveryResult::failed_probes rather than
 /// aborting the run — a failed seed probe loses at most one witness, a
 /// failed midpoint stops refining one segment, a failed extraction drops
-/// one narrow plan. Against an oracle that never errors this is
+/// one narrow plan (counted in failed_extractions). Against an oracle that never errors this is
 /// call-for-call identical to the overload above.
 [[nodiscard]] Result<DiscoveryResult> DiscoverCandidatePlans(FalliblePlanOracle& oracle,
                                                const Box& box, Rng& rng,

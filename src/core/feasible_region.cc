@@ -89,7 +89,7 @@ CostVector Box::Vertex(uint64_t mask) const {
   return v;
 }
 
-void Box::VertexInto(uint64_t mask, CostVector& out) const {
+void Box::VertexInto(uint64_t mask, std::span<double> out) const {
   COSTSENSE_CHECK(out.size() == dims());
   for (size_t i = 0; i < dims(); ++i) {
     out[i] = (mask >> i) & 1 ? upper_[i] : lower_[i];
@@ -98,10 +98,15 @@ void Box::VertexInto(uint64_t mask, CostVector& out) const {
 
 CostVector Box::Center() const {
   CostVector v(dims());
-  for (size_t i = 0; i < dims(); ++i) {
-    v[i] = std::sqrt(lower_[i] * upper_[i]);
-  }
+  CenterInto(v.span());
   return v;
+}
+
+void Box::CenterInto(std::span<double> out) const {
+  COSTSENSE_CHECK(out.size() == dims());
+  for (size_t i = 0; i < dims(); ++i) {
+    out[i] = std::sqrt(lower_[i] * upper_[i]);
+  }
 }
 
 bool Box::Contains(const CostVector& c, double tol) const {
@@ -115,11 +120,16 @@ bool Box::Contains(const CostVector& c, double tol) const {
 
 CostVector Box::SampleLogUniform(Rng& rng) const {
   CostVector v(dims());
-  for (size_t i = 0; i < dims(); ++i) {
-    v[i] = (lower_[i] == upper_[i]) ? lower_[i]
-                                    : rng.LogUniform(lower_[i], upper_[i]);
-  }
+  SampleLogUniformInto(rng, v.span());
   return v;
+}
+
+void Box::SampleLogUniformInto(Rng& rng, std::span<double> out) const {
+  COSTSENSE_CHECK(out.size() == dims());
+  for (size_t i = 0; i < dims(); ++i) {
+    out[i] = (lower_[i] == upper_[i]) ? lower_[i]
+                                      : rng.LogUniform(lower_[i], upper_[i]);
+  }
 }
 
 }  // namespace costsense::core

@@ -2,6 +2,7 @@
 #define COSTSENSE_CORE_FEASIBLE_REGION_H_
 
 #include <cstdint>
+#include <span>
 
 #include "common/rng.h"
 #include "common/status.h"
@@ -49,13 +50,18 @@ class Box {
   /// Writes Vertex(mask) into `out` without allocating; out must already
   /// have dims() elements (CHECKed). Vertex-sweep loops mutate one scratch
   /// vector in place instead of allocating 2^d fresh ones.
-  void VertexInto(uint64_t mask, CostVector& out) const;
+  void VertexInto(uint64_t mask, CostVector& out) const {
+    VertexInto(mask, out.span());
+  }
+  void VertexInto(uint64_t mask, std::span<double> out) const;
 
   /// Geometric center: per-dim sqrt(lower*upper) — the multiplicative
   /// midpoint, which maps back to the baseline for MultiplicativeBand
   /// boxes. (The arithmetic midpoint would be biased toward the upper
   /// bound under multiplicative error.)
   CostVector Center() const;
+  /// Writes Center() into `out` (dims() elements, CHECKed).
+  void CenterInto(std::span<double> out) const;
 
   /// True if `c` lies inside the box (with tolerance `tol` per dim,
   /// relative to the dim's width).
@@ -65,6 +71,9 @@ class Box {
   /// lower_i * (upper_i/lower_i)^u with u ~ U[0,1]. Matches the
   /// multiplicative-error model.
   CostVector SampleLogUniform(Rng& rng) const;
+  /// Writes SampleLogUniform(rng) into `out` (dims() elements, CHECKed),
+  /// drawing from `rng` exactly as it does.
+  void SampleLogUniformInto(Rng& rng, std::span<double> out) const;
 
  private:
   CostVector lower_;

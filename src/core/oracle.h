@@ -1,6 +1,7 @@
 #ifndef COSTSENSE_CORE_ORACLE_H_
 #define COSTSENSE_CORE_ORACLE_H_
 
+#include <cmath>
 #include <optional>
 #include <string>
 
@@ -26,6 +27,25 @@ struct OracleResult {
   std::optional<UsageVector> usage;
 };
 
+/// Whether a reply is usable: a non-empty plan id and a finite total cost.
+/// The retry tier rejects any other reply as garbage, and a memoizing
+/// oracle's Recall declines to hand one out, so it takes TryOptimize's
+/// path and accounting.
+inline bool WellFormedReply(const std::string& plan_id, double total_cost) {
+  return !plan_id.empty() && std::isfinite(total_cost);
+}
+
+/// A reply an oracle answers from memory, handed out by reference
+/// (PlanOracle::Recall) instead of copied.
+struct RecalledReply {
+  /// The stored reply: its plan id and usage. It is shared by every cost
+  /// point whose optimum it is, stays valid and unchanged for the
+  /// oracle's lifetime, and its own total_cost is not this probe's.
+  const OracleResult* reply = nullptr;
+  /// This probe's total cost.
+  double total_cost = 0.0;
+};
+
 /// Abstract optimizer interface used by the sensitivity algorithms: feed in
 /// a resource cost vector, get back the estimated optimal plan and its
 /// estimated total cost.
@@ -40,11 +60,22 @@ class PlanOracle {
   virtual size_t dims() const = 0;
 
   /// Whether Optimize(c) would be answered from memory, without running an
-  /// optimizer. A scheduling hint only: drivers run memoized probes on the
-  /// calling thread and fan out the rest, and a concurrent insert or
-  /// eviction merely changes which thread runs a probe, never its answer.
-  /// Must not change any state, counter or recency order.
+  /// optimizer: a read-only residency check. Must not change any state,
+  /// counter or recency order. Drivers use Recall instead, which answers
+  /// such a probe in the same lookup.
   virtual bool Memoized(const CostVector& /*c*/) const { return false; }
+
+  /// Answers Optimize(c) from memory when `c` is memoized: fills `out` by
+  /// reference and counts exactly what Optimize(c) counts for that hit
+  /// (the hit itself, recency). Otherwise returns false and changes
+  /// nothing; the caller then probes with Optimize. One lookup, no copy.
+  /// Drivers answer recalled probes on the calling thread and fan out the
+  /// rest; a concurrent insert or eviction merely changes which thread
+  /// runs a probe, never its answer. A malformed reply (see
+  /// WellFormedReply) is declined.
+  virtual bool Recall(const CostVector& /*c*/, RecalledReply& /*out*/) {
+    return false;
+  }
 };
 
 /// The fallible flavor of the same interface. Real optimizer endpoints
@@ -66,6 +97,15 @@ class FalliblePlanOracle {
   /// Same contract as PlanOracle::Memoized. A decorator that can fail or
   /// stall on a memoized key (a fault injector) keeps the default false.
   virtual bool Memoized(const CostVector& /*c*/) const { return false; }
+
+  /// Same contract as PlanOracle::Recall: true means TryOptimize(c) would
+  /// have succeeded with this reply, and the call is counted as such.
+  /// A decorator that can fail or stall on a memoized key (a fault
+  /// injector) keeps the default false, so every probe through it takes
+  /// TryOptimize.
+  virtual bool Recall(const CostVector& /*c*/, RecalledReply& /*out*/) {
+    return false;
+  }
 };
 
 /// Adapts an infallible PlanOracle to the fallible interface (every call
@@ -83,6 +123,9 @@ class InfallibleOracleAdapter final : public FalliblePlanOracle {
   size_t dims() const override { return base_.dims(); }
   bool Memoized(const CostVector& c) const override {
     return base_.Memoized(c);
+  }
+  bool Recall(const CostVector& c, RecalledReply& out) override {
+    return base_.Recall(c, out);
   }
 
  private:

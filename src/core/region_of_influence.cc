@@ -1,5 +1,6 @@
 #include "core/region_of_influence.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/macros.h"
@@ -7,70 +8,73 @@
 
 namespace costsense::core {
 
-Result<CandidacyResult> FindRegionWitness(const UsageVector& a,
-                                          const std::vector<PlanUsage>& rivals,
-                                          const Box& box) {
+Result<CandidacyResult> FindRegionWitness(
+    const UsageVector& a, std::span<const UsageVector* const> rivals,
+    const Box& box, RegionWitnessScratch* scratch) {
   const size_t n = box.dims();
   if (a.size() != n) {
     return Status::InvalidArgument("usage vector dims do not match box");
   }
+  RegionWitnessScratch local;
+  RegionWitnessScratch& buf = scratch != nullptr ? *scratch : local;
 
   // Variables: w_0..w_{n-1} in [0, 1] (normalized position within the
   // box: C_i = lo_i + w_i * width_i) and s (the optimality margin).
   // Normalizing both the variables and each rival row keeps the tableau
   // well-conditioned despite usage/cost magnitudes spanning many orders.
-  lp::Problem p;
+  lp::Problem& p = buf.problem;
   p.num_vars = n + 1;
   p.maximize = true;
-  p.objective = linalg::Vector(n + 1);
+  if (p.objective.size() != n + 1) p.objective = linalg::Vector(n + 1);
+  for (size_t i = 0; i < n; ++i) p.objective[i] = 0.0;
   p.objective[n] = 1.0;
+  p.ClearConstraints();
+  const size_t max_rows = n + 1 + rivals.size();
+  p.coeffs.reserve(max_rows * (n + 1));
+  p.relations.reserve(max_rows);
+  p.rhs.reserve(max_rows);
 
   const CostVector& lo = box.lower();
   const CostVector& hi = box.upper();
-  const CostVector center = box.Center();
+  buf.center.resize(n);
+  box.CenterInto(buf.center);
+  const std::vector<double>& center = buf.center;
 
   // w_i <= 1
   for (size_t i = 0; i < n; ++i) {
-    lp::Constraint con;
-    con.coeffs = linalg::Vector(n + 1);
-    con.coeffs[i] = 1.0;
-    con.rel = lp::Relation::kLessEqual;
-    con.rhs = 1.0;
-    p.constraints.push_back(std::move(con));
+    p.AddConstraint(lp::Relation::kLessEqual, 1.0)[i] = 1.0;
   }
   // s <= 1 (keeps the LP bounded; the margin is normalized below).
-  {
-    lp::Constraint con;
-    con.coeffs = linalg::Vector(n + 1);
-    con.coeffs[n] = 1.0;
-    con.rel = lp::Relation::kLessEqual;
-    con.rhs = 1.0;
-    p.constraints.push_back(std::move(con));
-  }
+  p.AddConstraint(lp::Relation::kLessEqual, 1.0)[n] = 1.0;
   // For each rival b: (B - A).(lo + w*width) >= s * sigma, where sigma
   // scales the margin to the constraint's magnitude at the box center.
-  for (const PlanUsage& rival : rivals) {
-    if (rival.usage.size() != n) {
+  std::vector<double>& diff = buf.diff;
+  diff.resize(n);
+  for (const UsageVector* rival : rivals) {
+    if (rival->size() != n) {
       return Status::InvalidArgument("rival usage dims do not match box");
     }
-    linalg::Vector diff = rival.usage - a;
-    if (diff.InfNorm() == 0.0) continue;  // identical usage: always a tie
+    double inf_norm = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      diff[i] = (*rival)[i] - a[i];
+      inf_norm = std::max(inf_norm, std::fabs(diff[i]));
+    }
+    if (inf_norm == 0.0) continue;  // identical usage: always a tie
     double sigma = 0.0;
     for (size_t i = 0; i < n; ++i) sigma += std::fabs(diff[i]) * center[i];
     COSTSENSE_CHECK(sigma > 0.0);
+    double dot_lo = 0.0;
+    for (size_t i = 0; i < n; ++i) dot_lo += diff[i] * lo[i];
 
-    lp::Constraint con;
-    con.coeffs = linalg::Vector(n + 1);
+    const std::span<double> row =
+        p.AddConstraint(lp::Relation::kGreaterEqual, -dot_lo / sigma);
     for (size_t i = 0; i < n; ++i) {
-      con.coeffs[i] = diff[i] * (hi[i] - lo[i]) / sigma;
+      row[i] = diff[i] * (hi[i] - lo[i]) / sigma;
     }
-    con.coeffs[n] = -1.0;
-    con.rel = lp::Relation::kGreaterEqual;
-    con.rhs = -linalg::Dot(diff, lo) / sigma;
-    p.constraints.push_back(std::move(con));
+    row[n] = -1.0;
   }
 
-  const lp::Solution sol = lp::Solve(p);
+  const lp::Solution sol = lp::Solve(p, buf.workspace);
   CandidacyResult out;
   if (sol.status != lp::SolveStatus::kOptimal) {
     out.candidate = false;  // infeasible even with zero margin
@@ -83,6 +87,15 @@ Result<CandidacyResult> FindRegionWitness(const UsageVector& a,
     out.witness[i] = lo[i] + sol.x[i] * (hi[i] - lo[i]);
   }
   return out;
+}
+
+Result<CandidacyResult> FindRegionWitness(const UsageVector& a,
+                                          const std::vector<PlanUsage>& rivals,
+                                          const Box& box) {
+  std::vector<const UsageVector*> usages;
+  usages.reserve(rivals.size());
+  for (const PlanUsage& rival : rivals) usages.push_back(&rival.usage);
+  return FindRegionWitness(a, usages, box, /*scratch=*/nullptr);
 }
 
 bool InRegionOfInfluence(const std::vector<PlanUsage>& plans, size_t index,

@@ -1,11 +1,13 @@
 #ifndef COSTSENSE_CORE_REGION_OF_INFLUENCE_H_
 #define COSTSENSE_CORE_REGION_OF_INFLUENCE_H_
 
+#include <span>
 #include <vector>
 
 #include "common/status.h"
 #include "core/feasible_region.h"
 #include "core/vectors.h"
+#include "lp/simplex.h"
 
 namespace costsense::core {
 
@@ -25,6 +27,17 @@ struct CandidacyResult {
   CostVector witness;
 };
 
+/// Buffers FindRegionWitness reuses when a caller passes them: the LP,
+/// the solver's tableau and the per-rival scratch keep their capacity from
+/// one call to the next, so a caller that solves one witness LP per plan,
+/// round after round (discovery), allocates only the results.
+struct RegionWitnessScratch {
+  lp::Problem problem;
+  lp::Workspace workspace;
+  std::vector<double> center;
+  std::vector<double> diff;
+};
+
 /// Decides by linear programming whether the plan with usage vector `a` is
 /// candidate optimal against `rivals` within the feasible box, i.e. whether
 /// its region of influence (paper Section 4.5)
@@ -34,6 +47,15 @@ struct CandidacyResult {
 /// This is the LP replacement for the paper's geometric construction:
 /// regions of influence are convex polytopes bounded by switchover planes,
 /// so emptiness and interior points are exactly LP questions.
+///
+/// Rivals are taken by reference (their usage vectors), and `scratch`,
+/// when not null, carries the buffers across calls; the result does not
+/// depend on either.
+[[nodiscard]] Result<CandidacyResult> FindRegionWitness(
+    const UsageVector& a, std::span<const UsageVector* const> rivals,
+    const Box& box, RegionWitnessScratch* scratch);
+
+/// The same LP over rivals held by value: rivals[k].usage in order.
 [[nodiscard]] Result<CandidacyResult> FindRegionWitness(const UsageVector& a,
                                           const std::vector<PlanUsage>& rivals,
                                           const Box& box);

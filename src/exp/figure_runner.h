@@ -139,9 +139,9 @@ class PairContext {
 ///
 /// Optimizer work fans out over a runtime::ThreadPool at two
 /// granularities — across queries (AnalyzeMany) and within a query
-/// (discovery probes the cache has not memoized, least-squares
+/// (discovery probes the cache cannot recall, least-squares
 /// extraction) — and every optimizer call goes through a sharded
-/// memoizing runtime::CachingOracle. Memoized probes and the LPs
+/// memoizing runtime::CachingOracle. Recalled probes and the LPs
 /// (margins, completeness witnesses, the worst-case series) run on the
 /// calling thread. Results are bit-identical for any thread count,
 /// including 1 (the serial path).

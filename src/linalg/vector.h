@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,9 @@ class Vector {
   double& operator[](size_t i) { return data_[i]; }
 
   const std::vector<double>& data() const { return data_; }
+  /// The elements as a span, for code that fills a vector in place.
+  std::span<double> span() { return data_; }
+  std::span<const double> span() const { return data_; }
 
   auto begin() const { return data_.begin(); }
   auto end() const { return data_.end(); }

@@ -1,6 +1,7 @@
 #include "lp/fractional.h"
 
 #include <cmath>
+#include <utility>
 
 #include "linalg/vector.h"
 
@@ -40,8 +41,10 @@ Result<FractionalSolution> MaximizeRatioOverBox(const linalg::Vector& a,
   // coefficient spread of real usage/cost vectors.
   linalg::Vector x = lower;
   double lambda = linalg::Dot(a, x) / linalg::Dot(b, x);
+  // The candidate vertex is rebuilt in full each iteration, so one buffer
+  // swapped with x serves every iteration.
+  linalg::Vector next(n);
   for (int iter = 0; iter < 200; ++iter) {
-    linalg::Vector next(n);
     for (size_t i = 0; i < n; ++i) {
       next[i] = (a[i] - lambda * b[i] > 0.0) ? upper[i] : lower[i];
     }
@@ -50,7 +53,7 @@ Result<FractionalSolution> MaximizeRatioOverBox(const linalg::Vector& a,
     const double next_lambda = linalg::Dot(a, next) / denom;
     if (next_lambda <= lambda * (1.0 + 1e-14)) break;
     lambda = next_lambda;
-    x = std::move(next);
+    std::swap(x, next);
   }
   FractionalSolution out;
   out.value = lambda;

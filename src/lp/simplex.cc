@@ -12,12 +12,13 @@ constexpr double kEps = 1e-9;
 
 /// Dense simplex tableau over the standard-form problem
 ///   maximize c.x  s.t.  A x = b,  x >= 0,  b >= 0,
-/// with an explicit basis. Phase 1 uses artificial variables.
+/// with an explicit basis. Phase 1 uses artificial variables. A view over
+/// a Workspace's buffers: `a` holds rows * cols cells, `b` rows, `basis`
+/// rows, all zeroed by the caller.
 class Tableau {
  public:
-  Tableau(size_t rows, size_t cols)
-      : rows_(rows), cols_(cols), a_(rows * cols, 0.0), b_(rows, 0.0),
-        basis_(rows, 0) {}
+  Tableau(size_t rows, size_t cols, double* a, double* b, size_t* basis)
+      : rows_(rows), cols_(cols), a_(a), b_(b), basis_(basis) {}
 
   double& At(size_t r, size_t c) { return a_[r * cols_ + c]; }
   double At(size_t r, size_t c) const { return a_[r * cols_ + c]; }
@@ -49,7 +50,7 @@ class Tableau {
 
   /// Runs primal simplex on the objective `obj` (maximization), restricted
   /// to columns [0, usable_cols). Returns false if unbounded.
-  bool Optimize(const std::vector<double>& obj, size_t usable_cols) {
+  bool Optimize(const double* obj, size_t usable_cols) {
     // Dantzig pricing (steepest reduced cost) for speed; after a generous
     // iteration budget switch to Bland's rule, which cannot cycle.
     const size_t bland_after = 4 * (rows_ + usable_cols) + 64;
@@ -96,24 +97,43 @@ class Tableau {
 
  private:
   size_t rows_, cols_;
-  std::vector<double> a_;
-  std::vector<double> b_;
-  std::vector<size_t> basis_;
+  double* a_;
+  double* b_;
+  size_t* basis_;
 };
 
 }  // namespace
 
+std::span<double> Problem::AddConstraint(Relation rel, double rhs_value) {
+  coeffs.resize(coeffs.size() + num_vars, 0.0);
+  relations.push_back(rel);
+  rhs.push_back(rhs_value);
+  return {coeffs.data() + coeffs.size() - num_vars, num_vars};
+}
+
+void Problem::ClearConstraints() {
+  coeffs.clear();
+  relations.clear();
+  rhs.clear();
+}
+
 Solution Solve(const Problem& problem) {
+  Workspace workspace;
+  return Solve(problem, workspace);
+}
+
+Solution Solve(const Problem& problem, Workspace& workspace) {
   const size_t n = problem.num_vars;
   COSTSENSE_CHECK(problem.objective.size() == n);
-  const size_t m = problem.constraints.size();
+  const size_t m = problem.num_constraints();
+  COSTSENSE_CHECK(problem.coeffs.size() == m * n &&
+                  problem.relations.size() == m);
 
   // Count extra columns: one slack/surplus per inequality, one artificial
   // per >= or = row (and per <= row with negative rhs after normalization).
   size_t num_slack = 0;
-  for (const auto& con : problem.constraints) {
-    COSTSENSE_CHECK(con.coeffs.size() == n);
-    if (con.rel != Relation::kEqual) ++num_slack;
+  for (Relation rel : problem.relations) {
+    if (rel != Relation::kEqual) ++num_slack;
   }
   // Lay out columns as [x (n) | slack/surplus (num_slack) | artificial (m)].
   // Not every row needs an artificial, but reserving one per row keeps the
@@ -121,15 +141,26 @@ Solution Solve(const Problem& problem) {
   const size_t art_base = n + num_slack;
   const size_t total_cols = art_base + m;
 
-  Tableau t(m, total_cols);
+  // One zeroed buffer: the m x total_cols cells, the m right-hand sides,
+  // then the phase-1 and phase-2 objectives.
+  std::vector<double>& cells = workspace.cells_;
+  cells.assign(m * total_cols + m + 2 * total_cols, 0.0);
+  double* const rhs_cells = cells.data() + m * total_cols;
+  double* const phase1 = rhs_cells + m;
+  double* const obj = phase1 + total_cols;
+  workspace.basis_.assign(m, 0);
+  workspace.artificial_.assign(m, 0);
+  char* const art_used = workspace.artificial_.data();
+
+  Tableau t(m, total_cols, cells.data(), rhs_cells, workspace.basis_.data());
   size_t slack_next = n;
-  std::vector<bool> art_used(m, false);
 
   for (size_t r = 0; r < m; ++r) {
-    const Constraint& con = problem.constraints[r];
+    const double* coeffs = problem.coeffs.data() + r * n;
     double sign = 1.0;
-    double rhs = con.rhs;
-    Relation rel = con.rel;
+    double rhs = problem.rhs[r];
+    const Relation given = problem.relations[r];
+    Relation rel = given;
     if (rhs < 0.0) {
       // Normalize to non-negative rhs; flips the relation.
       sign = -1.0;
@@ -140,10 +171,10 @@ Solution Solve(const Problem& problem) {
         rel = Relation::kLessEqual;
       }
     }
-    for (size_t j = 0; j < n; ++j) t.At(r, j) = sign * con.coeffs[j];
+    for (size_t j = 0; j < n; ++j) t.At(r, j) = sign * coeffs[j];
     t.Rhs(r) = rhs;
 
-    if (con.rel != Relation::kEqual) {
+    if (given != Relation::kEqual) {
       const size_t sc = slack_next++;
       if (rel == Relation::kLessEqual) {
         t.At(r, sc) = 1.0;
@@ -156,16 +187,15 @@ Solution Solve(const Problem& problem) {
     const size_t ac = art_base + r;
     t.At(r, ac) = 1.0;
     t.Basis(r) = ac;
-    art_used[r] = true;
+    art_used[r] = 1;
   }
 
   // Phase 1: maximize -(sum of artificials).
   bool any_artificial = false;
-  for (bool u : art_used) any_artificial |= u;
+  for (size_t r = 0; r < m; ++r) any_artificial |= art_used[r] != 0;
   if (any_artificial) {
-    std::vector<double> phase1(total_cols, 0.0);
     for (size_t r = 0; r < m; ++r) {
-      if (art_used[r]) phase1[art_base + r] = -1.0;
+      if (art_used[r] != 0) phase1[art_base + r] = -1.0;
     }
     const bool bounded = t.Optimize(phase1, total_cols);
     COSTSENSE_CHECK_MSG(bounded, "phase-1 objective cannot be unbounded");
@@ -194,7 +224,6 @@ Solution Solve(const Problem& problem) {
   }
 
   // Phase 2 on the real objective (restricted to non-artificial columns).
-  std::vector<double> obj(total_cols, 0.0);
   const double flip = problem.maximize ? 1.0 : -1.0;
   for (size_t j = 0; j < n; ++j) obj[j] = flip * problem.objective[j];
   if (!t.Optimize(obj, art_base)) {

@@ -61,6 +61,32 @@ class RowChunks {
   std::vector<std::unique_ptr<T[]>> chunks_;
 };
 
+/// The quantized key of a cost vector, in a stack buffer for the usual
+/// dimension counts (on the heap only past kInlineDims), so a lookup
+/// allocates nothing.
+class KeyBuffer {
+ public:
+  explicit KeyBuffer(const core::CostVector& c) : data_(inline_) {
+    if (c.size() > kInlineDims) {
+      heap_ = std::make_unique<uint64_t[]>(c.size());
+      data_ = heap_.get();
+    }
+    for (size_t i = 0; i < c.size(); ++i) {
+      data_[i] = QuantizeCost(c[i], kKeyMantissaBits);
+    }
+  }
+  KeyBuffer(const KeyBuffer&) = delete;
+  KeyBuffer& operator=(const KeyBuffer&) = delete;
+
+  const uint64_t* data() const { return data_; }
+
+ private:
+  static constexpr size_t kInlineDims = 32;
+  uint64_t inline_[kInlineDims];
+  std::unique_ptr<uint64_t[]> heap_;
+  uint64_t* data_;
+};
+
 /// Bitwise equality, so interning never merges 0.0 with -0.0.
 bool SameUsage(const std::optional<core::UsageVector>& a,
                const std::optional<core::UsageVector>& b) {
@@ -88,11 +114,8 @@ double DequantizeCost(uint64_t quantized, int mantissa_bits) {
 }
 
 std::vector<uint64_t> QuantizeKey(const core::CostVector& c) {
-  std::vector<uint64_t> key(c.size());
-  for (size_t i = 0; i < c.size(); ++i) {
-    key[i] = QuantizeCost(c[i], kKeyMantissaBits);
-  }
-  return key;
+  const KeyBuffer key(c);
+  return std::vector<uint64_t>(key.data(), key.data() + c.size());
 }
 
 size_t ShardOfKey(const std::vector<uint64_t>& key, size_t shards) {
@@ -100,33 +123,56 @@ size_t ShardOfKey(const std::vector<uint64_t>& key, size_t shards) {
 }
 
 /// Every distinct (plan_id, usage) reply the cache holds, stored once;
-/// entries refer to replies by position. Append-only: positions stay
-/// valid across Clear() for probes already between compute and insert.
+/// entries refer to replies by position. Append-only and stable: a
+/// stored reply never moves or changes, and its chunk pointer is written
+/// once, before any entry names its position. A thread that read a
+/// position from a shard entry under that shard's lock (taken after the
+/// interning thread released it) therefore reads the reply with no lock
+/// at all; `mu` orders only the appends. Positions stay valid across
+/// Clear() for probes already between compute and insert.
 struct CachingOracle::Replies {
+  /// Chunk k holds kFirstChunk << k replies, so a fixed directory spans
+  /// every 32-bit position and growing never moves a reply.
+  static constexpr size_t kFirstChunkLog2 = 4;
+  static constexpr size_t kFirstChunk = size_t{1} << kFirstChunkLog2;
+  static constexpr size_t kChunks = 33 - kFirstChunkLog2;
+
   std::mutex mu;
+  /// Replies stored; guarded by `mu`.
+  size_t size = 0;
   /// total_cost is per entry, so it is 0 here.
-  std::vector<core::OracleResult> list;
-  /// Positions in `list` by plan id (one id may come with several usage
-  /// vectors, or with and without one).
+  std::unique_ptr<core::OracleResult[]> chunks[kChunks];
+  /// Positions by plan id (one id may come with several usage vectors, or
+  /// with and without one); guarded by `mu`.
   std::map<std::string, std::vector<uint32_t>> by_id;
+
+  /// Position i lives at offset i + kFirstChunk - (kFirstChunk << k) of
+  /// chunk k = floor(log2((i + kFirstChunk) / kFirstChunk)).
+  static size_t ChunkOf(size_t i) {
+    return std::bit_width((i + kFirstChunk) >> kFirstChunkLog2) - 1;
+  }
+  const core::OracleResult& At(uint32_t i) const {
+    const size_t k = ChunkOf(i);
+    return chunks[k][i + kFirstChunk - (kFirstChunk << k)];
+  }
 
   uint32_t Intern(const core::OracleResult& reply) {
     std::lock_guard<std::mutex> lock(mu);
     std::vector<uint32_t>& same_id = by_id[reply.plan_id];
     for (uint32_t i : same_id) {
-      if (SameUsage(list[i].usage, reply.usage)) return i;
+      if (SameUsage(At(i).usage, reply.usage)) return i;
     }
-    const auto i = static_cast<uint32_t>(list.size());
-    list.push_back(core::OracleResult{reply.plan_id, 0.0, reply.usage});
+    const auto i = static_cast<uint32_t>(size);
+    const size_t k = ChunkOf(i);
+    if (chunks[k] == nullptr) {
+      chunks[k] = std::make_unique<core::OracleResult[]>(kFirstChunk << k);
+    }
+    core::OracleResult& slot = chunks[k][i + kFirstChunk - (kFirstChunk << k)];
+    slot.plan_id = reply.plan_id;
+    slot.usage = reply.usage;
+    ++size;
     same_id.push_back(i);
     return i;
-  }
-
-  core::OracleResult Get(uint32_t i, double total_cost) {
-    std::lock_guard<std::mutex> lock(mu);
-    core::OracleResult out = list[i];
-    out.total_cost = total_cost;
-    return out;
   }
 };
 
@@ -315,16 +361,35 @@ CachingOracle::~CachingOracle() = default;
 
 bool CachingOracle::Memoized(const core::CostVector& c) const {
   if (c.size() != dims_) return false;
-  const std::vector<uint64_t> key = QuantizeKey(c);
+  const KeyBuffer key(c);
   const uint64_t hash = HashKey(key.data(), dims_);
   Shard& shard = *shards_[hash & shard_mask_];
   std::lock_guard<std::mutex> lock(shard.mu);
   return shard.Find(key.data(), hash) != kNone;
 }
 
+bool CachingOracle::Recall(const core::CostVector& c,
+                           core::RecalledReply& out) {
+  if (c.size() != dims_) return false;  // Optimize rejects it
+  const KeyBuffer key(c);
+  const uint64_t hash = HashKey(key.data(), dims_);
+  Shard& shard = *shards_[hash & shard_mask_];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  const uint32_t e = shard.Find(key.data(), hash);
+  if (e == kNone) return false;
+  const core::OracleResult& reply = replies_->At(shard.replies[e]);
+  const double total_cost = shard.costs[e];
+  if (!core::WellFormedReply(reply.plan_id, total_cost)) return false;
+  ++shard.hits;
+  shard.Touch(e);
+  out.reply = &reply;
+  out.total_cost = total_cost;
+  return true;
+}
+
 core::OracleResult CachingOracle::Optimize(const core::CostVector& c) {
   COSTSENSE_CHECK(c.size() == dims_);
-  const std::vector<uint64_t> key = QuantizeKey(c);
+  const KeyBuffer key(c);
   const uint64_t hash = HashKey(key.data(), dims_);
   Shard& shard = *shards_[hash & shard_mask_];
 
@@ -342,13 +407,17 @@ core::OracleResult CachingOracle::Optimize(const core::CostVector& c) {
       ++shard.misses;
     }
   }
-  if (hit != kNone) return replies_->Get(hit, hit_cost);
+  if (hit != kNone) {
+    core::OracleResult out = replies_->At(hit);
+    out.total_cost = hit_cost;
+    return out;
+  }
 
   // Compute outside the lock, at the key's canonical point so every thread
   // that misses on this key produces the identical result.
   core::CostVector canonical(dims_);
   for (size_t i = 0; i < dims_; ++i) {
-    canonical[i] = DequantizeCost(key[i], kKeyMantissaBits);
+    canonical[i] = DequantizeCost(key.data()[i], kKeyMantissaBits);
   }
   core::OracleResult result = base_.Optimize(canonical);
   const uint32_t reply = replies_->Intern(result);
@@ -387,13 +456,10 @@ std::vector<OracleCacheEntry> CachingOracle::Export() const {
       reply_of.push_back(shard->replies[e]);
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(replies_->mu);
-    for (size_t i = 0; i < out.size(); ++i) {
-      const core::OracleResult& reply = replies_->list[reply_of[i]];
-      out[i].result.plan_id = reply.plan_id;
-      out[i].result.usage = reply.usage;
-    }
+  for (size_t i = 0; i < out.size(); ++i) {
+    const core::OracleResult& reply = replies_->At(reply_of[i]);
+    out[i].result.plan_id = reply.plan_id;
+    out[i].result.usage = reply.usage;
   }
   // Sort by key: shard order is a function of hash layout, and the
   // snapshot bytes must be a pure function of the cache contents.

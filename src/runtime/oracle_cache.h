@@ -130,6 +130,12 @@ class CachingOracle : public core::PlanOracle {
   /// dimension (Optimize would reject it).
   bool Memoized(const core::CostVector& c) const override;
 
+  /// On a hit, the interned reply by reference and the entry's total
+  /// cost, counted as Optimize(c) counts a hit (hits + 1, the entry
+  /// becomes most recent): one lookup under the shard lock, no copy, and
+  /// no cache-wide lock. A miss (or a malformed reply) changes nothing.
+  bool Recall(const core::CostVector& c, core::RecalledReply& out) override;
+
   OracleCacheStats stats() const;
 
   /// Drops every entry (counters are preserved).

@@ -20,13 +20,11 @@ constexpr double kBackoffJitter = 0.25;
 constexpr uint64_t kJitterSeed = 0x0e51113e;
 
 [[nodiscard]] Status ValidateReply(const core::OracleResult& r) {
+  if (core::WellFormedReply(r.plan_id, r.total_cost)) return Status::Ok();
   if (!std::isfinite(r.total_cost)) {
     return Status::Internal("oracle reply has non-finite total cost");
   }
-  if (r.plan_id.empty()) {
-    return Status::Internal("oracle reply has an empty plan id");
-  }
-  return Status::Ok();
+  return Status::Internal("oracle reply has an empty plan id");
 }
 
 }  // namespace
@@ -45,18 +43,30 @@ ResilientOracle::ResilientOracle(core::FalliblePlanOracle& base,
       clock_(clock != nullptr ? *clock : Clock::Real()),
       run_start_ns_(clock_.NowNanos()) {}
 
+bool ResilientOracle::RunBudgetSpent() const {
+  return options_.run_deadline_ns != 0 &&
+         clock_.NowNanos() - run_start_ns_ >= options_.run_deadline_ns;
+}
+
+bool ResilientOracle::Recall(const core::CostVector& c,
+                             core::RecalledReply& out) {
+  if (RunBudgetSpent() || !base_.Recall(c, out)) return false;
+  // A base that hands up a malformed reply anyway has counted its lookup;
+  // TryOptimize then counts the rejected attempt as usual.
+  if (!core::WellFormedReply(out.reply->plan_id, out.total_cost)) return false;
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.calls;
+  ++stats_.attempts;
+  return true;
+}
+
 Result<core::OracleResult> ResilientOracle::TryOptimize(
     const core::CostVector& c) {
-  auto run_budget_spent = [&]() -> bool {
-    return options_.run_deadline_ns != 0 &&
-           clock_.NowNanos() - run_start_ns_ >= options_.run_deadline_ns;
-  };
-
   // Admission: a spent run budget fails the call before any attempt.
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.calls;
-    if (run_budget_spent()) {
+    if (RunBudgetSpent()) {
       ++stats_.failures;
       ++stats_.deadline_exceeded;
       return Status::DeadlineExceeded("oracle run deadline budget spent");
@@ -93,7 +103,7 @@ Result<core::OracleResult> ResilientOracle::TryOptimize(
       ++stats_.invalid_replies;
     }
 
-    if (attempt == options_.max_retries || run_budget_spent()) break;
+    if (attempt == options_.max_retries || RunBudgetSpent()) break;
 
     if (!jitter.has_value()) {
       const std::vector<uint64_t> key = QuantizeKey(c);

@@ -74,10 +74,16 @@ class ResilientOracle final : public core::FalliblePlanOracle {
   bool Memoized(const core::CostVector& c) const override {
     return base_.Memoized(c);
   }
+  /// Forwards, counting one clean call and attempt. A spent run budget
+  /// declines before the lookup, so TryOptimize fails and counts that call
+  /// as it always has; a reply that fails validation is declined too.
+  bool Recall(const core::CostVector& c, core::RecalledReply& out) override;
 
   ResilienceStats stats() const;
 
  private:
+  bool RunBudgetSpent() const;
+
   core::FalliblePlanOracle& base_;
   const ResilientOracleOptions options_;
   Clock& clock_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/strings.h"
@@ -125,10 +126,6 @@ Status Dispatcher::Render(const AnalysisRequest& request,
     return Status::Unavailable(detail);
   }
 
-  std::vector<core::PlanUsage> plans;
-  plans.reserve(d->plans.size());
-  for (const core::DiscoveredPlan& dp : d->plans) plans.push_back(dp.plan);
-
   // Each logical piece is one Write: the prologue, then one record per
   // plan or delta line. Over a StringSink this concatenates into
   // Handle()'s body; over the record sink each piece is one
@@ -143,7 +140,7 @@ Status Dispatcher::Render(const AnalysisRequest& request,
       kProtocolVersion, AnalysisKindName(request.kind),
       ctx.query().name.c_str(), storage::LayoutPolicyName(request.policy),
       ctx.space().dims(), FormatDouble(band).c_str(),
-      ctx.initial_plan_id().c_str(), plans.size(), d->complete ? 1 : 0));
+      ctx.initial_plan_id().c_str(), d->plans.size(), d->complete ? 1 : 0));
   if (!st.ok()) return st;
 
   switch (request.kind) {
@@ -164,6 +161,11 @@ Status Dispatcher::Render(const AnalysisRequest& request,
       // kWorstCase is the single-delta special case; an explicit box
       // replaces its LP region (a gtcseries curve stays
       // delta-parameterized by definition).
+      std::vector<core::PlanUsage> plans;
+      plans.reserve(d->plans.size());
+      for (core::DiscoveredPlan& dp : d->plans) {
+        plans.push_back(std::move(dp.plan));
+      }
       const size_t count =
           request.kind == AnalysisKind::kWorstCase ? 1 : request.deltas.size();
       for (size_t i = 0; i < count; ++i) {

@@ -196,6 +196,45 @@ TEST(DiscoveryTest, HiddenNicheFoundByCompletenessProbe) {
   EXPECT_TRUE(ids.count("mid") == 1) << "completeness probe missed niche";
 }
 
+TEST(DiscoveryTest, FailedExtractionIsCountedAndClearsComplete) {
+  // "tie" = (a + b) / 2 costs exactly min(a, b) only where a and b tie,
+  // on the diagonal c1 == c2, and wins there because the oracle keeps the
+  // first of equal costs. The box center and its diagonal vertices find
+  // it, but its region of influence is that line: jittered samples off it
+  // never return it, so least-squares extraction fails. The plan must not
+  // vanish silently: it is counted, and the run is not complete although
+  // the completeness round finds no new plan.
+  const std::vector<PlanUsage> plans = {{"tie", UsageVector{2.5, 2.5}},
+                                        {"a", UsageVector{4.0, 1.0}},
+                                        {"b", UsageVector{1.0, 4.0}}};
+  const Box box = Box::MultiplicativeBand(CostVector{1.0, 1.0}, 4.0);
+  DiscoveryOptions opts;
+  opts.extraction.max_oracle_calls = 200;
+
+  FakeOracle narrow(plans, /*white_box=*/false);
+  Rng rng(73);
+  const Result<DiscoveryResult> d =
+      DiscoverCandidatePlans(narrow, box, rng, opts);
+  ASSERT_TRUE(d.ok());
+  std::set<std::string> ids;
+  for (const auto& dp : d->plans) ids.insert(dp.plan.plan_id);
+  EXPECT_EQ(ids, (std::set<std::string>{"a", "b"}));
+  EXPECT_EQ(d->failed_extractions, 1u);
+  EXPECT_EQ(d->failed_probes, 0u);
+  EXPECT_FALSE(d->complete);
+
+  // White-box, the same oracle reveals the tie plan's usage: nothing to
+  // extract, nothing fails.
+  FakeOracle white(plans, /*white_box=*/true);
+  Rng white_rng(73);
+  const Result<DiscoveryResult> w =
+      DiscoverCandidatePlans(white, box, white_rng, opts);
+  ASSERT_TRUE(w.ok());
+  EXPECT_EQ(w->failed_extractions, 0u);
+  EXPECT_TRUE(w->complete);
+  EXPECT_EQ(w->plans.size(), 3u);
+}
+
 TEST(DiscoveryTest, DiscoveredSetSupportsExactWorstCase) {
   // End-to-end: discovery + LP worst case equals oracle vertex sweep.
   Rng rng(67);

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "core/relative_cost.h"
 
@@ -71,6 +76,56 @@ TEST(RegionTest, TieOnlyPlanHasZeroMargin) {
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->candidate);
   EXPECT_NEAR(r->margin, 0.0, 1e-9);
+}
+
+// The by-reference form (rival usage pointers, reused scratch buffers) is
+// the same LP as the by-value one: candidacy, margin and witness agree
+// bit for bit, for every plan of a random 4-D set, whatever the scratch
+// held from the previous call (including a larger problem).
+TEST(RegionTest, ByReferenceRivalsMatchByValueRivals) {
+  Rng rng(17);
+  std::vector<PlanUsage> plans;
+  for (int k = 0; k < 7; ++k) {
+    UsageVector u(4);
+    for (size_t i = 0; i < 4; ++i) u[i] = rng.LogUniform(0.1, 100.0);
+    plans.push_back({"p" + std::to_string(k), u});
+  }
+  plans.push_back(plans[2]);  // identical usage: skipped as a tie
+  plans.back().plan_id = "dup";
+  const Box box = Box::MultiplicativeBand(CostVector{1.0, 2.0, 3.0, 4.0}, 30.0);
+  RegionWitnessScratch scratch;
+  for (size_t pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < plans.size(); ++i) {
+      std::vector<PlanUsage> by_value;
+      std::vector<const UsageVector*> by_reference;
+      for (size_t j = 0; j < plans.size(); ++j) {
+        if (j == i) continue;
+        by_value.push_back(plans[j]);
+        by_reference.push_back(&plans[j].usage);
+      }
+      // The second pass shrinks the rival list, so the scratch carries a
+      // larger problem's buffers into a smaller one.
+      if (pass == 1) {
+        by_value.resize(by_value.size() / 2);
+        by_reference.resize(by_reference.size() / 2);
+      }
+      const Result<CandidacyResult> expected =
+          FindRegionWitness(plans[i].usage, by_value, box);
+      const Result<CandidacyResult> got = FindRegionWitness(
+          plans[i].usage, by_reference, box, &scratch);
+      ASSERT_TRUE(expected.ok());
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got->candidate, expected->candidate) << plans[i].plan_id;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got->margin),
+                std::bit_cast<uint64_t>(expected->margin))
+          << plans[i].plan_id;
+      EXPECT_EQ(got->witness, expected->witness) << plans[i].plan_id;
+    }
+  }
+  const UsageVector short_usage{1.0};
+  const std::vector<const UsageVector*> wrong_dims = {&short_usage};
+  EXPECT_FALSE(
+      FindRegionWitness(plans[0].usage, wrong_dims, box, &scratch).ok());
 }
 
 TEST(RegionTest, InRegionOfInfluenceMatchesOptimality) {

@@ -3,15 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/discovery.h"
+#include "core/region_of_influence.h"
 #include "core/worst_case.h"
 #include "exp/figure_runner.h"
 #include "exp/report.h"
+#include "runtime/oracle_stack.h"
+#include "runtime/thread_pool.h"
 #include "storage/layout.h"
 #include "tpch/queries.h"
 #include "tpch/schema.h"
@@ -210,6 +216,55 @@ TEST(FigureRunnerTest, LpMatchesVertexSweepOnQuickCandidateSets) {
   // the sweep's reach; a new entry here means a layout grew dimensions.
   EXPECT_EQ(skipped,
             (std::vector<std::string>{"Q8/per-table-and-index"}));
+}
+
+TEST(DiscoveryMarginTest, ReusedMarginsMatchFreshWitnessLps) {
+  // A complete discovery takes each plan's margin from its last
+  // completeness round's witness LP instead of solving the LP again.
+  // Differential check on the quick queries x 3 layouts over the 1000x
+  // band: every margin must equal, bit for bit, a fresh FindRegionWitness
+  // of the plan against all the other discovered plans (0 for a plan
+  // that is not candidate, and for every plan of a set over 96).
+  runtime::OracleStackBuilder builder;
+  size_t complete_pairs = 0;
+  size_t compared = 0;
+  for (int qn : QuickQueryNumbers()) {
+    for (storage::LayoutPolicy policy :
+         {storage::LayoutPolicy::kSharedDevice,
+          storage::LayoutPolicy::kPerTableAndIndex,
+          storage::LayoutPolicy::kPerTableColocated}) {
+      const std::string pair = "Q" + std::to_string(qn) + "/" +
+                               storage::LayoutPolicyName(policy);
+      PairContext ctx(Cat(), tpch::MakeTpchQuery(Cat(), qn), policy, builder);
+      runtime::ProbeChain probes(ctx.stack().cache(), {});
+      const core::Box box =
+          core::Box::MultiplicativeBand(ctx.baseline(), 1000.0);
+      const Result<core::DiscoveryResult> d =
+          ctx.Discover(probes.oracle(), box, kDiscoverySeed, QuickDiscovery(),
+                       runtime::ThreadPool::Global());
+      ASSERT_TRUE(d.ok()) << pair << ": " << d.status().ToString();
+      if (d->complete) ++complete_pairs;
+      const std::vector<core::DiscoveredPlan>& plans = d->plans;
+      for (size_t i = 0; i < plans.size(); ++i) {
+        std::vector<core::PlanUsage> rivals;
+        for (size_t j = 0; j < plans.size(); ++j) {
+          if (j != i) rivals.push_back(plans[j].plan);
+        }
+        const Result<core::CandidacyResult> fresh =
+            core::FindRegionWitness(plans[i].plan.usage, rivals, box);
+        ASSERT_TRUE(fresh.ok()) << pair;
+        const double expected =
+            plans.size() <= 96 && fresh->candidate ? fresh->margin : 0.0;
+        EXPECT_EQ(std::bit_cast<uint64_t>(plans[i].margin),
+                  std::bit_cast<uint64_t>(expected))
+            << pair << " plan " << plans[i].plan.plan_id;
+        ++compared;
+      }
+    }
+  }
+  // The reuse path must actually run: most quick pairs are complete.
+  EXPECT_GE(complete_pairs, 12u);
+  EXPECT_GT(compared, 0u);
 }
 
 TEST(ReportTest, TablesRender) {

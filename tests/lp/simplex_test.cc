@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/rng.h"
 
@@ -19,8 +21,10 @@ Problem MakeProblem(size_t n, Vector obj, bool maximize) {
   return p;
 }
 
-void AddConstraint(Problem& p, Vector coeffs, Relation rel, double rhs) {
-  p.constraints.push_back({std::move(coeffs), rel, rhs});
+void AddConstraint(Problem& p, const Vector& coeffs, Relation rel,
+                   double rhs) {
+  const std::span<double> row = p.AddConstraint(rel, rhs);
+  std::copy(coeffs.begin(), coeffs.end(), row.begin());
 }
 
 TEST(SimplexTest, BasicMaximization) {

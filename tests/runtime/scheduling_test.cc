@@ -3,8 +3,8 @@
 // resolution and the LPs run on the calling thread. So a fully warmed
 // discovery submits no pool task, a half-warmed one still does, and in
 // every case the discovered set is bit-identical to a serial run. A fault
-// injector in the chain reports nothing as memoized, so runs with faults
-// schedule exactly as they did before memoized probes ran inline.
+// injector in the chain recalls nothing, so runs with faults schedule
+// exactly as they did before memoized probes ran inline.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -42,9 +42,9 @@ core::Box Band() {
   return core::Box::MultiplicativeBand(core::CostVector(kDims, 1.0), 100.0);
 }
 
-/// Forwards probes but hides Memoized(), so every probe schedules as
-/// optimizer work: discovery as it ran before memoized probes stayed on
-/// the calling thread.
+/// Forwards probes but hides Recall() (and Memoized()), so every probe
+/// schedules as optimizer work: discovery as it ran before memoized
+/// probes stayed on the calling thread.
 class HideMemoized final : public core::FalliblePlanOracle {
  public:
   explicit HideMemoized(core::FalliblePlanOracle& base) : base_(base) {}
@@ -202,6 +202,8 @@ TEST(SchedulingTest, FaultInjectorSchedulesEveryProbeOnThePool) {
     ProbeChain chain(cache, faulty);
     EXPECT_TRUE(cache.Memoized(Band().Center()));
     EXPECT_FALSE(chain.oracle().Memoized(Band().Center()));
+    core::RecalledReply recalled;
+    EXPECT_FALSE(chain.oracle().Recall(Band().Center(), recalled));
   }
   const Outcome warm = Discover(cache, &pool4, faulty);
   const Outcome unmemoized =

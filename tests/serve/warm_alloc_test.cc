@@ -1,0 +1,109 @@
+// Heap allocations of a warm analysis request. The replacement global
+// operator new in bench/alloc_counter.cc counts every allocation the
+// process makes. Each test warms a Dispatcher (every probe of the measured
+// requests is then a cache hit, so no optimizer runs and no work reaches
+// the pool) and counts what one more Dispatcher::Handle of the same
+// request allocates.
+//
+// The counts are deterministic for one toolchain: a warm request makes
+// the same calls in the same order every time. They pin the warm path's
+// allocation budget, so a change that brings back per-probe or per-LP
+// heap traffic (key vectors, reply copies, per-row LP vectors, string
+// bookkeeping in discovery) fails here. A standard library whose
+// containers allocate differently moves the exact pin; re-measure with
+// this binary (it prints every count) before changing it.
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <vector>
+
+#include "bench/alloc_counter.h"
+#include "exp/report.h"
+#include "runtime/thread_pool.h"
+#include "serve/dispatcher.h"
+#include "serve/protocol.h"
+
+namespace costsense::serve {
+namespace {
+
+/// loadgen's three delta sets and the three analysis kinds: with the six
+/// quick queries, the 54 distinct requests of a warm serving mix.
+const std::vector<std::vector<double>> kDeltaSets = {
+    {100.0}, {2.0, 10.0, 100.0}, {10.0, 1000.0}};
+constexpr AnalysisKind kKinds[] = {AnalysisKind::kDiscovery,
+                                   AnalysisKind::kWorstCase,
+                                   AnalysisKind::kGtcSeries};
+
+AnalysisRequest Request(int query, AnalysisKind kind,
+                        const std::vector<double>& deltas) {
+  AnalysisRequest r;
+  r.kind = kind;
+  r.policy = storage::LayoutPolicy::kSharedDevice;
+  r.query_number = static_cast<uint16_t>(query);
+  r.deltas = deltas;
+  return r;
+}
+
+/// Allocations made by one Handle of `request`, run after a warming Handle
+/// of the same request and after every pool task that one started has
+/// finished.
+size_t WarmAllocations(Dispatcher& dispatcher, runtime::ThreadPool& pool,
+                       const AnalysisRequest& request) {
+  const AnalysisResponse warm = dispatcher.Handle(request);
+  EXPECT_TRUE(warm.ok()) << warm.body;
+  pool.Drain();
+  const size_t before = bench::HeapAllocations();
+  const AnalysisResponse again = dispatcher.Handle(request);
+  const size_t made = bench::HeapAllocations() - before;
+  EXPECT_EQ(again.body, warm.body);
+  return made;
+}
+
+DispatcherOptions QuickOptions(runtime::ThreadPool& pool) {
+  DispatcherOptions options;
+  options.discovery = exp::QuickDiscovery();
+  options.pool = &pool;
+  return options;
+}
+
+// The pinned request: Q11 on the shared device, a GTC series over
+// loadgen's {2, 10, 100} set. Measured with this binary (GCC 12.2,
+// libstdc++, Release build, x86-64): 86 allocations. Before copy-free
+// cache hits, one witness LP per plan, flat LPs and index-keyed discovery
+// the same request made 387. DESIGN.md §5k breaks down the whole mix.
+TEST(WarmAllocationTest, Q11SharedHandleIsPinned) {
+  runtime::ThreadPool pool(2);
+  Dispatcher dispatcher(QuickOptions(pool));
+  const size_t made = WarmAllocations(
+      dispatcher, pool, Request(11, AnalysisKind::kGtcSeries, kDeltaSets[1]));
+  std::printf("warm Q11/shared gtcseries {2,10,100}: %zu allocations\n", made);
+  EXPECT_EQ(made, 86u);
+}
+
+// A bound for the whole warm mix: the mean over the 54 distinct requests.
+// Measured as above: 81.5, down from 613.4; the bound is 40% of the
+// latter.
+TEST(WarmAllocationTest, MeanOverTheWarmMixIsBounded) {
+  runtime::ThreadPool pool(2);
+  Dispatcher dispatcher(QuickOptions(pool));
+  size_t total = 0;
+  size_t count = 0;
+  for (int query : exp::QuickQueryNumbers()) {
+    for (AnalysisKind kind : kKinds) {
+      for (const std::vector<double>& deltas : kDeltaSets) {
+        const size_t made =
+            WarmAllocations(dispatcher, pool, Request(query, kind, deltas));
+        std::printf("Q%d %s deltas=%zu: %zu allocations\n", query,
+                    AnalysisKindName(kind), deltas.size(), made);
+        total += made;
+        ++count;
+      }
+    }
+  }
+  const double mean = static_cast<double>(total) / static_cast<double>(count);
+  std::printf("mean over %zu warm requests: %.1f allocations\n", count, mean);
+  EXPECT_LE(mean, 245.0);
+}
+
+}  // namespace
+}  // namespace costsense::serve

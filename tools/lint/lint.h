@@ -50,7 +50,7 @@
 ///       members; lock_guard / unique_lock / shared_lock / scoped_lock
 ///       sites) feed a global lock-order graph. Inconsistent acquisition
 ///       orders (cycles — potential deadlocks) and locks held across
-///       oracle calls (Optimize/TryOptimize) or transport calls
+///       oracle calls (Optimize/TryOptimize/Recall) or transport calls
 ///       (SendFrame/RecvFrame/Close) are findings.
 ///
 /// Per-line suppressions:

@@ -35,7 +35,7 @@
 /// component of the global acquired-before graph, suppressed only when an
 /// allow(R8, ...) sits on one of the cycle's acquisition/call sites; (b) a
 /// lock held across a call that is or reaches an oracle call
-/// (Optimize/TryOptimize) or a transport call (SendFrame/RecvFrame, or
+/// (Optimize/TryOptimize/Recall) or a transport call (SendFrame/RecvFrame, or
 /// Close on a FrameTransport-derived receiver); (c) re-acquiring an
 /// expression already held (guaranteed self-deadlock on std::mutex).
 /// Unresolvable chains contribute nothing — the pass is deliberately
@@ -981,7 +981,8 @@ void FileExtractor::HandleCall(size_t i, size_t e,
 // ---------------------------------------------------------------------------
 
 const std::set<std::string>& OracleCallees() {
-  static const std::set<std::string> kSet = {"Optimize", "TryOptimize"};
+  static const std::set<std::string> kSet = {"Optimize", "TryOptimize",
+                                             "Recall"};
   return kSet;
 }
 
@@ -1375,11 +1376,11 @@ std::vector<Finding> Analyzer::Run() {
         }
         std::string boundary;
         if (callee_oracle && callee_transport) {
-          boundary = "the oracle (Optimize/TryOptimize) and transport "
-                     "(SendFrame/RecvFrame/Close) boundaries";
+          boundary = "the oracle (Optimize/TryOptimize/Recall) and "
+                     "transport (SendFrame/RecvFrame/Close) boundaries";
         } else if (callee_oracle) {
-          boundary = "the oracle boundary (Optimize/TryOptimize); blocking "
-                     "the optimizer under a lock serializes every "
+          boundary = "the oracle boundary (Optimize/TryOptimize/Recall); "
+                     "blocking the optimizer under a lock serializes every "
                      "concurrent caller";
         } else {
           boundary = "the transport boundary (SendFrame/RecvFrame/Close); "
