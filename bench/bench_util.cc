@@ -77,8 +77,10 @@ std::vector<exp::FigureSeries> RunWorstCaseFigure(
   metrics.threads = pool.num_threads();
 
   // Phase 1 — analysis: every query discovers its candidate plans
-  // concurrently (and each discovery fans out its cache misses over the
-  // same pool).
+  // concurrently, and each discovery fans out its cache misses over the
+  // same pool. Once every query is claimed, this thread runs those
+  // nested probe iterations too instead of sleeping, so the last, largest
+  // queries get every lane.
   runtime::WallTimer timer;
   const std::vector<Result<exp::QueryAnalysis>> analyses =
       runner.AnalyzeMany(config.queries, policy);

@@ -59,12 +59,6 @@ class PlanOracle {
   /// Dimensionality of the resource cost space this oracle prices over.
   virtual size_t dims() const = 0;
 
-  /// Whether Optimize(c) would be answered from memory, without running an
-  /// optimizer: a read-only residency check. Must not change any state,
-  /// counter or recency order. Drivers use Recall instead, which answers
-  /// such a probe in the same lookup.
-  virtual bool Memoized(const CostVector& /*c*/) const { return false; }
-
   /// Answers Optimize(c) from memory when `c` is memoized: fills `out` by
   /// reference and counts exactly what Optimize(c) counts for that hit
   /// (the hit itself, recency). Otherwise returns false and changes
@@ -94,10 +88,6 @@ class FalliblePlanOracle {
 
   virtual size_t dims() const = 0;
 
-  /// Same contract as PlanOracle::Memoized. A decorator that can fail or
-  /// stall on a memoized key (a fault injector) keeps the default false.
-  virtual bool Memoized(const CostVector& /*c*/) const { return false; }
-
   /// Same contract as PlanOracle::Recall: true means TryOptimize(c) would
   /// have succeeded with this reply, and the call is counted as such.
   /// A decorator that can fail or stall on a memoized key (a fault
@@ -121,9 +111,6 @@ class InfallibleOracleAdapter final : public FalliblePlanOracle {
     return base_.Optimize(c);
   }
   size_t dims() const override { return base_.dims(); }
-  bool Memoized(const CostVector& c) const override {
-    return base_.Memoized(c);
-  }
   bool Recall(const CostVector& c, RecalledReply& out) override {
     return base_.Recall(c, out);
   }

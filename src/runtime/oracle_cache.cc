@@ -359,15 +359,6 @@ CachingOracle::CachingOracle(core::PlanOracle& base,
 
 CachingOracle::~CachingOracle() = default;
 
-bool CachingOracle::Memoized(const core::CostVector& c) const {
-  if (c.size() != dims_) return false;
-  const KeyBuffer key(c);
-  const uint64_t hash = HashKey(key.data(), dims_);
-  Shard& shard = *shards_[hash & shard_mask_];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.Find(key.data(), hash) != kNone;
-}
-
 bool CachingOracle::Recall(const core::CostVector& c,
                            core::RecalledReply& out) {
   if (c.size() != dims_) return false;  // Optimize rejects it

@@ -125,11 +125,6 @@ class CachingOracle : public core::PlanOracle {
   core::OracleResult Optimize(const core::CostVector& c) override;
   size_t dims() const override { return dims_; }
 
-  /// True when `c`'s quantized key is resident. A read-only lookup: it
-  /// moves no counter and no LRU link. False for a vector of the wrong
-  /// dimension (Optimize would reject it).
-  bool Memoized(const core::CostVector& c) const override;
-
   /// On a hit, the interned reply by reference and the entry's total
   /// cost, counted as Optimize(c) counts a hit (hits + 1, the entry
   /// becomes most recent): one lookup under the shard lock, no copy, and

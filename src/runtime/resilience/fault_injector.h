@@ -92,7 +92,7 @@ struct FaultLog {
 /// min(burst, attempts made there) no matter how concurrent callers
 /// interleave — fault logs are reproducible at any thread count.
 ///
-/// Memoized() and Recall() keep the default false even above a cache: a
+/// Recall() keeps the default false even above a cache: a
 /// cached key can still fault or stall here, so runs with faults schedule
 /// every probe as optimizer work.
 class FaultInjectingOracle final : public core::FalliblePlanOracle {

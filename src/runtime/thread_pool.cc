@@ -1,5 +1,6 @@
 #include "runtime/thread_pool.h"
 
+#include <algorithm>
 #include <memory>
 
 #include "common/macros.h"
@@ -12,6 +13,61 @@ namespace {
 /// size the global pool was actually built with (0 = not built yet).
 std::atomic<size_t> g_configured_threads{0};
 std::atomic<size_t> g_global_built_threads{0};
+
+/// One ParallelFor's shared state. Threads race on `next` to claim
+/// iterations; `done` counts finished ones. It is heap-held so a helper
+/// task that starts after every iteration was claimed can still read
+/// `next`, see it exhausted, and exit without touching the caller's dead
+/// stack frame.
+struct LoopState {
+  std::atomic<size_t> next{0};
+  std::atomic<size_t> done{0};
+  size_t n = 0;
+  const std::function<Status(size_t)>* body = nullptr;
+  /// The loop whose iteration started this one; null for a root loop.
+  /// Followed only when a loop nested under this one starts.
+  LoopState* parent = nullptr;
+  std::mutex mu;  // guards error_index, error and nested
+  /// Wakes the caller on completion or when a nested loop is announced.
+  std::condition_variable cv;
+  size_t error_index = 0;
+  Status error;
+  /// Loops started under this one's iterations, at any depth, that had
+  /// unclaimed iterations when last looked at.
+  std::vector<std::shared_ptr<LoopState>> nested;
+};
+
+/// The loop whose iteration this thread is running, if any.
+thread_local LoopState* tl_running_loop = nullptr;
+
+bool Exhausted(const std::shared_ptr<LoopState>& s) {
+  return s->next.load(std::memory_order_relaxed) >= s->n;
+}
+
+/// Claims and runs iterations of `s` until none is left unclaimed.
+void Drive(LoopState& s) {
+  LoopState* const enclosing = tl_running_loop;
+  tl_running_loop = &s;
+  for (;;) {
+    const size_t i = s.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= s.n) break;
+    Status st = (*s.body)(i);
+    if (!st.ok()) {
+      std::lock_guard<std::mutex> lock(s.mu);
+      if (i < s.error_index) {
+        s.error_index = i;
+        s.error = std::move(st);
+      }
+    }
+    if (s.done.fetch_add(1, std::memory_order_acq_rel) + 1 == s.n) {
+      // Lock before notifying so the caller cannot miss the wakeup
+      // between its predicate check and its wait.
+      std::lock_guard<std::mutex> lock(s.mu);
+      s.cv.notify_all();
+    }
+  }
+  tl_running_loop = enclosing;
+}
 
 }  // namespace
 
@@ -121,57 +177,48 @@ Status ThreadPool::ParallelFor(size_t n,
     return first;
   }
 
-  // Shared loop state. Workers and the caller race on `next` to claim
-  // iterations; `done` counts completed ones. The state is heap-held so a
-  // helper task that starts after the loop has finished (every iteration
-  // already claimed) can still read `next`, see it exhausted, and exit
-  // without touching the caller's dead stack frame.
-  struct LoopState {
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> done{0};
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t error_index;
-    Status error;
-    size_t n;
-    const std::function<Status(size_t)>* body;
-  };
   auto state = std::make_shared<LoopState>();
-  state->error_index = n;
   state->n = n;
   state->body = &body;
+  state->parent = tl_running_loop;
+  state->error_index = n;
 
-  auto drive = [](const std::shared_ptr<LoopState>& s) {
-    for (;;) {
-      const size_t i = s->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= s->n) return;
-      Status st = (*s->body)(i);
-      if (!st.ok()) {
-        std::lock_guard<std::mutex> lock(s->mu);
-        if (i < s->error_index) {
-          s->error_index = i;
-          s->error = std::move(st);
-        }
-      }
-      if (s->done.fetch_add(1, std::memory_order_acq_rel) + 1 == s->n) {
-        // Lock before notifying so the caller cannot miss the wakeup
-        // between its predicate check and its wait.
-        std::lock_guard<std::mutex> lock(s->mu);
-        s->cv.notify_all();
-      }
+  // A loop started inside another loop's iteration is announced to every
+  // enclosing loop, so a caller waiting there can run its iterations.
+  // Each ancestor is alive: it is waiting, at least, on the iteration
+  // that led here.
+  for (LoopState* a = state->parent; a != nullptr; a = a->parent) {
+    {
+      std::lock_guard<std::mutex> lock(a->mu);
+      std::erase_if(a->nested, Exhausted);
+      a->nested.push_back(state);
     }
-  };
+    a->cv.notify_all();
+  }
 
   const size_t helpers = std::min(num_threads_ - 1, n - 1);
   for (size_t h = 0; h < helpers; ++h) {
-    Submit([state, drive] { drive(state); });
+    Submit([state] { Drive(*state); });
   }
-  drive(state);  // the caller is a full participant: nested-safe
+  Drive(*state);  // the caller is a full participant: nested-safe
 
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&] {
-    return state->done.load(std::memory_order_acquire) >= n;
-  });
+  // Every iteration is claimed. Until the last one finishes, run
+  // iterations of loops nested under this one; they hold it up anyway.
+  for (;;) {
+    std::shared_ptr<LoopState> nested;
+    {
+      std::unique_lock<std::mutex> lock(state->mu);
+      state->cv.wait(lock, [&] {
+        if (state->done.load(std::memory_order_acquire) >= n) return true;
+        std::erase_if(state->nested, Exhausted);
+        if (state->nested.empty()) return false;
+        nested = state->nested.front();
+        return true;
+      });
+      if (nested == nullptr) break;
+    }
+    Drive(*nested);
+  }
   return state->error_index == n ? Status::Ok() : std::move(state->error);
 }
 

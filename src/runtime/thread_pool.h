@@ -41,9 +41,10 @@ struct PoolStats {
   size_t threads = 1;
   /// Submitted tasks run since construction: by a worker thread, or
   /// inline by Submit itself on a pool without workers (num_threads ==
-  /// 1). Loop iterations ParallelFor's caller runs are not tasks, so a
-  /// ParallelFor adds at most min(threads - 1, n - 1) helper tasks and
-  /// ForEachIndex without a pool adds none.
+  /// 1). Loop iterations ParallelFor's caller runs, its own or those of
+  /// loops nested under it, are not tasks, so a ParallelFor adds at most
+  /// min(threads - 1, n - 1) helper tasks and ForEachIndex without a pool
+  /// adds none.
   size_t tasks_run = 0;
   /// Tasks waiting in the queue right now (instantaneous depth — the
   /// quantity admission control and load monitoring watch).
@@ -59,6 +60,15 @@ struct PoolStats {
 /// nested ParallelFor issued from inside a task always makes progress even
 /// when every worker is busy — saturation degrades to inline execution
 /// instead of deadlocking.
+///
+/// A caller that has claimed every iteration of its loop does not just
+/// sleep until the others finish: it runs unclaimed iterations of the
+/// loops started inside its loop's iterations, at any depth (say, each
+/// query's probe batches under FigureRunner::AnalyzeMany), and sleeps only
+/// when none is left. It never runs an iteration of a loop outside its
+/// own, so unrelated callers sharing the pool (serve sessions) keep their
+/// scheduling. Each iteration still runs exactly once, so results do not
+/// depend on which thread ran it.
 ///
 /// Loop bodies must not throw (the repo-wide no-exceptions convention);
 /// fallible bodies report through the returned Status.

@@ -1,9 +1,9 @@
 // Tests of the sharded memoizing oracle cache: hit/miss accounting,
 // quantized-key merging, the bounded-eviction guarantee, LRU recency,
-// the read-only Memoized() lookup, Recall() (a hit by reference), reply
-// interning, snapshot import validation, a model-based check against a
-// reference LRU, and correctness under concurrent hammering from a thread
-// pool and under recalls racing new interned replies.
+// Recall() (a hit by reference), reply interning, snapshot import
+// validation, a model-based check against a reference LRU, and
+// correctness under concurrent hammering from a thread pool and under
+// recalls racing new interned replies.
 #include "runtime/oracle_cache.h"
 
 #include <gtest/gtest.h>
@@ -180,57 +180,6 @@ TEST(CachingOracleTest, ClearDropsEntriesKeepsCounters) {
   EXPECT_EQ(base.calls(), 2u);  // recomputed after Clear
 }
 
-TEST(CachingOracleTest, MemoizedAnswersResidencyWithoutSideEffects) {
-  core::FakeOracle base(TwoPlans(), /*white_box=*/true);
-  CachingOracle cache(base);
-  const core::CostVector resident{0.3, 1.0};
-  cache.Optimize(resident);
-  std::vector<OracleCacheEntry> seed(1);
-  seed[0].key = {QuantizeCost(2.0, 40), QuantizeCost(3.0, 40)};
-  seed[0].result = {"a", 32.0, core::UsageVector{1.0, 10.0}};
-  ASSERT_EQ(cache.Import(seed).inserted, 1u);
-  const OracleCacheStats before = cache.stats();
-
-  EXPECT_TRUE(cache.Memoized(resident));
-  EXPECT_TRUE(cache.Memoized({2.0, 3.0}));  // imported
-  // A sub-quantum round-off twin shares the resident key.
-  EXPECT_TRUE(cache.Memoized({0.1 + 0.2, 1.0}));
-  EXPECT_FALSE(cache.Memoized({5.0, 1.0}));  // never probed
-  // The wrong dimension is simply not memoized (Optimize would CHECK).
-  EXPECT_FALSE(cache.Memoized({0.3}));
-  EXPECT_FALSE(cache.Memoized({0.3, 1.0, 1.0}));
-
-  // A read-only lookup: no counter moves, nothing is computed.
-  const OracleCacheStats after = cache.stats();
-  EXPECT_EQ(after.hits, before.hits);
-  EXPECT_EQ(after.misses, before.misses);
-  EXPECT_EQ(after.evictions, before.evictions);
-  EXPECT_EQ(after.entries, before.entries);
-  EXPECT_EQ(base.calls(), 1u);
-
-  cache.Clear();
-  EXPECT_FALSE(cache.Memoized(resident));
-  EXPECT_FALSE(cache.Memoized({2.0, 3.0}));
-}
-
-TEST(CachingOracleTest, MemoizedDoesNotTouchRecency) {
-  core::FakeOracle base(TwoPlans(), /*white_box=*/false);
-  OracleCacheOptions options;
-  options.shards = 1;
-  options.max_entries = 2;
-  CachingOracle cache(base, options);
-
-  const core::CostVector a{1.0, 1.0}, b{2.0, 1.0}, c{3.0, 1.0};
-  cache.Optimize(a);  // miss: {a}
-  cache.Optimize(b);  // miss: {a, b}, a least recent
-  EXPECT_TRUE(cache.Memoized(a));  // must not make a most recent
-  cache.Optimize(c);  // miss: evicts a, not b
-  EXPECT_FALSE(cache.Memoized(a));
-  EXPECT_TRUE(cache.Memoized(b));
-  EXPECT_TRUE(cache.Memoized(c));
-  EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
 TEST(CachingOracleTest, ConcurrentHammerIsCorrectAndBounded) {
   // Many threads hit a small point set through every shard; results must
   // match an uncached oracle and the entry bound must hold throughout.
@@ -387,9 +336,11 @@ TEST(CachingOracleTest, RecallCountsAsAnOptimizeHitWithoutCopying) {
   EXPECT_EQ(cache.stats().misses, 2u);
 
   cache.Optimize(c);  // miss: evicts b, the least recent since the Recall
-  EXPECT_TRUE(cache.Memoized(a));
-  EXPECT_FALSE(cache.Memoized(b));
   EXPECT_EQ(base.calls(), 3u);
+  cache.Optimize(a);  // still resident: a hit
+  EXPECT_EQ(base.calls(), 3u);
+  cache.Optimize(b);  // evicted: computed again
+  EXPECT_EQ(base.calls(), 4u);
 
   // The recalled reply is the interned one: it outlives eviction and
   // Clear(), unchanged.
@@ -416,11 +367,12 @@ TEST(CachingOracleTest, RecallDeclinesMalformedReplies) {
   // as a hit.
   MalformedOracle base;
   CachingOracle cache(base);
+  size_t resident = 0;
   for (double x : {1.0, 3.0}) {
     const core::CostVector c{x, 1.0};
     cache.Optimize(c);
     core::RecalledReply out;
-    EXPECT_TRUE(cache.Memoized(c));
+    EXPECT_EQ(cache.stats().entries, ++resident);  // cached all the same
     EXPECT_FALSE(cache.Recall(c, out)) << x;
   }
   EXPECT_EQ(cache.stats().hits, 0u);

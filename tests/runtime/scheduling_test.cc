@@ -42,12 +42,12 @@ core::Box Band() {
   return core::Box::MultiplicativeBand(core::CostVector(kDims, 1.0), 100.0);
 }
 
-/// Forwards probes but hides Recall() (and Memoized()), so every probe
-/// schedules as optimizer work: discovery as it ran before memoized
-/// probes stayed on the calling thread.
-class HideMemoized final : public core::FalliblePlanOracle {
+/// Forwards probes but hides Recall(), so every probe schedules as
+/// optimizer work: discovery as it ran before memoized probes stayed on
+/// the calling thread.
+class HideRecall final : public core::FalliblePlanOracle {
  public:
-  explicit HideMemoized(core::FalliblePlanOracle& base) : base_(base) {}
+  explicit HideRecall(core::FalliblePlanOracle& base) : base_(base) {}
   [[nodiscard]] Result<core::OracleResult> TryOptimize(
       const core::CostVector& c) override {
     return base_.TryOptimize(c);
@@ -67,12 +67,12 @@ struct Outcome {
 
 Outcome Discover(CachingOracle& cache, ThreadPool* pool,
              const ProbeOptions& probe_options = {},
-             bool hide_memoized = false) {
+             bool hide_recall = false) {
   ProbeChain chain(cache, probe_options);
-  HideMemoized hidden(chain.oracle());
+  HideRecall hidden(chain.oracle());
   core::FalliblePlanOracle& oracle =
-      hide_memoized ? static_cast<core::FalliblePlanOracle&>(hidden)
-                    : chain.oracle();
+      hide_recall ? static_cast<core::FalliblePlanOracle&>(hidden)
+                  : chain.oracle();
   core::DiscoveryOptions options = exp::QuickDiscovery();
   options.pool = pool;
   Rng rng(kSeed);
@@ -200,20 +200,19 @@ TEST(SchedulingTest, FaultInjectorSchedulesEveryProbeOnThePool) {
   // Even over a fully warm cache, nothing above the injector is memoized.
   {
     ProbeChain chain(cache, faulty);
-    EXPECT_TRUE(cache.Memoized(Band().Center()));
-    EXPECT_FALSE(chain.oracle().Memoized(Band().Center()));
     core::RecalledReply recalled;
+    EXPECT_TRUE(cache.Recall(Band().Center(), recalled));
     EXPECT_FALSE(chain.oracle().Recall(Band().Center(), recalled));
   }
   const Outcome warm = Discover(cache, &pool4, faulty);
-  const Outcome unmemoized =
-      Discover(cache, &pool4, faulty, /*hide_memoized=*/true);
+  const Outcome unrecalled =
+      Discover(cache, &pool4, faulty, /*hide_recall=*/true);
   EXPECT_GT(warm.tasks, 0u);
-  EXPECT_EQ(warm.tasks, unmemoized.tasks);
-  ExpectSameFaultLog(warm.faults, unmemoized.faults);
+  EXPECT_EQ(warm.tasks, unrecalled.tasks);
+  ExpectSameFaultLog(warm.faults, unrecalled.faults);
   ExpectSameFaultLog(warm.faults, cold.faults);
   ExpectSameDiscovery(warm.result, reference);
-  ExpectSameDiscovery(unmemoized.result, reference);
+  ExpectSameDiscovery(unrecalled.result, reference);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests of the fixed-size thread pool: startup/shutdown, fork-join
-// correctness, deterministic Status propagation, and the nested-loop
-// no-deadlock guarantee the discovery driver depends on.
+// correctness, deterministic Status propagation, the nested-loop
+// no-deadlock guarantee the discovery driver depends on, and a waiting
+// caller running nested iterations (only those of its own loop's tree).
 #include "runtime/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -167,6 +169,138 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   });
   EXPECT_TRUE(s.ok());
   EXPECT_EQ(inner_total.load(), 16u * 16u);
+}
+
+/// Polls `flag` for about five seconds, so a scheduling bug fails the
+/// test instead of hanging it.
+bool AwaitFlag(const std::atomic<bool>& flag) {
+  for (int i = 0; i < 50000 && !flag.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return flag.load();
+}
+
+/// Two outer iterations, one of which starts a nested loop of `inner`
+/// iterations; returns each nested result and, on a multi-lane pool, the
+/// number of nested iterations the outer caller ran. There the iteration
+/// that lands on the caller's thread waits until a worker is inside the
+/// other, so the nested loop runs on that worker while the caller has
+/// nothing of its own left, and each nested iteration on a worker waits
+/// until the caller has run one.
+std::vector<size_t> OuterIterationStartsNestedLoop(ThreadPool& pool,
+                                                   size_t inner,
+                                                   size_t* run_by_caller) {
+  const bool gated = pool.num_threads() > 1;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> worker_inside{false};
+  std::atomic<bool> released{false};
+  std::atomic<size_t> by_caller{0};
+  std::vector<size_t> results(inner, 0);
+  const Status s = pool.ParallelFor(2, [&](size_t) -> Status {
+    if (gated && std::this_thread::get_id() == caller) {
+      EXPECT_TRUE(AwaitFlag(worker_inside));
+      return Status::Ok();
+    }
+    worker_inside.store(true);
+    return pool.ParallelFor(inner, [&](size_t j) -> Status {
+      if (std::this_thread::get_id() == caller) {
+        by_caller.fetch_add(1);
+        released.store(true);
+      } else if (gated && !AwaitFlag(released)) {
+        released.store(true);  // fail once, not once per iteration
+        return Status::Internal("the waiting caller ran no nested iteration");
+      }
+      results[j] = j * j + 7;
+      return Status::Ok();
+    });
+  });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  *run_by_caller = by_caller.load();
+  return results;
+}
+
+TEST(ThreadPoolTest, WaitingCallerDrivesNestedLoops) {
+  // A caller whose own iterations are all claimed runs iterations of a
+  // loop nested under its loop instead of sleeping (how AnalyzeMany's
+  // caller helps each query's probe batches).
+  const size_t inner = 32;
+  ThreadPool serial(1);
+  size_t unused = 0;
+  const std::vector<size_t> expected =
+      OuterIterationStartsNestedLoop(serial, inner, &unused);
+  for (size_t threads : {2u, 4u}) {
+    ThreadPool pool(threads);
+    size_t by_caller = 0;
+    EXPECT_EQ(OuterIterationStartsNestedLoop(pool, inner, &by_caller),
+              expected)
+        << threads << " threads";
+    EXPECT_GE(by_caller, 1u) << threads << " threads";
+  }
+}
+
+TEST(ThreadPoolTest, UnrelatedRootLoopsNeverShareIterations) {
+  // Two threads outside the pool each run a root loop of slow iterations
+  // on a pool with one worker: the worker serves one loop while the
+  // other loop's helper task waits in the queue. A caller waiting for the
+  // worker must not pick up the other root's queued work; it may run only
+  // its own loop and loops nested under it.
+  ThreadPool pool(2);
+  const size_t n = 12;
+  for (int round = 0; round < 4; ++round) {
+    std::vector<std::thread::id> ran_a(n), ran_b(n);
+    std::atomic<int> ready{0};
+    auto run_root = [&](std::vector<std::thread::id>* ran) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      const Status s = pool.ParallelFor(n, [&, ran](size_t i) {
+        (*ran)[i] = std::this_thread::get_id();
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        return Status::Ok();
+      });
+      EXPECT_TRUE(s.ok());
+    };
+    std::thread a(run_root, &ran_a);
+    std::thread b(run_root, &ran_b);
+    const std::thread::id id_a = a.get_id();
+    const std::thread::id id_b = b.get_id();
+    a.join();
+    b.join();
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_NE(ran_a[i], id_b) << "round " << round << " index " << i;
+      EXPECT_NE(ran_b[i], id_a) << "round " << round << " index " << i;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ThreeLevelNestingReportsLowestFailingIndex) {
+  // Loops three deep, with slow leaves so waiting callers find nested
+  // work to run: every leaf runs once, nothing deadlocks, and each level
+  // reports its lowest failing index, so the top-level error names the
+  // lowest failing (i, j, k) for any pool size.
+  for (size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    for (int round = 0; round < 3; ++round) {
+      std::atomic<size_t> leaves{0};
+      const Status s = pool.ParallelFor(4, [&](size_t i) {
+        return pool.ParallelFor(4, [&, i](size_t j) {
+          return pool.ParallelFor(8, [&, i, j](size_t k) -> Status {
+            leaves.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            if (i >= 1 && j >= 2 && (k == 3 || k == 6)) {
+              return Status::Internal("leaf " + std::to_string(i) + "/" +
+                                      std::to_string(j) + "/" +
+                                      std::to_string(k));
+            }
+            return Status::Ok();
+          });
+        });
+      });
+      EXPECT_EQ(leaves.load(), 4u * 4u * 8u);
+      ASSERT_FALSE(s.ok());
+      EXPECT_NE(s.message().find("leaf 1/2/3"), std::string::npos)
+          << threads << " threads, round " << round << ": " << s.ToString();
+    }
+  }
 }
 
 TEST(ThreadPoolTest, StatsCountWork) {

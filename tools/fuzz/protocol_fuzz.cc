@@ -57,6 +57,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -64,6 +65,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/feasible_region.h"
+#include "engine/config.h"
 #include "exp/report.h"
 #include "runtime/resilience/clock.h"
 #include "runtime/thread_pool.h"
@@ -657,34 +659,34 @@ int Run(uint64_t seed, uint64_t iters, uint64_t deadline_ms, bool verbose) {
 }
 
 int Main(int argc, char** argv) {
-  uint64_t seed = 1;
-  uint64_t iters = 10000;
-  uint64_t deadline_ms = 300000;
-  bool verbose = false;
+  size_t seed = 1;
+  size_t iters = 10000;
+  size_t deadline_ms = 300000;
+  size_t verbose = 0;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
+    const std::string_view arg = argv[i];
     const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "protocol_fuzz: unknown argument %s\n", arg.c_str());
+    const std::string_view key =
+        eq == std::string_view::npos ? arg : arg.substr(0, eq);
+    size_t* target = key == "seed"          ? &seed
+                     : key == "iters"       ? &iters
+                     : key == "deadline_ms" ? &deadline_ms
+                     : key == "verbose"     ? &verbose
+                                            : nullptr;
+    if (target == nullptr || eq == std::string_view::npos) {
+      std::fprintf(stderr, "protocol_fuzz: unknown argument %s\n", argv[i]);
       return 2;
     }
-    const std::string key = arg.substr(0, eq);
-    const uint64_t value =
-        static_cast<uint64_t>(std::atoll(arg.c_str() + eq + 1));
-    if (key == "seed") {
-      seed = value;
-    } else if (key == "iters") {
-      iters = value;
-    } else if (key == "deadline_ms") {
-      deadline_ms = value;
-    } else if (key == "verbose") {
-      verbose = value != 0;
-    } else {
-      std::fprintf(stderr, "protocol_fuzz: unknown argument %s\n", arg.c_str());
+    // A run of no iterations or no time proves nothing, so both need 1.
+    const size_t min_value = key == "iters" || key == "deadline_ms" ? 1 : 0;
+    const Status parsed =
+        engine::ParseSize(key, arg.substr(eq + 1), min_value, target);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "protocol_fuzz: %s\n", parsed.ToString().c_str());
       return 2;
     }
   }
-  return Run(seed, iters, deadline_ms, verbose);
+  return Run(seed, iters, deadline_ms, verbose != 0);
 }
 
 }  // namespace
