@@ -158,8 +158,7 @@ std::string EncodeResponseFrame(const ResponseFrame& frame) {
       break;
     case ResponseFrameType::kRecords:
       for (const std::string& record : frame.records) {
-        PutU32(&out, static_cast<uint32_t>(record.size()));
-        out += record;
+        AppendResponseRecord(&out, record);
       }
       break;
     case ResponseFrameType::kStatus:
@@ -169,6 +168,11 @@ std::string EncodeResponseFrame(const ResponseFrame& frame) {
       break;
   }
   return out;
+}
+
+void AppendResponseRecord(std::string* payload, std::string_view record) {
+  PutU32(payload, static_cast<uint32_t>(record.size()));
+  payload->append(record);
 }
 
 Result<ResponseFrame> DecodeResponseFrame(std::string_view payload) {

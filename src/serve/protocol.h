@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -164,6 +166,11 @@ struct ResponseFrame {
 /// Serializes one response frame into a transport payload.
 std::string EncodeResponseFrame(const ResponseFrame& frame);
 
+/// Appends `record` to `payload`, a records-frame payload begun by
+/// EncodeResponseFrame: the record-at-a-time form of listing it in
+/// ResponseFrame::records, byte for byte.
+void AppendResponseRecord(std::string* payload, std::string_view record);
+
 /// Parses one response frame payload. kInvalidArgument on truncation, unknown
 /// frame types, record lengths that disagree with the payload, or a
 /// status length that lies about the remaining bytes.
@@ -185,6 +192,8 @@ class ResponseReassembler {
   /// Valid once done(): the terminal response (concatenated records on
   /// kOk, the status message otherwise).
   const AnalysisResponse& response() const { return response_; }
+  /// Valid once done(): moves the terminal response out.
+  AnalysisResponse TakeResponse() { return std::move(response_); }
 
   /// Valid once a header frame arrived: what the server echoed back.
   bool has_header() const { return has_header_; }

@@ -81,27 +81,12 @@ Status Session::Run() {
 }
 
 Status Session::ServeStreaming(const AnalysisRequest& request) {
-  ResponseFrame header;
-  header.type = ResponseFrameType::kHeader;
-  header.kind = request.kind;
-  header.policy = request.policy;
-  header.query_number = request.query_number;
-  Status st = transport_->SendFrame(EncodeResponseFrame(header));
-  if (!st.ok()) return st;
-
-  FrameRecordSink records(*transport_);
-  const Status analysis = server_.HandleStreaming(request, records);
-  // Drain the partial batch before the terminal frame; only a transport
-  // failure here is a session error (an analysis failure still ends with
-  // a well-formed status frame telling the client to discard records).
-  st = records.Close();
-  if (!st.ok()) return st;
-
-  ResponseFrame status_frame;
-  status_frame.type = ResponseFrameType::kStatus;
-  status_frame.code = analysis.code();
-  if (!analysis.ok()) status_frame.message = analysis.message();
-  return transport_->SendFrame(EncodeResponseFrame(status_frame));
+  FrameRecordSink stream(*transport_, request);
+  const Status analysis = server_.HandleStreaming(request, stream);
+  // Only a transport failure here is a session error: an analysis failure
+  // still ends with a well-formed status frame telling the client to
+  // discard records.
+  return stream.Finish(analysis);
 }
 
 Result<AnalysisResponse> CallV2(FrameTransport& transport,
@@ -120,7 +105,7 @@ Result<AnalysisResponse> CallV2(FrameTransport& transport,
     Status fed = reassembler.Feed(*frame);
     if (!fed.ok()) return fed;
   }
-  return reassembler.response();
+  return reassembler.TakeResponse();
 }
 
 }  // namespace costsense::serve

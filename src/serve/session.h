@@ -46,8 +46,9 @@ class Session {
   uint64_t requests_served() const { return requests_served_; }
 
  private:
-  /// Serves one decoded request: header frame, record frames streamed
-  /// straight from the dispatcher, terminal status frame.
+  /// Serves one decoded request through a FrameRecordSink: header frame,
+  /// record frames streamed straight from the dispatcher, terminal status
+  /// frame, sent in as few bursts as the record batching allows.
   [[nodiscard]] Status ServeStreaming(const AnalysisRequest& request);
 
   Server& server_;

@@ -22,6 +22,16 @@ namespace {
   return Status::Ok();
 }
 
+/// CheckFrameSize over every frame of a burst, so a burst is refused
+/// before any of it is sent.
+[[nodiscard]] Status CheckFrameSizes(std::span<const std::string> frames) {
+  for (const std::string& frame : frames) {
+    Status st = CheckFrameSize(frame.size());
+    if (!st.ok()) return st;
+  }
+  return Status::Ok();
+}
+
 /// Writes all of `data`, retrying on EINTR and short writes. MSG_NOSIGNAL
 /// turns a closed peer into EPIPE instead of a process-killing SIGPIPE.
 [[nodiscard]] Status SendAll(int fd, const char* data, size_t size) {
@@ -77,15 +87,17 @@ InProcessTransport::CreatePair() {
   return {std::move(client), std::move(server)};
 }
 
-Status InProcessTransport::SendFrame(std::string_view payload) {
-  Status st = CheckFrameSize(payload.size());
+Status InProcessTransport::SendBurst(std::span<std::string> frames) {
+  Status st = CheckFrameSizes(frames);
   if (!st.ok()) return st;
   {
     std::lock_guard<std::mutex> lock(out_->mu);
     if (out_->closed) {
       return Status::Unavailable("transport closed; frame not sent");
     }
-    out_->frames.emplace_back(payload);
+    for (std::string& frame : frames) {
+      out_->frames.push_back(std::move(frame));
+    }
   }
   out_->cv.notify_one();
   return Status::Ok();
@@ -117,17 +129,21 @@ SocketTransport::~SocketTransport() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Status SocketTransport::SendFrame(std::string_view payload) {
-  Status st = CheckFrameSize(payload.size());
+Status SocketTransport::SendBurst(std::span<std::string> frames) {
+  Status st = CheckFrameSizes(frames);
   if (!st.ok()) return st;
   if (closed_.load(std::memory_order_acquire)) {
     return Status::Unavailable("transport closed; frame not sent");
   }
-  std::string frame;
-  frame.reserve(4 + payload.size());
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  frame.append(payload.data(), payload.size());
-  return SendAll(fd_, frame.data(), frame.size());
+  size_t total = 0;
+  for (const std::string& frame : frames) total += 4 + frame.size();
+  std::string wire;
+  wire.reserve(total);
+  for (const std::string& frame : frames) {
+    PutU32(&wire, static_cast<uint32_t>(frame.size()));
+    wire += frame;
+  }
+  return SendAll(fd_, wire.data(), wire.size());
 }
 
 Result<std::string> SocketTransport::RecvFrame() {

@@ -6,8 +6,8 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "common/status.h"
@@ -19,6 +19,13 @@ namespace costsense::serve {
 /// framing). Implementations deliver whole frames or typed errors; the
 /// session/server layers never see partial reads.
 ///
+/// Sending has one implementation per transport: SendBurst hands a run of
+/// frames to the peer in one go (one lock and one wake-up in process, one
+/// send loop over one buffer on a socket), and SendFrame is the one-frame
+/// burst. A response
+/// stream goes out in as few bursts as its batching allows, so a blocked
+/// client wakes once per burst rather than once per frame.
+///
 /// A transport endpoint is owned by one session and is not required to be
 /// safe for concurrent Send/Recv from multiple threads; concurrency in
 /// costsense-serve comes from running many sessions, not from sharing one.
@@ -29,8 +36,15 @@ class FrameTransport {
  public:
   virtual ~FrameTransport() = default;
 
-  /// Sends one frame. kUnavailable once the peer has closed.
-  [[nodiscard]] virtual Status SendFrame(std::string_view payload) = 0;
+  /// Sends `frames` in order as one hand-off. The payloads may be moved
+  /// from. Either every frame is sent or none is: kInvalidArgument when
+  /// one exceeds kMaxFrameBytes, kUnavailable once the peer has closed.
+  [[nodiscard]] virtual Status SendBurst(std::span<std::string> frames) = 0;
+
+  /// Sends one frame: a one-frame burst.
+  [[nodiscard]] Status SendFrame(std::string payload) {
+    return SendBurst(std::span<std::string>(&payload, 1));
+  }
 
   /// Blocks for the next frame. kNotFound signals a clean end of stream
   /// (peer closed with nothing buffered — the session's normal exit);
@@ -42,7 +56,7 @@ class FrameTransport {
   virtual void Close() = 0;
 };
 
-/// Same-process transport: a pair of endpoints connected by two bounded
+/// Same-process transport: a pair of endpoints connected by two
 /// in-memory frame queues. This is what the deterministic serve tests and
 /// the default loadgen mode run on — byte-for-byte the same frames as the
 /// socket transport, with no kernel in the loop.
@@ -53,7 +67,7 @@ class InProcessTransport final : public FrameTransport {
                    std::unique_ptr<InProcessTransport>>
   CreatePair();
 
-  [[nodiscard]] Status SendFrame(std::string_view payload) override;
+  [[nodiscard]] Status SendBurst(std::span<std::string> frames) override;
   [[nodiscard]] Result<std::string> RecvFrame() override;
   void Close() override;
 
@@ -86,7 +100,7 @@ class SocketTransport final : public FrameTransport {
   SocketTransport(const SocketTransport&) = delete;
   SocketTransport& operator=(const SocketTransport&) = delete;
 
-  [[nodiscard]] Status SendFrame(std::string_view payload) override;
+  [[nodiscard]] Status SendBurst(std::span<std::string> frames) override;
   [[nodiscard]] Result<std::string> RecvFrame() override;
   void Close() override;
 

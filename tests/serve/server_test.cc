@@ -1,6 +1,7 @@
 // Tests of the costsense-serve subsystem: wire-protocol round trips and
 // rejection of malformed frames, the in-process and Unix-socket
-// transports, bounded admission (typed kUnavailable under saturation,
+// transports, the bursts a response stream is handed over in, bounded
+// admission (typed kUnavailable under saturation,
 // never a hang), per-request deadlines on a manual clock, and the
 // headline invariant — interleaved concurrent sessions produce
 // byte-identical analysis payloads to serial execution at any thread
@@ -11,7 +12,9 @@
 
 #include <algorithm>
 #include <latch>
+#include <deque>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -30,6 +33,7 @@
 #include "serve/admission.h"
 #include "serve/dispatcher.h"
 #include "serve/protocol.h"
+#include "serve/record_sink.h"
 #include "serve/session.h"
 #include "serve/snapshotter.h"
 #include "serve/transport.h"
@@ -395,6 +399,22 @@ TEST(InProcessTransportTest, OversizedFrameIsRejected) {
   const std::string huge(kMaxFrameBytes + 1, 'x');
   EXPECT_EQ(client->SendFrame(huge).code(), StatusCode::kInvalidArgument);
   (void)server;
+}
+
+TEST(InProcessTransportTest, BurstCrossesInOrderOrNotAtAll) {
+  auto [client, server] = InProcessTransport::CreatePair();
+  std::vector<std::string> burst = {"a", "bb", "ccc"};
+  ASSERT_TRUE(client->SendBurst(burst).ok());
+  for (const char* want : {"a", "bb", "ccc"}) {
+    Result<std::string> got = server->RecvFrame();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, want);
+  }
+  // One oversized frame refuses the whole burst: nothing crosses.
+  std::vector<std::string> bad = {"d", std::string(kMaxFrameBytes + 1, 'x')};
+  EXPECT_EQ(client->SendBurst(bad).code(), StatusCode::kInvalidArgument);
+  client->Close();
+  EXPECT_EQ(server->RecvFrame().status().code(), StatusCode::kNotFound);
 }
 
 // ---------------------------------------------------------------------------
@@ -936,6 +956,210 @@ TEST(SessionV2Test, MalformedV2FrameGetsLoneStatusFrameThenClose) {
   const AnalysisResponse response = RejectedFrameReply(garbage);
   EXPECT_EQ(response.code, StatusCode::kInvalidArgument);
   EXPECT_FALSE(response.body.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Response bursts: how a response stream is handed to the transport
+// ---------------------------------------------------------------------------
+
+/// A transport that serves queued request frames and keeps every burst it
+/// is handed, so a test can see the hand-offs and not just the bytes.
+class RecordingTransport final : public FrameTransport {
+ public:
+  explicit RecordingTransport(std::deque<std::string> requests = {})
+      : requests_(std::move(requests)) {}
+
+  Status SendBurst(std::span<std::string> frames) override {
+    bursts.emplace_back(frames.begin(), frames.end());
+    return Status::Ok();
+  }
+  Result<std::string> RecvFrame() override {
+    if (requests_.empty()) return Status::NotFound("end of stream");
+    std::string frame = std::move(requests_.front());
+    requests_.pop_front();
+    return frame;
+  }
+  void Close() override {}
+
+  std::vector<std::vector<std::string>> bursts;
+
+ private:
+  std::deque<std::string> requests_;
+};
+
+/// Keeps each Write as one record.
+class RecordListSink final : public runtime::sink::Sink {
+ public:
+  Status Write(std::string_view record) override {
+    records.emplace_back(record);
+    return Status::Ok();
+  }
+  Status Flush() override { return Status::Ok(); }
+  Status Close() override { return Status::Ok(); }
+
+  std::vector<std::string> records;
+};
+
+/// The frames of `request`'s response, one per hand-off as they were
+/// first sent: header, the records in frames of eight, terminal status.
+/// Built from Dispatcher::HandleStreaming's records, which concatenate to
+/// Dispatcher::Handle's body.
+std::vector<std::string> ExpectedFrames(Dispatcher& dispatcher,
+                                        const AnalysisRequest& request) {
+  RecordListSink list;
+  const Status analysis = dispatcher.HandleStreaming(request, list);
+  const AnalysisResponse handled = dispatcher.Handle(request);
+  if (analysis.ok()) {
+    std::string body;
+    for (const std::string& record : list.records) body += record;
+    EXPECT_EQ(body, handled.body);
+  }
+
+  ResponseFrame header;
+  header.type = ResponseFrameType::kHeader;
+  header.kind = request.kind;
+  header.policy = request.policy;
+  header.query_number = request.query_number;
+  std::vector<std::string> frames = {EncodeResponseFrame(header)};
+  for (size_t i = 0; i < list.records.size();
+       i += FrameRecordSink::kRecordsPerFrame) {
+    const size_t end = std::min(list.records.size(),
+                                i + FrameRecordSink::kRecordsPerFrame);
+    frames.push_back(FrameOfRecords(std::vector<std::string>(
+        list.records.begin() + static_cast<std::ptrdiff_t>(i),
+        list.records.begin() + static_cast<std::ptrdiff_t>(end))));
+  }
+  frames.push_back(FrameOfStatus(analysis.code(),
+                                 analysis.ok() ? "" : analysis.message()));
+  return frames;
+}
+
+/// Serves `request` on a Session over a RecordingTransport, once the
+/// server is warm for it, and returns the bursts the session sent.
+std::vector<std::vector<std::string>> ServedBursts(
+    Server& server, const AnalysisRequest& request) {
+  (void)server.dispatcher().Handle(request);  // warm every probe
+  auto transport = std::make_unique<RecordingTransport>(
+      std::deque<std::string>{EncodeRequest(request)});
+  RecordingTransport& recorder = *transport;
+  Session session(server, std::move(transport));
+  const Status st = session.Run();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(session.requests_served(), 1u);
+  return recorder.bursts;
+}
+
+/// The bursts' frames in send order.
+std::vector<std::string> Flatten(
+    const std::vector<std::vector<std::string>>& bursts) {
+  std::vector<std::string> frames;
+  for (const std::vector<std::string>& burst : bursts) {
+    frames.insert(frames.end(), burst.begin(), burst.end());
+  }
+  return frames;
+}
+
+std::vector<size_t> BurstSizes(
+    const std::vector<std::vector<std::string>>& bursts) {
+  std::vector<size_t> sizes;
+  for (const std::vector<std::string>& burst : bursts) {
+    sizes.push_back(burst.size());
+  }
+  return sizes;
+}
+
+TEST(ResponseBurstTest, WarmWorstCaseIsOneHandOff) {
+  runtime::ThreadPool pool(1);
+  ServerOptions options;
+  options.dispatcher = QuickDispatcherOptions(&pool);
+  Server server(options);
+  const AnalysisRequest request =
+      MakeRequest(AnalysisKind::kWorstCase,
+                  storage::LayoutPolicy::kSharedDevice, 11, {100.0});
+
+  const std::vector<std::vector<std::string>> bursts =
+      ServedBursts(server, request);
+  const std::vector<std::string> expected =
+      ExpectedFrames(server.dispatcher(), request);
+  ASSERT_EQ(expected.size(), 3u);  // header, one records frame, status
+  ASSERT_EQ(bursts.size(), 1u);
+  EXPECT_EQ(bursts[0], expected);
+}
+
+TEST(ResponseBurstTest, LongSeriesStreamsEachFullBatch) {
+  runtime::ThreadPool pool(1);
+  ServerOptions options;
+  options.dispatcher = QuickDispatcherOptions(&pool);
+  Server server(options);
+  // The prologue plus 20 delta lines: 21 records, so frames of 8, 8, 5.
+  std::vector<double> deltas;
+  for (int i = 0; i < 20; ++i) deltas.push_back(2.0 + i);
+  const AnalysisRequest request =
+      MakeRequest(AnalysisKind::kGtcSeries,
+                  storage::LayoutPolicy::kSharedDevice, 6, deltas);
+
+  const std::vector<std::vector<std::string>> bursts =
+      ServedBursts(server, request);
+  const std::vector<std::string> expected =
+      ExpectedFrames(server.dispatcher(), request);
+  ASSERT_EQ(expected.size(), 5u);  // header, 3 records frames, status
+  EXPECT_EQ(BurstSizes(bursts), (std::vector<size_t>{2, 1, 2}));
+  EXPECT_EQ(Flatten(bursts), expected);
+  // The header rides with the first full batch; the last partial batch
+  // rides with the status.
+  const Result<ResponseFrame> first = DecodeResponseFrame(bursts[0][1]);
+  const Result<ResponseFrame> last = DecodeResponseFrame(bursts[2][0]);
+  ASSERT_TRUE(first.ok() && last.ok());
+  EXPECT_EQ(first->records.size(), 8u);
+  EXPECT_EQ(last->records.size(), 5u);
+}
+
+TEST(ResponseBurstTest, DimsMismatchIsHeaderAndStatusInOneHandOff) {
+  runtime::ThreadPool pool(1);
+  ServerOptions options;
+  options.dispatcher = QuickDispatcherOptions(&pool);
+  Server server(options);
+  AnalysisRequest request =
+      MakeRequest(AnalysisKind::kWorstCase,
+                  storage::LayoutPolicy::kSharedDevice, 6, {100.0});
+  const Result<core::Box> narrow = core::Box::Validated(
+      core::CostVector({0.5, 0.25}), core::CostVector({8.0, 16.0}));
+  ASSERT_TRUE(narrow.ok()) << narrow.status().ToString();
+  request.box = *narrow;
+
+  const std::vector<std::vector<std::string>> bursts =
+      ServedBursts(server, request);
+  const std::vector<std::string> expected =
+      ExpectedFrames(server.dispatcher(), request);
+  ASSERT_EQ(bursts.size(), 1u);
+  EXPECT_EQ(bursts[0], expected);
+  ASSERT_EQ(bursts[0].size(), 2u);
+  const Result<ResponseFrame> status = DecodeResponseFrame(bursts[0][1]);
+  ASSERT_TRUE(status.ok()) << status.status().ToString();
+  EXPECT_EQ(status->type, ResponseFrameType::kStatus);
+  EXPECT_EQ(status->code, StatusCode::kInvalidArgument);
+}
+
+TEST(ResponseBurstTest, RecordSinkKeepsTheSinkContractAfterClose) {
+  RecordingTransport transport;
+  const AnalysisRequest request =
+      MakeRequest(AnalysisKind::kDiscovery,
+                  storage::LayoutPolicy::kSharedDevice, 1, {100.0});
+  FrameRecordSink sink(transport, request);
+  ASSERT_TRUE(sink.Write("only record").ok());
+  ASSERT_TRUE(sink.Close().ok());
+  ASSERT_EQ(transport.bursts.size(), 1u);
+  ASSERT_EQ(transport.bursts[0].size(), 3u);  // header, records, kOk status
+  EXPECT_EQ(transport.bursts[0][1], FrameOfRecords({"only record"}));
+  EXPECT_EQ(transport.bursts[0][2], FrameOfStatus(StatusCode::kOk, ""));
+
+  // After Close: Write and Flush are refused, a second Close (or Finish)
+  // is a no-op success, and nothing more reaches the transport.
+  EXPECT_EQ(sink.Write("late").code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(sink.Flush().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(sink.Close().ok());
+  EXPECT_TRUE(sink.Finish(Status::Internal("late failure")).ok());
+  EXPECT_EQ(transport.bursts.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------

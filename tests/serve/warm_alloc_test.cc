@@ -3,7 +3,8 @@
 // process makes. Each test warms a Dispatcher (every probe of the measured
 // requests is then a cache hit, so no optimizer runs and no work reaches
 // the pool) and counts what one more Dispatcher::Handle of the same
-// request allocates.
+// request allocates, or, for the protocol hop, one more CallV2 round trip
+// through a Session.
 //
 // The counts are deterministic for one toolchain: a warm request makes
 // the same calls in the same order every time. They pin the warm path's
@@ -15,6 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/alloc_counter.h"
@@ -22,6 +26,9 @@
 #include "runtime/thread_pool.h"
 #include "serve/dispatcher.h"
 #include "serve/protocol.h"
+#include "serve/server.h"
+#include "serve/session.h"
+#include "serve/transport.h"
 
 namespace costsense::serve {
 namespace {
@@ -78,6 +85,50 @@ TEST(WarmAllocationTest, Q11SharedHandleIsPinned) {
       dispatcher, pool, Request(11, AnalysisKind::kGtcSeries, kDeltaSets[1]));
   std::printf("warm Q11/shared gtcseries {2,10,100}: %zu allocations\n", made);
   EXPECT_EQ(made, 86u);
+}
+
+// The same request as one CallV2 round trip over an InProcessTransport
+// pair, served by a Session on its own thread: the request frame, decode,
+// admission, Dispatcher::HandleStreaming (the 86 above), the response
+// frames and the client's reassembly. Every server allocation happens
+// before the response's last frame is sent, so the count is complete
+// when CallV2 returns. Measured as above: 99 with one burst per response
+// (the frames moved into the peer's queue, the records encoded straight
+// into their frame, the body moved out of the reassembler), down from 109
+// when each frame was its own hand-off (header, records and status each
+// copied into the queue, the records copied into a vector before
+// encoding, the body copied out of the reassembler).
+TEST(WarmAllocationTest, Q11SharedCallV2RoundTripIsPinned) {
+  runtime::ThreadPool pool(2);
+  ServerOptions options;
+  options.dispatcher = QuickOptions(pool);
+  Server server(options);
+  auto [client, server_end] = InProcessTransport::CreatePair();
+  std::thread session_thread(
+      [&server, end = std::unique_ptr<FrameTransport>(
+                    std::move(server_end))]() mutable {
+        Session session(server, std::move(end));
+        const Status st = session.Run();
+        EXPECT_TRUE(st.ok()) << st.ToString();
+      });
+
+  const AnalysisRequest request =
+      Request(11, AnalysisKind::kGtcSeries, kDeltaSets[1]);
+  const Result<AnalysisResponse> warm = CallV2(*client, request);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_TRUE(warm->ok()) << warm->body;
+  pool.Drain();
+  const size_t before = bench::HeapAllocations();
+  const Result<AnalysisResponse> again = CallV2(*client, request);
+  const size_t made = bench::HeapAllocations() - before;
+  client->Close();
+  session_thread.join();
+
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->body, warm->body);
+  std::printf("warm Q11/shared gtcseries {2,10,100} CallV2: %zu allocations\n",
+              made);
+  EXPECT_EQ(made, 99u);
 }
 
 // A bound for the whole warm mix: the mean over the 54 distinct requests.

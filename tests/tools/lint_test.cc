@@ -599,6 +599,30 @@ TEST(LockDisciplineTest, ReachesTransportBoundaryThroughTheCallGraph) {
   EXPECT_EQ(findings[0].line, 6);
 }
 
+TEST(LockDisciplineTest, FlagsLockHeldAcrossBurstSend) {
+  // SendBurst is the one send every transport implements; a lock held
+  // across it waits on the peer exactly as one held across SendFrame.
+  const std::vector<SourceFile> files = {
+      {"src/serve/burst.cc",
+       "#include <mutex>\n"
+       "class Burst {\n"
+       " public:\n"
+       "  void F() {\n"
+       "    std::lock_guard<std::mutex> lock(mu_);\n"
+       "    (void)transport_->SendBurst(frames_);\n"
+       "  }\n"
+       " private:\n"
+       "  std::mutex mu_;\n"
+       "  FrameTransport* transport_;\n"
+       "  Frames frames_;\n"
+       "};\n"}};
+  const auto findings = CheckLockDiscipline(files);
+  ASSERT_EQ(CountRule(findings, Rule::kLockDiscipline), 1);
+  EXPECT_EQ(findings[0].line, 6);
+  EXPECT_NE(findings[0].message.find("transport boundary"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("SendBurst"), std::string::npos);
+}
+
 TEST(LockDisciplineTest, ScopedLockGroupAndScopedReleaseAreClean) {
   const std::vector<SourceFile> files = {
       {"src/serve/clean.cc",

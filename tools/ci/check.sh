@@ -16,9 +16,10 @@
 #
 # The sanitizer stages rebuild into their own trees (build-asan,
 # build-tsan) and run the label subsets the root CMakeLists documents for
-# them: resilience, kernels, runtime, serve and persistence under
+# them: resilience, kernels, runtime, serve, persistence and fuzz under
 # ASan+UBSan (one tree, UBSan halting on the first finding; serve and
-# persistence run the wire and snapshot decoders), concurrency under TSan. Set
+# persistence run the wire and snapshot decoders, fuzz drives a live
+# session's send path with mutated frames), concurrency under TSan. Set
 # COSTSENSE_CI_SKIP_SANITIZERS=1 to stop after the lint gate (fast local
 # pre-push loop).
 set -u
@@ -55,12 +56,12 @@ if [ "${COSTSENSE_CI_SKIP_SANITIZERS:-0}" = "1" ]; then
   exit 0
 fi
 
-stage "AddressSanitizer + UBSan (build-asan/, ctest -L 'resilience|kernels|runtime|serve|persistence')"
+stage "AddressSanitizer + UBSan (build-asan/, ctest -L 'resilience|kernels|runtime|serve|persistence|fuzz')"
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DCOSTSENSE_ASAN=ON \
   -DCOSTSENSE_UBSAN=ON >/dev/null || exit 5
 cmake --build "$ROOT/build-asan" -j "$JOBS" || exit 5
 UBSAN_OPTIONS=halt_on_error=1 ctest --test-dir "$ROOT/build-asan" \
-  -L 'resilience|kernels|runtime|serve|persistence' --output-on-failure \
+  -L 'resilience|kernels|runtime|serve|persistence|fuzz' --output-on-failure \
   -j "$JOBS" || exit 5
 
 stage "ThreadSanitizer (build-tsan/, ctest -L concurrency)"

@@ -51,7 +51,7 @@
 ///       sites) feed a global lock-order graph. Inconsistent acquisition
 ///       orders (cycles — potential deadlocks) and locks held across
 ///       oracle calls (Optimize/TryOptimize/Recall) or transport calls
-///       (SendFrame/RecvFrame/Close) are findings.
+///       (SendBurst/SendFrame/RecvFrame/Close) are findings.
 ///
 /// Per-line suppressions:
 ///

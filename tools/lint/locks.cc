@@ -35,8 +35,8 @@
 /// component of the global acquired-before graph, suppressed only when an
 /// allow(R8, ...) sits on one of the cycle's acquisition/call sites; (b) a
 /// lock held across a call that is or reaches an oracle call
-/// (Optimize/TryOptimize/Recall) or a transport call (SendFrame/RecvFrame, or
-/// Close on a FrameTransport-derived receiver); (c) re-acquiring an
+/// (Optimize/TryOptimize/Recall) or a transport call (SendBurst/SendFrame/
+/// RecvFrame, or Close on a FrameTransport-derived receiver); (c) re-acquiring an
 /// expression already held (guaranteed self-deadlock on std::mutex).
 /// Unresolvable chains contribute nothing — the pass is deliberately
 /// under-approximate rather than noisy.
@@ -987,7 +987,8 @@ const std::set<std::string>& OracleCallees() {
 }
 
 const std::set<std::string>& TransportCallees() {
-  static const std::set<std::string> kSet = {"SendFrame", "RecvFrame"};
+  static const std::set<std::string> kSet = {"SendBurst", "SendFrame",
+                                             "RecvFrame"};
   return kSet;
 }
 
@@ -1377,13 +1378,15 @@ std::vector<Finding> Analyzer::Run() {
         std::string boundary;
         if (callee_oracle && callee_transport) {
           boundary = "the oracle (Optimize/TryOptimize/Recall) and "
-                     "transport (SendFrame/RecvFrame/Close) boundaries";
+                     "transport (SendBurst/SendFrame/RecvFrame/Close) "
+                     "boundaries";
         } else if (callee_oracle) {
           boundary = "the oracle boundary (Optimize/TryOptimize/Recall); "
                      "blocking the optimizer under a lock serializes every "
                      "concurrent caller";
         } else {
-          boundary = "the transport boundary (SendFrame/RecvFrame/Close); "
+          boundary = "the transport boundary "
+                     "(SendBurst/SendFrame/RecvFrame/Close); "
                      "a slow or stalled peer then holds the lock hostage";
         }
         findings.push_back(
