@@ -118,7 +118,7 @@ BENCHMARK(BM_OracleCacheConcurrent)->Arg(1)->Arg(4)->Arg(8)
 /// quick query, or Q11) on the shared layout over the 1000x band, with
 /// every probe already in the pair's cache: the serve-warm request path.
 /// Only optimizer work fans out, so a warm discovery should hand the pool
-/// (range 1: its size) no task (`pool_tasks` per iteration). `allocs` is
+/// (range 1: its size) no loop (`pool_tasks` per iteration). `allocs` is
 /// the heap allocations per iteration, probe chain included.
 void BM_WarmDiscovery(benchmark::State& state) {
   const catalog::Catalog catalog = tpch::MakeTpchCatalog(100.0);
@@ -137,12 +137,10 @@ void BM_WarmDiscovery(benchmark::State& state) {
     return d->plans.size();
   };
   discover();  // warm the cache
-  pool.Drain();
   const size_t tasks_before = pool.stats().tasks_run;
   const size_t allocs_before = bench::HeapAllocations();
   for (auto _ : state) benchmark::DoNotOptimize(discover());
   const size_t allocs = bench::HeapAllocations() - allocs_before;
-  pool.Drain();
   state.counters["pool_tasks"] = benchmark::Counter(
       static_cast<double>(pool.stats().tasks_run - tasks_before),
       benchmark::Counter::kAvgIterations);

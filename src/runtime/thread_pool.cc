@@ -1,24 +1,20 @@
 #include "runtime/thread_pool.h"
 
 #include <algorithm>
-#include <memory>
+#include <atomic>
+#include <condition_variable>
+#include <mutex>
 
-#include "common/macros.h"
 #include "common/strings.h"
 
 namespace costsense::runtime {
-namespace {
-
-/// The engine-configured size for the global pool (0 = unset) and the
-/// size the global pool was actually built with (0 = not built yet).
-std::atomic<size_t> g_configured_threads{0};
-std::atomic<size_t> g_global_built_threads{0};
 
 /// One ParallelFor's shared state. Threads race on `next` to claim
-/// iterations; `done` counts finished ones. It is heap-held so a helper
-/// task that starts after every iteration was claimed can still read
-/// `next`, see it exhausted, and exit without touching the caller's dead
-/// stack frame.
+/// iterations; `done` counts finished ones. It is heap-held so a thread
+/// that takes it from a list after every iteration was claimed can still
+/// read `next`, see it exhausted, and move on without touching the
+/// caller's dead stack frame. A pool's root is a LoopState of no
+/// iterations: the loops announced to it are every loop on the pool.
 struct LoopState {
   std::atomic<size_t> next{0};
   std::atomic<size_t> done{0};
@@ -27,21 +23,37 @@ struct LoopState {
   /// The loop whose iteration started this one; null for a root loop.
   /// Followed only when a loop nested under this one starts.
   LoopState* parent = nullptr;
-  std::mutex mu;  // guards error_index, error and nested
-  /// Wakes the caller on completion or when a nested loop is announced.
+  std::mutex mu;  // guards error_index, error and announced
+  /// Wakes the threads waiting on this loop: on completion, when a loop
+  /// is announced, and (a pool's root) when the pool stops.
   std::condition_variable cv;
   size_t error_index = 0;
   Status error;
-  /// Loops started under this one's iterations, at any depth, that had
-  /// unclaimed iterations when last looked at.
-  std::vector<std::shared_ptr<LoopState>> nested;
+  /// Loops announced to this one (started under its iterations, at any
+  /// depth) that had unclaimed iterations when last looked at.
+  std::vector<std::shared_ptr<LoopState>> announced;
 };
+
+namespace {
+
+/// The engine-configured size for the global pool (0 = unset) and the
+/// size the global pool was actually built with (0 = not built yet).
+std::atomic<size_t> g_configured_threads{0};
+std::atomic<size_t> g_global_built_threads{0};
 
 /// The loop whose iteration this thread is running, if any.
 thread_local LoopState* tl_running_loop = nullptr;
 
 bool Exhausted(const std::shared_ptr<LoopState>& s) {
   return s->next.load(std::memory_order_relaxed) >= s->n;
+}
+
+/// Lists `loop` among those announced to `to`, whose mutex the caller
+/// holds, dropping the exhausted ones; returns the list's length.
+size_t AnnounceLocked(LoopState& to, const std::shared_ptr<LoopState>& loop) {
+  std::erase_if(to.announced, Exhausted);
+  to.announced.push_back(loop);
+  return to.announced.size();
 }
 
 /// Claims and runs iterations of `s` until none is left unclaimed.
@@ -67,6 +79,29 @@ void Drive(LoopState& s) {
     }
   }
   tl_running_loop = enclosing;
+}
+
+/// The one way a pool thread finds work: until `finished()` (read under
+/// s.mu) holds, drives the oldest loop announced to `s` that has
+/// unclaimed iterations, and sleeps while there is none. A worker waits
+/// so on its pool's root, a ParallelFor caller on its own loop.
+template <typename Finished>
+void DriveAnnounced(LoopState& s, Finished finished) {
+  for (;;) {
+    std::shared_ptr<LoopState> next;
+    {
+      std::unique_lock<std::mutex> lock(s.mu);
+      s.cv.wait(lock, [&] {
+        if (finished()) return true;
+        std::erase_if(s.announced, Exhausted);
+        if (s.announced.empty()) return false;
+        next = s.announced.front();
+        return true;
+      });
+      if (next == nullptr) return;
+    }
+    Drive(*next);
+  }
 }
 
 }  // namespace
@@ -96,86 +131,36 @@ Status ConfigureGlobalThreadCount(size_t count) {
 }
 
 ThreadPool::ThreadPool(size_t num_threads)
-    : num_threads_(num_threads == 0 ? GlobalThreadCount() : num_threads) {
+    : num_threads_(num_threads == 0 ? GlobalThreadCount() : num_threads),
+      root_(std::make_unique<LoopState>()) {
   workers_.reserve(num_threads_ - 1);
   for (size_t i = 0; i + 1 < num_threads_; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back(
+        [this] { DriveAnnounced(*root_, [this] { return stop_; }); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(root_->mu);
     stop_ = true;
   }
-  cv_.notify_all();
+  root_->cv.notify_all();
   for (std::thread& w : workers_) w.join();
 }
 
 PoolStats ThreadPool::stats() const {
   PoolStats s;
   s.threads = num_threads_;
-  s.tasks_run = tasks_run_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    s.queue_depth = queue_.size();
-    s.queue_high_water = queue_high_water_;
-  }
+  std::lock_guard<std::mutex> lock(root_->mu);
+  s.tasks_run = tasks_run_;
+  s.queue_high_water = queue_high_water_;
   return s;
-}
-
-void ThreadPool::Drain() {
-  std::unique_lock<std::mutex> lock(mu_);
-  drained_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  if (workers_.empty()) {
-    task();
-    tasks_run_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    COSTSENSE_CHECK_MSG(!stop_, "Submit on a stopped ThreadPool");
-    queue_.push_back(std::move(task));
-    if (queue_.size() > queue_high_water_) queue_high_water_ = queue_.size();
-  }
-  cv_.notify_one();
-}
-
-void ThreadPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to drain
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++active_;
-    }
-    task();
-    tasks_run_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) drained_cv_.notify_all();
-    }
-  }
 }
 
 Status ThreadPool::ParallelFor(size_t n,
                                const std::function<Status(size_t)>& body) {
-  if (n == 0) return Status::Ok();
-  if (num_threads_ <= 1 || n == 1) {
-    Status first;
-    for (size_t i = 0; i < n; ++i) {
-      Status st = body(i);
-      if (!st.ok() && first.ok()) first = std::move(st);
-    }
-    return first;
-  }
+  if (workers_.empty() || n <= 1) return ForEachIndex(nullptr, n, body);
 
   auto state = std::make_shared<LoopState>();
   state->n = n;
@@ -183,42 +168,34 @@ Status ThreadPool::ParallelFor(size_t n,
   state->parent = tl_running_loop;
   state->error_index = n;
 
-  // A loop started inside another loop's iteration is announced to every
-  // enclosing loop, so a caller waiting there can run its iterations.
+  // Announce the loop to every enclosing loop, so a caller waiting there
+  // can run its iterations, and to this pool's root, so idle workers can.
   // Each ancestor is alive: it is waiting, at least, on the iteration
-  // that led here.
+  // that led here. The chain may pass through another pool's loops, but
+  // the pool is told once, and only this one.
   for (LoopState* a = state->parent; a != nullptr; a = a->parent) {
     {
       std::lock_guard<std::mutex> lock(a->mu);
-      std::erase_if(a->nested, Exhausted);
-      a->nested.push_back(state);
+      AnnounceLocked(*a, state);
     }
     a->cv.notify_all();
   }
-
-  const size_t helpers = std::min(num_threads_ - 1, n - 1);
-  for (size_t h = 0; h < helpers; ++h) {
-    Submit([state] { Drive(*state); });
+  {
+    std::lock_guard<std::mutex> lock(root_->mu);
+    queue_high_water_ =
+        std::max(queue_high_water_, AnnounceLocked(*root_, state));
+    ++tasks_run_;
   }
-  Drive(*state);  // the caller is a full participant: nested-safe
+  for (size_t k = std::min(workers_.size(), n - 1); k > 0; --k) {
+    root_->cv.notify_one();
+  }
 
+  Drive(*state);  // the caller is a full participant: nested-safe
   // Every iteration is claimed. Until the last one finishes, run
   // iterations of loops nested under this one; they hold it up anyway.
-  for (;;) {
-    std::shared_ptr<LoopState> nested;
-    {
-      std::unique_lock<std::mutex> lock(state->mu);
-      state->cv.wait(lock, [&] {
-        if (state->done.load(std::memory_order_acquire) >= n) return true;
-        std::erase_if(state->nested, Exhausted);
-        if (state->nested.empty()) return false;
-        nested = state->nested.front();
-        return true;
-      });
-      if (nested == nullptr) break;
-    }
-    Drive(*nested);
-  }
+  DriveAnnounced(*state, [&] {
+    return state->done.load(std::memory_order_acquire) >= n;
+  });
   return state->error_index == n ? Status::Ok() : std::move(state->error);
 }
 
@@ -235,6 +212,8 @@ ThreadPool& ThreadPool::Global() {
 Status ForEachIndex(ThreadPool* pool, size_t n,
                     const std::function<Status(size_t)>& body) {
   if (pool != nullptr) return pool->ParallelFor(n, body);
+  // The one serial loop: ParallelFor runs here too when it fans out to
+  // no worker.
   Status first;
   for (size_t i = 0; i < n; ++i) {
     Status st = body(i);

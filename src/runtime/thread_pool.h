@@ -1,12 +1,9 @@
 #ifndef COSTSENSE_RUNTIME_THREAD_POOL_H_
 #define COSTSENSE_RUNTIME_THREAD_POOL_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -34,49 +31,49 @@ size_t GlobalThreadCount();
 /// effect; fail loudly instead of running mis-sized).
 [[nodiscard]] Status ConfigureGlobalThreadCount(size_t count);
 
+/// One ParallelFor loop's shared state (thread_pool.cc).
+struct LoopState;
+
 /// Counters exported by a ThreadPool (see RuntimeMetrics for the rendered
 /// form). Snapshots are consistent but not atomic across fields.
 struct PoolStats {
   /// Concurrency level (worker threads + the participating caller).
   size_t threads = 1;
-  /// Submitted tasks run since construction: by a worker thread, or
-  /// inline by Submit itself on a pool without workers (num_threads ==
-  /// 1). Loop iterations ParallelFor's caller runs, its own or those of
-  /// loops nested under it, are not tasks, so a ParallelFor adds at most
-  /// min(threads - 1, n - 1) helper tasks and ForEachIndex without a pool
-  /// adds none.
+  /// Loops handed to the workers since construction: ParallelFor calls
+  /// with n >= 2 on a pool that has workers. Counted when the loop is
+  /// announced, so the count is exact once ParallelFor returns; a pool
+  /// of one thread, n <= 1 and ForEachIndex without a pool add none.
   size_t tasks_run = 0;
-  /// Tasks waiting in the queue right now (instantaneous depth — the
-  /// quantity admission control and load monitoring watch).
-  size_t queue_depth = 0;
-  /// High-water mark of the pending-task queue depth.
+  /// Most loops with unclaimed iterations at once, the new one included.
   size_t queue_high_water = 0;
 };
 
-/// A fixed-size thread pool with a work queue and fork-join helpers.
+/// A fixed-size thread pool of fork-join loops.
 ///
 /// ParallelFor/ParallelMap use a caller-participates design: the calling
 /// thread claims and executes loop iterations alongside the workers, so a
-/// nested ParallelFor issued from inside a task always makes progress even
-/// when every worker is busy — saturation degrades to inline execution
-/// instead of deadlocking.
+/// nested ParallelFor issued from inside an iteration always makes
+/// progress even when every worker is busy — saturation degrades to
+/// inline execution instead of deadlocking.
 ///
-/// A caller that has claimed every iteration of its loop does not just
-/// sleep until the others finish: it runs unclaimed iterations of the
-/// loops started inside its loop's iterations, at any depth (say, each
-/// query's probe batches under FigureRunner::AnalyzeMany), and sleeps only
-/// when none is left. It never runs an iteration of a loop outside its
-/// own, so unrelated callers sharing the pool (serve sessions) keep their
-/// scheduling. Each iteration still runs exactly once, so results do not
-/// depend on which thread ran it.
+/// Every loop is announced to each loop it is nested in and to the pool,
+/// the outermost ancestor of them all. A thread finds work one way: it
+/// waits on one ancestor and runs unclaimed iterations of the loops
+/// announced there. A worker waits on the pool until it stops, so it runs
+/// any loop; a caller that has claimed every iteration of its own loop
+/// waits on that loop until it is done, so it runs only loops started
+/// inside its loop's iterations, at any depth (say, each query's probe
+/// batches under FigureRunner::AnalyzeMany), and unrelated callers
+/// sharing the pool (serve sessions) keep their scheduling. Each iteration
+/// runs exactly once, so results do not depend on which thread ran it.
 ///
 /// Loop bodies must not throw (the repo-wide no-exceptions convention);
 /// fallible bodies report through the returned Status.
 class ThreadPool {
  public:
   /// Spawns `num_threads - 1` workers (the caller is the remaining lane).
-  /// 0 means GlobalThreadCount(); 1 spawns no workers and runs all
-  /// helpers inline, byte-identical to the pre-pool serial code path.
+  /// 0 means GlobalThreadCount(); 1 spawns no workers and runs every loop
+  /// inline, byte-identical to the pre-pool serial code path.
   explicit ThreadPool(size_t num_threads = 0);
   ~ThreadPool();
 
@@ -86,22 +83,10 @@ class ThreadPool {
   size_t num_threads() const { return num_threads_; }
   PoolStats stats() const;
 
-  /// Enqueues a task for a worker. With num_threads() == 1 there are no
-  /// workers and the task runs inline before Submit returns.
-  void Submit(std::function<void()> task);
-
-  /// Quiesces the pool: blocks until the queue is empty and no worker is
-  /// executing a task. The pool stays fully usable afterwards — unlike
-  /// the destructor this is a rendezvous, not a teardown — which is what
-  /// a graceful server shutdown needs before releasing shared state that
-  /// queued tasks may reference. Tasks submitted after Drain returns are
-  /// unaffected; callers are responsible for stopping producers first.
-  void Drain();
-
   /// Runs body(i) for every i in [0, n), fanning out over the pool. All
   /// iterations execute even if some fail; the returned Status is OK or
   /// the failure with the smallest index (deterministic regardless of
-  /// thread count or scheduling).
+  /// thread count or scheduling). Once it returns, no thread calls `body`.
   [[nodiscard]] Status ParallelFor(
       size_t n, const std::function<Status(size_t)>& body);
 
@@ -129,21 +114,13 @@ class ThreadPool {
   static ThreadPool& Global();
 
  private:
-  void WorkerLoop();
-
   const size_t num_threads_;
-  mutable std::mutex mu_;  // guards queue_/stop_/active_/queue_high_water_
-  std::condition_variable cv_;
-  /// Signals Drain waiters whenever the queue empties or a worker
-  /// finishes its task.
-  std::condition_variable drained_cv_;
-  std::deque<std::function<void()>> queue_;
+  /// The outermost ancestor of every loop on this pool: the workers wait
+  /// on it. Its mutex also guards the three fields below.
+  const std::unique_ptr<LoopState> root_;
   bool stop_ = false;
-  /// Worker tasks currently executing (claimed from the queue but not yet
-  /// finished).
-  size_t active_ = 0;
+  size_t tasks_run_ = 0;
   size_t queue_high_water_ = 0;
-  std::atomic<size_t> tasks_run_{0};
   std::vector<std::thread> workers_;
 };
 

@@ -175,7 +175,16 @@ void AppendResponseRecord(std::string* payload, std::string_view record) {
   payload->append(record);
 }
 
-Result<ResponseFrame> DecodeResponseFrame(std::string_view payload) {
+namespace {
+
+/// The one response-frame parser: fills `out` from `payload` and hands
+/// each record of a records frame to `on_record` as a view into
+/// `payload`, in order. On an error some records may have been handed
+/// over already.
+template <typename OnRecord>
+[[nodiscard]] Status ParseResponseFrame(std::string_view payload,
+                                        ResponseFrame* out,
+                                        OnRecord on_record) {
   ByteReader r(payload, "frame payload");
   const uint8_t version = r.U8();
   if (!r.ok()) return r.status();
@@ -185,22 +194,21 @@ Result<ResponseFrame> DecodeResponseFrame(std::string_view payload) {
         version, kProtocolVersionV2));
   }
 
-  ResponseFrame out;
   const uint8_t type = r.U8();
   if (!r.ok()) return r.status();
   if (type > static_cast<uint8_t>(ResponseFrameType::kStatus)) {
     return Status::InvalidArgument(
         StrFormat("unknown response frame type %u", type));
   }
-  out.type = static_cast<ResponseFrameType>(type);
+  out->type = static_cast<ResponseFrameType>(type);
 
-  switch (out.type) {
+  switch (out->type) {
     case ResponseFrameType::kHeader: {
-      Status st = TakeKind(r, &out.kind);
+      Status st = TakeKind(r, &out->kind);
       if (!st.ok()) return st;
-      st = TakePolicy(r, &out.policy);
+      st = TakePolicy(r, &out->policy);
       if (!st.ok()) return st;
-      st = TakeQueryNumber(r, &out.query_number);
+      st = TakeQueryNumber(r, &out->query_number);
       if (!st.ok()) return st;
       break;
     }
@@ -213,7 +221,7 @@ Result<ResponseFrame> DecodeResponseFrame(std::string_view payload) {
               "record length %u exceeds %zu frame byte(s) remaining", len,
               r.remaining()));
         }
-        out.records.emplace_back(r.Bytes(len));
+        on_record(r.Bytes(len));
       }
       break;
     }
@@ -224,7 +232,7 @@ Result<ResponseFrame> DecodeResponseFrame(std::string_view payload) {
         return Status::InvalidArgument(
             StrFormat("unknown status code %u", code));
       }
-      out.code = static_cast<StatusCode>(code);
+      out->code = static_cast<StatusCode>(code);
       const uint32_t len = r.U32();
       if (!r.ok()) return r.status();
       if (len != r.remaining()) {
@@ -233,7 +241,7 @@ Result<ResponseFrame> DecodeResponseFrame(std::string_view payload) {
             "remaining",
             len, r.remaining()));
       }
-      out.message = std::string(r.Bytes(len));
+      out->message = std::string(r.Bytes(len));
       break;
     }
   }
@@ -241,6 +249,17 @@ Result<ResponseFrame> DecodeResponseFrame(std::string_view payload) {
     return Status::InvalidArgument(StrFormat(
         "%zu trailing byte(s) after response frame", r.remaining()));
   }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<ResponseFrame> DecodeResponseFrame(std::string_view payload) {
+  ResponseFrame out;
+  const Status st = ParseResponseFrame(
+      payload, &out,
+      [&out](std::string_view record) { out.records.emplace_back(record); });
+  if (!st.ok()) return st;
   return out;
 }
 
@@ -249,18 +268,29 @@ Status ResponseReassembler::Feed(std::string_view payload) {
     return Status::InvalidArgument(
         "response frame after the terminal status frame");
   }
-  Result<ResponseFrame> frame = DecodeResponseFrame(payload);
-  if (!frame.ok()) return frame.status();
+  // Records go straight from the payload onto the body, and only once
+  // the header has arrived; a frame that fails to parse takes back what
+  // it appended.
+  const size_t kept = records_.size();
+  ResponseFrame frame;
+  const Status parsed =
+      ParseResponseFrame(payload, &frame, [this](std::string_view record) {
+        if (state_ == State::kStreaming) records_.append(record);
+      });
+  if (!parsed.ok()) {
+    records_.resize(kept);
+    return parsed;
+  }
 
-  switch (frame->type) {
+  switch (frame.type) {
     case ResponseFrameType::kHeader: {
       if (state_ != State::kExpectHeader) {
         return Status::InvalidArgument("duplicate response header frame");
       }
       has_header_ = true;
-      kind_ = frame->kind;
-      policy_ = frame->policy;
-      query_number_ = frame->query_number;
+      kind_ = frame.kind;
+      policy_ = frame.policy;
+      query_number_ = frame.query_number;
       state_ = State::kStreaming;
       return Status::Ok();
     }
@@ -269,20 +299,19 @@ Status ResponseReassembler::Feed(std::string_view payload) {
         return Status::InvalidArgument(
             "record frame before the response header frame");
       }
-      for (const std::string& record : frame->records) records_ += record;
       return Status::Ok();
     }
     case ResponseFrameType::kStatus: {
       // Header-first has one exception: an error status may arrive alone
       // when the request was rejected before any analysis began.
-      if (state_ == State::kExpectHeader && frame->code == StatusCode::kOk) {
+      if (state_ == State::kExpectHeader && frame.code == StatusCode::kOk) {
         return Status::InvalidArgument(
             "OK status frame before the response header frame");
       }
-      response_.code = frame->code;
-      response_.body = frame->code == StatusCode::kOk
+      response_.code = frame.code;
+      response_.body = frame.code == StatusCode::kOk
                            ? std::move(records_)
-                           : std::move(frame->message);
+                           : std::move(frame.message);
       state_ = State::kDone;
       return Status::Ok();
     }

@@ -21,11 +21,6 @@ Server::Server(ServerOptions options)
       dispatcher_(options_.dispatcher),
       admission_(options_.max_inflight, options_.max_queued) {}
 
-runtime::ThreadPool& Server::pool() const {
-  return options_.dispatcher.pool != nullptr ? *options_.dispatcher.pool
-                                             : runtime::ThreadPool::Global();
-}
-
 runtime::resilience::Clock& Server::clock() const {
   return options_.dispatcher.clock != nullptr
              ? *options_.dispatcher.clock
@@ -150,7 +145,6 @@ Status Server::ServeBlocking(SocketListener& listener, size_t max_sessions) {
 void Server::Shutdown() {
   admission_.Close();
   DrainSessions();
-  pool().Drain();
   const Status persisted = dispatcher_.PersistCache();
   std::lock_guard<std::mutex> lock(mu_);
   shutdown_.persist_failed = !persisted.ok();

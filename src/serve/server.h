@@ -8,7 +8,6 @@
 #include "common/status.h"
 #include "runtime/resilience/clock.h"
 #include "runtime/sink/sink.h"
-#include "runtime/thread_pool.h"
 #include "serve/admission.h"
 #include "serve/dispatcher.h"
 #include "serve/protocol.h"
@@ -94,9 +93,9 @@ class Server {
 
   /// Graceful shutdown, bounded by options().drain_timeout_ns: stop
   /// admitting, reject waiters, wait for live sessions to drain (forcing
-  /// any stragglers closed at the deadline), quiesce the worker pool, and
-  /// persist the oracle cache when a snapshot path is configured. The
-  /// outcome lands in stats().shutdown. Idempotent.
+  /// any stragglers closed at the deadline), and persist the oracle cache
+  /// when a snapshot path is configured. The outcome lands in
+  /// stats().shutdown. Idempotent.
   void Shutdown();
 
   /// Force-closes every registered session idle longer than
@@ -127,8 +126,6 @@ class Server {
   const ServerOptions& options() const { return options_; }
 
  private:
-  runtime::ThreadPool& pool() const;
-
   /// Waits for the registry to empty, force-closing whatever remains once
   /// the drain timeout expires. Records the outcome in shutdown stats.
   void DrainSessions();

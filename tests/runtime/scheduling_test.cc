@@ -1,10 +1,10 @@
 // Which discovery work reaches the thread pool. Only probes that run the
 // optimizer fan out: probes the cache has memoized, white-box usage
 // resolution and the LPs run on the calling thread. So a fully warmed
-// discovery submits no pool task, a half-warmed one still does, and in
-// every case the discovered set is bit-identical to a serial run. A fault
-// injector in the chain recalls nothing, so runs with faults schedule
-// exactly as they did before memoized probes ran inline.
+// discovery hands the pool's workers no loop, a half-warmed one still
+// does, and in every case the discovered set is bit-identical to a serial
+// run. A fault injector in the chain recalls nothing, so runs with faults
+// schedule exactly as they did before memoized probes ran inline.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -60,7 +60,7 @@ class HideRecall final : public core::FalliblePlanOracle {
 
 struct Outcome {
   core::DiscoveryResult result;
-  /// Pool tasks the discovery submitted.
+  /// Loops the discovery handed to the pool's workers.
   size_t tasks = 0;
   resilience::FaultLog faults;
 };
@@ -82,12 +82,7 @@ Outcome Discover(CachingOracle& cache, ThreadPool* pool,
   EXPECT_TRUE(d.ok()) << d.status().ToString();
   Outcome run;
   if (d.ok()) run.result = *d;
-  if (pool != nullptr) {
-    // A helper that found its loop exhausted may still be finishing;
-    // Drain waits until every submitted task has been counted.
-    pool->Drain();
-    run.tasks = pool->stats().tasks_run - before;
-  }
+  if (pool != nullptr) run.tasks = pool->stats().tasks_run - before;
   run.faults = chain.telemetry().faults;
   return run;
 }

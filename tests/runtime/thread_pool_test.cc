@@ -1,11 +1,13 @@
 // Tests of the fixed-size thread pool: startup/shutdown, fork-join
 // correctness, deterministic Status propagation, the nested-loop
-// no-deadlock guarantee the discovery driver depends on, and a waiting
-// caller running nested iterations (only those of its own loop's tree).
+// no-deadlock guarantee the discovery driver depends on, a waiting
+// caller running nested iterations (only those of its own loop's tree),
+// workers finding every loop through their pool, and exact counters.
 #include "runtime/thread_pool.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -41,27 +43,22 @@ TEST(ThreadPoolTest, StartupAndShutdownAcrossSizes) {
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     ThreadPool pool(threads);
     EXPECT_EQ(pool.num_threads(), threads);
-    // Destruction with an idle queue must not hang (checked by exiting
-    // the loop body).
+    // Destruction of an idle pool must not hang (checked by exiting the
+    // loop body).
   }
-}
-
-TEST(ThreadPoolTest, SubmitDrainsOnDestruction) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 200; ++i) {
-      pool.Submit([&count] { count.fetch_add(1); });
-    }
-  }
-  EXPECT_EQ(count.load(), 200);
 }
 
 TEST(ThreadPoolTest, SingleThreadRunsInline) {
+  // No workers: every iteration runs on the calling thread, in order.
   ThreadPool pool(1);
-  bool ran = false;
-  pool.Submit([&ran] { ran = true; });
-  EXPECT_TRUE(ran);  // no workers: Submit runs the task before returning
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  EXPECT_TRUE(pool.ParallelFor(5, [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+    return Status::Ok();
+  }).ok());
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
@@ -240,10 +237,10 @@ TEST(ThreadPoolTest, WaitingCallerDrivesNestedLoops) {
 
 TEST(ThreadPoolTest, UnrelatedRootLoopsNeverShareIterations) {
   // Two threads outside the pool each run a root loop of slow iterations
-  // on a pool with one worker: the worker serves one loop while the
-  // other loop's helper task waits in the queue. A caller waiting for the
-  // worker must not pick up the other root's queued work; it may run only
-  // its own loop and loops nested under it.
+  // on a pool with one worker: the worker serves one loop while the other
+  // loop's iterations wait on the pool. A caller waiting for the worker
+  // must not pick up the other root's unclaimed work; it may run only its
+  // own loop and loops nested under it.
   ThreadPool pool(2);
   const size_t n = 12;
   for (int round = 0; round < 4; ++round) {
@@ -304,79 +301,90 @@ TEST(ThreadPoolTest, ThreeLevelNestingReportsLowestFailingIndex) {
 }
 
 TEST(ThreadPoolTest, StatsCountWork) {
+  // A loop counts when it is handed to the workers, so the counters are
+  // exact as soon as ParallelFor returns; loops of one iteration and
+  // pools without workers hand out none.
   ThreadPool pool(4);
-  (void)pool.ParallelFor(64, [](size_t) { return Status::Ok(); });
-  EXPECT_EQ(pool.stats().threads, 4u);
-  // ParallelFor may complete through the caller's lane before any worker
-  // pops its helper task, but submitted helpers always run eventually.
-  PoolStats stats = pool.stats();
-  for (int i = 0; i < 5000 && stats.tasks_run == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    stats = pool.stats();
-  }
-  EXPECT_GT(stats.tasks_run, 0u);
-}
-
-TEST(ThreadPoolTest, QueueDepthReportsPendingTasks) {
-  // Plug the only worker with a gate task, pile tasks behind it, and the
-  // instantaneous depth must count them; after the gate opens and the
-  // queue drains, depth returns to zero.
-  ThreadPool pool(2);  // one worker thread
-  std::mutex gate;
-  gate.lock();
-  pool.Submit([&gate] {
-    gate.lock();  // blocks until the test releases it
-    gate.unlock();
-  });
-  const int backlog = 7;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < backlog; ++i) {
-    pool.Submit([&ran] { ran.fetch_add(1); });
-  }
-  // Once the worker claims the gate task and blocks on it, exactly the
-  // backlog is queued (before that the snapshot may also count the gate).
-  PoolStats stats = pool.stats();
-  for (int i = 0; i < 5000 && stats.queue_depth != static_cast<size_t>(backlog);
-       ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    stats = pool.stats();
-  }
-  EXPECT_EQ(stats.queue_depth, static_cast<size_t>(backlog));
-  EXPECT_GE(stats.queue_high_water, stats.queue_depth);
-  gate.unlock();
-  pool.Drain();
-  EXPECT_EQ(ran.load(), backlog);
-  EXPECT_EQ(pool.stats().queue_depth, 0u);
-}
-
-TEST(ThreadPoolTest, DrainWaitsForQueuedAndActiveTasks) {
-  // Drain must rendezvous with tasks that are *executing*, not just wait
-  // for an empty queue: a task started before Drain finishes after it.
-  ThreadPool pool(3);
-  std::atomic<int> completed{0};
-  const int tasks = 50;
-  for (int i = 0; i < tasks; ++i) {
-    pool.Submit([&completed] {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      completed.fetch_add(1);
-    });
-  }
-  pool.Drain();
-  EXPECT_EQ(completed.load(), tasks);
-  // The pool stays fully usable after a drain (quiesce, not teardown).
-  std::atomic<int> after{0};
-  pool.Submit([&after] { after.fetch_add(1); });
-  pool.Drain();
-  EXPECT_EQ(after.load(), 1);
-}
-
-TEST(ThreadPoolTest, DrainOnIdleOrSingleThreadPoolReturnsImmediately) {
-  ThreadPool idle(4);
-  idle.Drain();  // nothing queued, nothing active: must not block
+  auto ok = [](size_t) { return Status::Ok(); };
+  EXPECT_TRUE(pool.ParallelFor(64, ok).ok());
+  EXPECT_TRUE(pool.ParallelFor(1, ok).ok());
+  EXPECT_TRUE(pool.ParallelFor(0, ok).ok());
+  const PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.threads, 4u);
+  EXPECT_EQ(stats.tasks_run, 1u);
+  EXPECT_EQ(stats.queue_high_water, 1u);
   ThreadPool serial(1);
-  serial.Submit([] {});  // ran inline already
-  serial.Drain();
-  EXPECT_EQ(serial.stats().queue_depth, 0u);
+  EXPECT_TRUE(serial.ParallelFor(64, ok).ok());
+  EXPECT_EQ(serial.stats().tasks_run, 0u);
+  EXPECT_EQ(serial.stats().queue_high_water, 0u);
+}
+
+TEST(ThreadPoolTest, NestedLoopsLeaveNoStaleWork) {
+  // Four outer iterations each run 100 small loops one after another.
+  // Every loop counts once, and at most the outer loop and one inner loop
+  // per outer iteration have unclaimed iterations at any moment.
+  ThreadPool pool(4);
+  std::atomic<size_t> leaves{0};
+  const Status s = pool.ParallelFor(4, [&](size_t) -> Status {
+    for (int loop = 0; loop < 100; ++loop) {
+      const Status inner = pool.ParallelFor(8, [&](size_t) {
+        leaves.fetch_add(1);
+        return Status::Ok();
+      });
+      if (!inner.ok()) return inner;
+    }
+    return Status::Ok();
+  });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(leaves.load(), 4u * 100u * 8u);
+  const PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.tasks_run, 401u);
+  EXPECT_LE(stats.queue_high_water, 5u);
+}
+
+TEST(ThreadPoolTest, NestedLoopOnAnotherPoolUsesItsWorkers) {
+  // A pool-B loop started inside a pool-A iteration is announced to B, so
+  // B's workers run its iterations, not only the A threads that started
+  // or wait on it. First learn B's worker threads: a root loop of three
+  // iterations on B(3) runs one on each of its three lanes.
+  ThreadPool a(2);
+  ThreadPool b(3);
+  std::mutex mu;
+  std::vector<std::thread::id> b_lanes;
+  std::atomic<size_t> arrived{0};
+  EXPECT_TRUE(b.ParallelFor(3, [&](size_t) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      b_lanes.push_back(std::this_thread::get_id());
+    }
+    arrived.fetch_add(1);
+    for (int i = 0; i < 50000 && arrived.load() < 3; ++i) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return Status::Ok();
+  }).ok());
+  ASSERT_EQ(arrived.load(), 3u);
+  std::erase(b_lanes, std::this_thread::get_id());
+  ASSERT_EQ(b_lanes.size(), 2u);
+  auto is_b_worker = [&](std::thread::id id) {
+    return std::find(b_lanes.begin(), b_lanes.end(), id) != b_lanes.end();
+  };
+
+  // Each nested iteration on a thread that is not a B worker waits until
+  // a B worker has run one, so the A threads cannot finish the loop alone.
+  std::atomic<bool> b_worker_ran{false};
+  const Status s = a.ParallelFor(2, [&](size_t) {
+    return b.ParallelFor(16, [&](size_t) -> Status {
+      if (is_b_worker(std::this_thread::get_id())) {
+        b_worker_ran.store(true);
+      } else if (!AwaitFlag(b_worker_ran)) {
+        b_worker_ran.store(true);  // fail once, not once per iteration
+        return Status::Internal("no B worker ran a nested B iteration");
+      }
+      return Status::Ok();
+    });
+  });
+  EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
 TEST(ForEachIndexTest, NullPoolRunsSerially) {

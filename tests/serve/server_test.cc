@@ -356,6 +356,23 @@ TEST(ResponseReassemblerTest, GrammarViolationsAreTypedErrors) {
   }
 }
 
+TEST(ResponseReassemblerTest, RejectedFramesAddNothingToTheBody) {
+  // Records are appended straight from each frame as it is parsed, so a
+  // frame rejected after some of its records were read must take them
+  // back, and records before the header must not land at all.
+  ResponseReassembler reassembler;
+  EXPECT_EQ(reassembler.Feed(FrameOfRecords({"early"})).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(reassembler.Feed(FrameOfHeader()).ok());
+  ASSERT_TRUE(reassembler.Feed(FrameOfRecords({"ab"})).ok());
+  std::string truncated = FrameOfRecords({"cd", "ef"});
+  truncated.pop_back();  // the last record's length now lies
+  EXPECT_EQ(reassembler.Feed(truncated).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(reassembler.Feed(FrameOfStatus(StatusCode::kOk, "")).ok());
+  ASSERT_TRUE(reassembler.done());
+  EXPECT_EQ(reassembler.response().body, "ab");
+}
+
 TEST(ResponseReassemblerTest, LoneErrorStatusCompletesTheStream) {
   // The one sanctioned header-less shape: a request rejected before
   // analysis arrives as a single error status frame.
