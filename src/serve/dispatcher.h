@@ -1,15 +1,19 @@
 #ifndef COSTSENSE_SERVE_DISPATCHER_H_
 #define COSTSENSE_SERVE_DISPATCHER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "common/status.h"
 #include "core/discovery.h"
+#include "core/feasible_region.h"
+#include "core/vectors.h"
 #include "exp/figure_runner.h"
 #include "runtime/oracle_stack.h"
 #include "runtime/cache_store.h"
@@ -58,6 +62,11 @@ struct DispatcherStats {
   uint64_t requests = 0;
   /// Requests that produced a non-OK response code.
   uint64_t failed_requests = 0;
+  /// Discovery runs: requests that probed their box through the oracle
+  /// chain.
+  uint64_t discoveries = 0;
+  /// Requests answered from a context's discovery memo, with no probe.
+  uint64_t discoveries_recalled = 0;
   /// Materialized (query, policy) contexts.
   size_t contexts = 0;
   /// Aggregate over every context's shared oracle cache.
@@ -76,17 +85,35 @@ struct DispatcherStats {
 /// layout plus the *shared, long-lived* memoizing CachingOracle that every
 /// request against that pair probes through — the server's warm cache.
 /// Per-request state (the Rng and a runtime::ProbeChain carrying the
-/// request deadline) is stacked above the shared cache on each call, so
-/// deadlines and faults stay request-local while computed cost points are
-/// served from memory across requests and sessions.
+/// request deadline) is stacked above the shared cache on each discovery,
+/// so deadlines and faults stay request-local while computed cost points
+/// are served from memory across requests and sessions.
 ///
 /// Determinism: a response body is a pure function of the request and the
 /// server options. Probe points are generated from a fixed seed, the cache
 /// returns bit-identical replies no matter which request computed an entry
 /// first, and bodies never include interleaving-dependent counters (cache
 /// hits, oracle call totals) — those surface through stats() instead.
+///
+/// Discovery memo: a fault-free discovery is therefore a pure function of
+/// (pair, box), so next to each context the dispatcher keeps the plans
+/// the last kMemoBoxes such discoveries found, keyed by the exact bits of
+/// the box. A request over a memoized box skips discovery and goes
+/// straight to its LPs and records. A request deadline bounds the
+/// discovery only: a memoized request runs no probe, so it cannot expire.
+/// Only discoveries without a failed probe are memoized, so under fault
+/// injection too a recalled body equals a fault-free one.
 class Dispatcher {
  public:
+  /// Discovery boxes memoized per context; the oldest inserted is evicted
+  /// first. A band request's box is fixed by its widest delta, and
+  /// loadgen's delta sets widen to 100 or 1000, so its warm serving mix
+  /// needs 2 per context; 16 leaves room for explicit boxes at a lookup
+  /// cost of at most 16 bit-wise box compares. Eviction ignores hits, so
+  /// 16 one-off explicit boxes in a row push out a band box, which then
+  /// discovers once more; no measured workload mixes them.
+  static constexpr size_t kMemoBoxes = 16;
+
   explicit Dispatcher(DispatcherOptions options);
 
   /// Executes one request. Never fails at the C++ level: every outcome is
@@ -115,13 +142,46 @@ class Dispatcher {
   const DispatcherOptions& options() const { return options_; }
 
  private:
-  /// Returns the shared context for (query_number, policy), materializing
-  /// it on first use.
-  exp::PairContext& GetContext(uint16_t query_number,
-                               storage::LayoutPolicy policy);
+  /// What a fault-free discovery over one box found: the candidate plans
+  /// in discovery order, their margins and the completeness verdict.
+  /// Immutable once built, so requests share it without a lock.
+  struct DiscoveredPlans {
+    std::vector<core::PlanUsage> plans;
+    std::vector<double> margins;
+    bool complete = false;
+  };
+  using PlansRef = std::shared_ptr<const DiscoveredPlans>;
 
-  [[nodiscard]] Status Render(const AnalysisRequest& request,
-                              exp::PairContext& ctx, runtime::sink::Sink& out);
+  /// One (query, policy) pair: the shared context and its discovery memo.
+  struct Pair {
+    Pair(const catalog::Catalog& catalog, query::Query query,
+         storage::LayoutPolicy policy,
+         const runtime::OracleStackBuilder& builder)
+        : ctx(catalog, std::move(query), policy, builder) {}
+    exp::PairContext ctx;
+    /// Guards memo only: held around a find or an insert, never across
+    /// discovery or a sink write.
+    std::mutex memo_mu;
+    /// (box, plans), oldest first; at most kMemoBoxes entries.
+    std::vector<std::pair<core::Box, PlansRef>> memo;
+
+    /// The memoized plans for a box with the same bounds, bit for bit, or
+    /// null. The caller holds memo_mu.
+    PlansRef FindLocked(const core::Box& box) const;
+  };
+
+  /// Returns the shared pair for (query_number, policy), materializing its
+  /// context on first use.
+  Pair& GetPair(uint16_t query_number, storage::LayoutPolicy policy);
+
+  [[nodiscard]] Status Render(const AnalysisRequest& request, Pair& pair,
+                              runtime::sink::Sink& out);
+
+  /// Runs discovery over `box` through a per-request probe chain and
+  /// stores a fault-free outcome in pair's memo. A failed probe fails the
+  /// request (kDeadlineExceeded or kUnavailable).
+  [[nodiscard]] Result<PlansRef> Discover(const AnalysisRequest& request,
+                                          Pair& pair, const core::Box& box);
 
   DispatcherOptions options_;
   catalog::Catalog catalog_;
@@ -131,10 +191,11 @@ class Dispatcher {
   runtime::OracleStackBuilder builder_;
 
   mutable std::mutex mu_;
-  std::map<std::pair<uint16_t, int>, std::unique_ptr<exp::PairContext>>
-      contexts_;
-  uint64_t requests_ = 0;
-  uint64_t failed_requests_ = 0;
+  std::map<std::pair<uint16_t, int>, std::unique_ptr<Pair>> contexts_;
+  std::atomic<uint64_t> requests_{0};
+  std::atomic<uint64_t> failed_requests_{0};
+  std::atomic<uint64_t> discoveries_{0};
+  std::atomic<uint64_t> discoveries_recalled_{0};
 };
 
 }  // namespace costsense::serve

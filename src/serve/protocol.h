@@ -33,7 +33,10 @@ namespace costsense::serve {
 ///   u8  analysis kind (AnalysisKind)
 ///   u8  storage layout policy (storage::LayoutPolicy)
 ///   u16 TPC-H query number (1..22)
-///   u64 per-request deadline in nanoseconds (0 = server default)
+///   u64 per-request deadline in nanoseconds (0 = server default). It
+///       bounds the request's oracle probes: a request whose box the
+///       server discovered before runs none, so its deadline cannot
+///       expire (DESIGN.md §5f, "The discovery memo").
 ///   u16 delta count (>= 1, <= kMaxDeltas)
 ///   f64 x count: multiplicative error-band factors defining the feasible
 ///       cost box(es) around the layout's baseline costs. kDiscovery and

@@ -78,6 +78,9 @@ size_t StatsSnapshotter::TickOnce() {
        {"requests", static_cast<double>(stats.dispatcher.requests)},
        {"failed_requests",
         static_cast<double>(stats.dispatcher.failed_requests)},
+       {"discoveries", static_cast<double>(stats.dispatcher.discoveries)},
+       {"discoveries_recalled",
+        static_cast<double>(stats.dispatcher.discoveries_recalled)},
        {"contexts", static_cast<double>(stats.dispatcher.contexts)},
        {"admitted", static_cast<double>(stats.admission.admitted)},
        {"rejected", static_cast<double>(stats.admission.rejected)},

@@ -25,11 +25,12 @@ struct SnapshotterOptions {
 /// Emits periodic server-side stats snapshots through the artifact sinks
 /// while the server is serving — not only at shutdown — and runs the idle
 /// watchdog on the same cadence. Each tick writes one RuntimeMetrics
-/// record named "serve-stats" (sequence number, admission and cache
-/// counters, active sessions) and flushes the sinks, so an aborted server
-/// still leaves every snapshot up to the last tick on disk. With no
-/// snapshot interval but a server idle timeout, the background thread
-/// still runs the watchdog, once per idle timeout, and writes nothing.
+/// record named "serve-stats" (sequence number, admission, discovery-memo
+/// and cache counters, active sessions) and flushes the sinks, so an
+/// aborted server still leaves every snapshot up to the last tick on
+/// disk. With no snapshot interval but a server idle timeout, the
+/// background thread still runs the watchdog, once per idle timeout, and
+/// writes nothing.
 ///
 /// The server and the writer must outlive this object. Stop() (or
 /// destruction) joins the background thread; after that the writer is

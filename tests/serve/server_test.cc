@@ -2,10 +2,11 @@
 // rejection of malformed frames, the in-process and Unix-socket
 // transports, the bursts a response stream is handed over in, bounded
 // admission (typed kUnavailable under saturation,
-// never a hang), per-request deadlines on a manual clock, and the
-// headline invariant — interleaved concurrent sessions produce
-// byte-identical analysis payloads to serial execution at any thread
-// count.
+// never a hang), per-request deadlines on a manual clock, the
+// dispatcher's discovery memo (bounded, raced, and what it does to a
+// deadline), and the headline invariant — interleaved concurrent
+// sessions produce byte-identical analysis payloads to serial execution
+// at any thread count.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
@@ -634,8 +635,10 @@ TEST(ServeEquivalenceTest, ConcurrentSessionsMatchSerialByteForByte) {
     EXPECT_EQ(stats.admission.admitted, kSessions * requests.size());
     EXPECT_EQ(stats.admission.rejected, 0u);
     EXPECT_EQ(stats.dispatcher.requests, kSessions * requests.size());
-    // The shared cache observed cross-request hits: the second and third
-    // session of each request replay probe points the first computed.
+    // The second and third session of each request mostly find its box
+    // in the discovery memo; the cache hits come from probe points that
+    // discoveries share with each other.
+    EXPECT_GT(stats.dispatcher.discoveries_recalled, 0u);
     EXPECT_GT(stats.dispatcher.cache.hits, 0u);
   }
 }
@@ -755,6 +758,166 @@ TEST(ServeEquivalenceTest, RacingRequestsMaterializeOneSharedPairContext) {
 }
 
 // ---------------------------------------------------------------------------
+// The discovery memo
+// ---------------------------------------------------------------------------
+
+/// loadgen's three delta sets: with the three analysis kinds and the six
+/// quick queries, the 54 distinct requests of a warm serving mix.
+const std::vector<std::vector<double>> kWarmDeltaSets = {
+    {100.0}, {2.0, 10.0, 100.0}, {10.0, 1000.0}};
+
+TEST(ServeEquivalenceTest, MemoizedRepeatEqualsFresh) {
+  runtime::ThreadPool pool(2);
+  Dispatcher warm(QuickDispatcherOptions(&pool));
+  for (int query : exp::QuickQueryNumbers()) {
+    for (AnalysisKind kind : {AnalysisKind::kDiscovery,
+                              AnalysisKind::kWorstCase,
+                              AnalysisKind::kGtcSeries}) {
+      for (const std::vector<double>& deltas : kWarmDeltaSets) {
+        const AnalysisRequest request =
+            MakeRequest(kind, storage::LayoutPolicy::kSharedDevice,
+                        static_cast<uint16_t>(query), deltas);
+        SCOPED_TRACE(StrFormat("Q%d %s deltas=%zu", query,
+                               AnalysisKindName(kind), deltas.size()));
+        // The reference: the first body of a dispatcher that has never
+        // seen the pair, so it discovers through the oracle chain.
+        Dispatcher fresh(QuickDispatcherOptions(&pool));
+        const AnalysisResponse first = fresh.Handle(request);
+        ASSERT_TRUE(first.ok()) << first.body;
+        EXPECT_EQ(fresh.stats().discoveries, 1u);
+
+        const AnalysisResponse warmed = warm.Handle(request);
+        EXPECT_EQ(warmed.body, first.body);
+        const DispatcherStats before = warm.stats();
+        const AnalysisResponse repeat = warm.Handle(request);
+        const DispatcherStats after = warm.stats();
+        EXPECT_EQ(repeat.code, StatusCode::kOk);
+        EXPECT_EQ(repeat.body, first.body);
+        // The repeat probes nothing: no cache lookup, no discovery.
+        EXPECT_EQ(after.cache.hits, before.cache.hits);
+        EXPECT_EQ(after.cache.misses, before.cache.misses);
+        EXPECT_EQ(after.discoveries, before.discoveries);
+        EXPECT_EQ(after.discoveries_recalled,
+                  before.discoveries_recalled + 1);
+      }
+    }
+  }
+  // Every kind and delta set whose widest band is the same box shares one
+  // discovery: two boxes (delta 100 and 1000) per query.
+  EXPECT_EQ(warm.stats().discoveries, 2 * exp::QuickQueryNumbers().size());
+}
+
+/// A worst-case request for Q6 on the shared device over the explicit box
+/// TestBox() scaled by `scale`: distinct scales are distinct memo keys.
+AnalysisRequest ScaledBoxRequest(double scale) {
+  const core::Box base = TestBox();
+  core::CostVector lower = base.lower();
+  core::CostVector upper = base.upper();
+  for (size_t i = 0; i < lower.size(); ++i) {
+    lower[i] *= scale;
+    upper[i] *= scale;
+  }
+  AnalysisRequest request = MakeRequest(
+      AnalysisKind::kWorstCase, storage::LayoutPolicy::kSharedDevice, 6,
+      {100.0});
+  request.box = core::Box(std::move(lower), std::move(upper));
+  return request;
+}
+
+TEST(DiscoveryMemoTest, KeepsTheNewestBoxesPerContext) {
+  runtime::ThreadPool pool(2);
+  Dispatcher dispatcher(QuickDispatcherOptions(&pool));
+  constexpr size_t kBoxes = Dispatcher::kMemoBoxes + 5;
+  std::vector<AnalysisRequest> requests;
+  for (size_t i = 0; i < kBoxes; ++i) {
+    requests.push_back(ScaledBoxRequest(1.0 + 0.125 * static_cast<double>(i)));
+    const AnalysisResponse response = dispatcher.Handle(requests.back());
+    ASSERT_TRUE(response.ok()) << "box " << i << ": " << response.body;
+  }
+  EXPECT_EQ(dispatcher.stats().discoveries, kBoxes);
+  EXPECT_EQ(dispatcher.stats().discoveries_recalled, 0u);
+
+  // The newest kMemoBoxes boxes are held: each is recalled.
+  for (size_t i = kBoxes - Dispatcher::kMemoBoxes; i < kBoxes; ++i) {
+    const AnalysisResponse response = dispatcher.Handle(requests[i]);
+    ASSERT_TRUE(response.ok()) << "box " << i << ": " << response.body;
+  }
+  EXPECT_EQ(dispatcher.stats().discoveries, kBoxes);
+  EXPECT_EQ(dispatcher.stats().discoveries_recalled, Dispatcher::kMemoBoxes);
+
+  // The oldest was evicted: it discovers again, with the same body.
+  const AnalysisResponse first = dispatcher.Handle(requests[0]);
+  ASSERT_TRUE(first.ok()) << first.body;
+  EXPECT_EQ(dispatcher.stats().discoveries, kBoxes + 1);
+  Dispatcher fresh(QuickDispatcherOptions(&pool));
+  EXPECT_EQ(first.body, fresh.Handle(requests[0]).body);
+}
+
+TEST(DiscoveryMemoTest, DeadlineBoundsOnlyTheDiscovery) {
+  runtime::ThreadPool pool(2);
+  Dispatcher dispatcher(QuickDispatcherOptions(&pool));
+  AnalysisRequest tight = ScaledBoxRequest(1.0);
+  tight.deadline_ns = 1;  // spent before the first probe completes
+
+  // Cold, the request must probe, and its deadline expires.
+  const AnalysisResponse cold = dispatcher.Handle(tight);
+  EXPECT_EQ(cold.code, StatusCode::kDeadlineExceeded) << cold.body;
+
+  AnalysisRequest relaxed = tight;
+  relaxed.deadline_ns = 0;  // unlimited
+  const AnalysisResponse warmed = dispatcher.Handle(relaxed);
+  ASSERT_TRUE(warmed.ok()) << warmed.body;
+
+  // Warm, the box is memoized: no probe runs, so the spent deadline does
+  // not fail the request.
+  const AnalysisResponse recalled = dispatcher.Handle(tight);
+  EXPECT_EQ(recalled.code, StatusCode::kOk) << recalled.body;
+  EXPECT_EQ(recalled.body, warmed.body);
+  EXPECT_EQ(dispatcher.stats().discoveries_recalled, 1u);
+}
+
+TEST(DiscoveryMemoTest, ConcurrentRequestsForOneBoxShareOneAnswer) {
+  runtime::ThreadPool pool(3);
+  Dispatcher dispatcher(QuickDispatcherOptions(&pool));
+  const AnalysisRequest request = MakeRequest(
+      AnalysisKind::kGtcSeries, storage::LayoutPolicy::kSharedDevice, 11,
+      {2.0, 10.0, 100.0});
+
+  // Four clients reach the cold dispatcher at once and keep asking for
+  // the same box, so misses race each other's inserts and later requests
+  // race the first hits.
+  constexpr size_t kClients = 4;
+  constexpr size_t kRequestsPerClient = 8;
+  std::latch start(kClients);
+  std::vector<std::vector<AnalysisResponse>> responses(kClients);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      start.arrive_and_wait();
+      for (size_t r = 0; r < kRequestsPerClient; ++r) {
+        responses[c].push_back(dispatcher.Handle(request));
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  for (size_t c = 0; c < kClients; ++c) {
+    for (size_t r = 0; r < kRequestsPerClient; ++r) {
+      ASSERT_TRUE(responses[c][r].ok())
+          << "client " << c << " request " << r << ": "
+          << responses[c][r].body;
+      EXPECT_EQ(responses[c][r].body, responses[0][0].body)
+          << "client " << c << " request " << r;
+    }
+  }
+  const DispatcherStats stats = dispatcher.stats();
+  EXPECT_GE(stats.discoveries, 1u);
+  EXPECT_LE(stats.discoveries, kClients);
+  EXPECT_EQ(stats.discoveries + stats.discoveries_recalled,
+            kClients * kRequestsPerClient);
+}
+
+// ---------------------------------------------------------------------------
 // Admission at the server level
 // ---------------------------------------------------------------------------
 
@@ -829,6 +992,22 @@ TEST(ServerTest, RequestDeadlineSurfacesAsTypedDeadlineExceeded) {
   relaxed.deadline_ns = 0;  // unlimited
   const AnalysisResponse ok = HandleInProcess(server, relaxed);
   EXPECT_TRUE(ok.ok()) << ok.body;
+
+  // The relaxed request's fault-free discovery is memoized: the tight
+  // request over the same box now runs no probe, so it meets neither the
+  // injector nor its deadline and gets the relaxed request's body.
+  const AnalysisResponse again = HandleInProcess(server, request);
+  EXPECT_EQ(again.code, StatusCode::kOk) << again.body;
+  EXPECT_EQ(again.body, ok.body);
+  EXPECT_EQ(server.stats().dispatcher.discoveries_recalled, 1u);
+
+  // A tight request over a box no request has discovered probes again,
+  // and its deadline expires.
+  AnalysisRequest unseen = request;
+  unseen.deltas = {1000.0};
+  const AnalysisResponse fresh = HandleInProcess(server, unseen);
+  EXPECT_EQ(fresh.code, StatusCode::kDeadlineExceeded) << fresh.body;
+  EXPECT_EQ(server.stats().dispatcher.discoveries_recalled, 1u);
 }
 
 // ---------------------------------------------------------------------------

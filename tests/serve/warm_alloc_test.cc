@@ -1,18 +1,18 @@
 // Heap allocations of a warm analysis request. The replacement global
 // operator new in bench/alloc_counter.cc counts every allocation the
-// process makes. Each test warms a Dispatcher (every probe of the measured
-// requests is then a cache hit, so no optimizer runs and no work reaches
-// the pool) and counts what one more Dispatcher::Handle of the same
-// request allocates, or, for the protocol hop, one more CallV2 round trip
-// through a Session.
+// process makes. Each test warms a Dispatcher (the measured request's box
+// is then in the dispatcher's discovery memo, so the request probes
+// nothing and runs only its LPs and records) and counts what one more
+// Dispatcher::Handle of the same request allocates, or, for the protocol
+// hop, one more CallV2 round trip through a Session.
 //
 // The counts are deterministic for one toolchain: a warm request makes
 // the same calls in the same order every time. They pin the warm path's
 // allocation budget, so a change that brings back per-probe or per-LP
-// heap traffic (key vectors, reply copies, per-row LP vectors, string
-// bookkeeping in discovery) fails here. A standard library whose
-// containers allocate differently moves the exact pin; re-measure with
-// this binary (it prints every count) before changing it.
+// heap traffic (a discovery that the memo should have answered, per-LP
+// vectors, string bookkeeping in the records) fails here. A standard
+// library whose containers allocate differently moves the exact pin;
+// re-measure with this binary (it prints every count) before changing it.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -73,24 +73,26 @@ DispatcherOptions QuickOptions(runtime::ThreadPool& pool) {
 
 // The pinned request: Q11 on the shared device, a GTC series over
 // loadgen's {2, 10, 100} set. Measured with this binary (GCC 12.2,
-// libstdc++, Release build, x86-64): 86 allocations. Before copy-free
-// cache hits, one witness LP per plan, flat LPs and index-keyed discovery
-// the same request made 387. DESIGN.md §5k breaks down the whole mix.
+// libstdc++, Release build, x86-64): 38 allocations. It made 86 when every
+// warm request still discovered over cache hits, and 387 before copy-free
+// cache hits, one witness LP per plan, flat LPs and index-keyed discovery.
+// DESIGN.md §5k breaks down the whole mix.
 TEST(WarmAllocationTest, Q11SharedHandleIsPinned) {
   runtime::ThreadPool pool(2);
   Dispatcher dispatcher(QuickOptions(pool));
   const size_t made = WarmAllocations(
       dispatcher, Request(11, AnalysisKind::kGtcSeries, kDeltaSets[1]));
   std::printf("warm Q11/shared gtcseries {2,10,100}: %zu allocations\n", made);
-  EXPECT_EQ(made, 86u);
+  EXPECT_EQ(made, 38u);
 }
 
 // The same request as one CallV2 round trip over an InProcessTransport
 // pair, served by a Session on its own thread: the request frame, decode,
-// admission, Dispatcher::HandleStreaming (the 86 above), the response
+// admission, Dispatcher::HandleStreaming (the 38 above), the response
 // frames and the client's reassembly. Every server allocation happens
 // before the response's last frame is sent, so the count is complete
-// when CallV2 returns. Measured as above: 92, with one burst per response
+// when CallV2 returns. Measured as above: 44 (92 while warm requests still
+// discovered), with one burst per response
 // (the frames moved into the peer's queue), the records encoded straight
 // into their frame and appended straight from it onto the client's body,
 // and the body moved out of the reassembler. A copy of the records on
@@ -124,12 +126,14 @@ TEST(WarmAllocationTest, Q11SharedCallV2RoundTripIsPinned) {
   EXPECT_EQ(again->body, warm->body);
   std::printf("warm Q11/shared gtcseries {2,10,100} CallV2: %zu allocations\n",
               made);
-  EXPECT_EQ(made, 92u);
+  EXPECT_EQ(made, 44u);
 }
 
 // A bound for the whole warm mix: the mean over the 54 distinct requests.
-// Measured as above: 81.5, down from 613.4; the bound is 40% of the
-// latter.
+// Measured as above: 19.5 with the discovery memo, 81.5 while every warm
+// request discovered over cache hits, 613.4 before that. The bound keeps
+// the headroom the 81.5 measurement had under its bound of 245 (x3.0), so
+// warm requests that discover again fail it.
 TEST(WarmAllocationTest, MeanOverTheWarmMixIsBounded) {
   runtime::ThreadPool pool(2);
   Dispatcher dispatcher(QuickOptions(pool));
@@ -149,7 +153,7 @@ TEST(WarmAllocationTest, MeanOverTheWarmMixIsBounded) {
   }
   const double mean = static_cast<double>(total) / static_cast<double>(count);
   std::printf("mean over %zu warm requests: %.1f allocations\n", count, mean);
-  EXPECT_LE(mean, 245.0);
+  EXPECT_LE(mean, 59.0);
 }
 
 }  // namespace
