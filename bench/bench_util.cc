@@ -77,7 +77,7 @@ std::vector<exp::FigureSeries> RunWorstCaseFigure(
   metrics.threads = pool.num_threads();
 
   // Phase 1 — analysis: every query discovers its candidate plans
-  // concurrently, and each discovery fans out its cache misses over the
+  // concurrently, and each discovery fans out its probes over the
   // same pool. Once every query is claimed, this thread runs those
   // nested probe iterations too instead of sleeping, so the last, largest
   // queries get every lane.

@@ -116,10 +116,11 @@ BENCHMARK(BM_OracleCacheConcurrent)->Arg(1)->Arg(4)->Arg(8)
 
 /// One quick-mode discovery of a query (range 0: Q8, the plan-richest
 /// quick query, or Q11) on the shared layout over the 1000x band, with
-/// every probe already in the pair's cache: the serve-warm request path.
-/// Only optimizer work fans out, so a warm discovery should hand the pool
-/// (range 1: its size) no loop (`pool_tasks` per iteration). `allocs` is
-/// the heap allocations per iteration, probe chain included.
+/// every probe already in the pair's cache: a serve request's discovery
+/// after a warm restart, or after the discovery memo evicted its box.
+/// Probe batches fan out over the pool (range 1: its size); `pool_tasks`
+/// is the loops handed to its workers per iteration, and `allocs` the
+/// heap allocations per iteration, probe chain included.
 void BM_WarmDiscovery(benchmark::State& state) {
   const catalog::Catalog catalog = tpch::MakeTpchCatalog(100.0);
   runtime::OracleStackBuilder builder;

@@ -55,8 +55,7 @@ class Discoverer {
         box_(box),
         rng_(rng),
         options_(options),
-        dims_(box.dims()),
-        probe_(box.dims()) {}
+        dims_(box.dims()) {}
 
   Result<DiscoveryResult> Run() {
     SeedProbes();
@@ -125,51 +124,26 @@ class Discoverer {
     return CostVector(std::vector<double>(row, row + dims_));
   }
 
-  /// Evaluates the oracle at rows [first, first + count) and records
-  /// first-seen witnesses in row order — the same order a serial probe
-  /// loop would, so the discovered set is independent of thread count and
-  /// scheduling. Rows the oracle recalls from memory are answered on this
-  /// thread, by reference; only the rest, which run the optimizer, fan out
-  /// over the pool. Leaves batch_[k] = the plan of row first + k, or
-  /// kNoPlan for a probe that errored: it is counted, never recorded —
-  /// degradation is losing witnesses, not inventing them.
+  /// Evaluates the oracle at rows [first, first + count), fanned out over
+  /// the pool, and records first-seen witnesses in row order — the same
+  /// order a serial probe loop would, so the discovered set is independent
+  /// of thread count and scheduling. Leaves batch_[k] = the plan of row
+  /// first + k, or kNoPlan for a probe that errored: it is counted, never
+  /// recorded — degradation is losing witnesses, not inventing them.
   void ProbeBatch(size_t first, size_t count) {
-    answers_.assign(count, nullptr);
-    pooled_.clear();
-    for (size_t k = 0; k < count; ++k) {
-      const std::span<const double> row = Row(first + k);
-      std::copy(row.begin(), row.end(), probe_.span().begin());
-      RecalledReply hit;
-      if (oracle_.Recall(probe_, hit)) {
-        answers_[k] = hit.reply;
-      } else {
-        pooled_.push_back(k);
-      }
-    }
-    // Replies of the pooled rows, in pooled_ order (none on a warm batch,
-    // which then allocates nothing here).
-    std::vector<std::optional<OracleResult>> owned(pooled_.size());
-    if (!pooled_.empty()) {
-      const Status pool_status = runtime::ForEachIndex(
-          options_.pool, pooled_.size(), [&](size_t j) {
-            Result<OracleResult> r =
-                oracle_.TryOptimize(Point(first + pooled_[j]));
-            if (r.ok()) owned[j] = std::move(r).value();
-            return Status::Ok();
-          });
-      COSTSENSE_CHECK(pool_status.ok());  // bodies always return Ok
-    }
+    std::vector<std::optional<OracleResult>> replies(count);
+    const Status pool_status =
+        runtime::ForEachIndex(options_.pool, count, [&](size_t k) {
+          Result<OracleResult> r = oracle_.TryOptimize(Point(first + k));
+          if (r.ok()) replies[k] = std::move(r).value();
+          return Status::Ok();
+        });
+    COSTSENSE_CHECK(pool_status.ok());  // bodies always return Ok
     calls_ += count;
     batch_.resize(count);
-    size_t next_owned = 0;
     for (size_t k = 0; k < count; ++k) {
-      if (answers_[k] != nullptr) {
-        batch_[k] = Record(first + k, *answers_[k], /*stable=*/true);
-        continue;
-      }
-      const std::optional<OracleResult>& r = owned[next_owned++];
-      if (r.has_value()) {
-        batch_[k] = Record(first + k, *r, /*stable=*/false);
+      if (replies[k].has_value()) {
+        batch_[k] = Record(first + k, *replies[k]);
       } else {
         batch_[k] = kNoPlan;
         ++failed_probes_;
@@ -178,14 +152,8 @@ class Discoverer {
   }
 
   /// The plan index of `reply`, registering the plan with witness row `row`
-  /// when it is new. A `stable` reply (recalled, so it outlives the run)
-  /// is remembered by address, which is all a warm probe pays.
-  uint32_t Record(size_t row, const OracleResult& reply, bool stable) {
-    if (stable) {
-      for (const auto& [known, index] : by_reply_) {
-        if (known == &reply) return index;
-      }
-    }
+  /// when it is new.
+  uint32_t Record(size_t row, const OracleResult& reply) {
     auto it = index_of_.find(std::string_view(reply.plan_id));
     if (it == index_of_.end()) {
       it = index_of_
@@ -197,7 +165,6 @@ class Discoverer {
       f.usage = reply.usage;
       f.from_oracle = reply.usage.has_value();
     }
-    if (stable) by_reply_.emplace_back(&reply, it->second);
     return it->second;
   }
 
@@ -439,18 +406,13 @@ class Discoverer {
   /// Every probed point, dims_ coordinates per row, in probe order.
   std::vector<double> points_;
   size_t num_points_ = 0;
-  /// Scratch vector the calling thread probes through.
-  CostVector probe_;
-  /// ProbeBatch's per-row answers and plan indices, and its pooled rows.
-  std::vector<const OracleResult*> answers_;
+  /// ProbeBatch's per-row plan indices.
   std::vector<uint32_t> batch_;
-  std::vector<size_t> pooled_;
 
-  /// Plans by index, their indices by id (iterated in id order wherever
-  /// the order shows in the result), and by recalled reply.
+  /// Plans by index and their indices by id (iterated in id order wherever
+  /// the order shows in the result).
   std::vector<Found> found_;
   std::map<std::string, uint32_t, std::less<>> index_of_;
-  std::vector<std::pair<const OracleResult*, uint32_t>> by_reply_;
 
   /// This round's plans with a usage vector, in plan-id order, and the
   /// margins that belong to them.

@@ -36,11 +36,10 @@ struct DiscoveryOptions {
   /// When the oracle does not reveal usage vectors, extract them by least
   /// squares with these options.
   ExtractionOptions extraction;
-  /// Optional thread pool for the work that runs the optimizer: oracle
-  /// probes the oracle cannot recall from memory (PlanOracle::Recall) and
-  /// per-plan least-squares extractions. Recalled probes and the
-  /// margin/completeness LPs run on the calling thread; null runs
-  /// everything there. Parallel runs are bit-identical to serial ones:
+  /// Optional thread pool for the work that may run the optimizer: oracle
+  /// probes and per-plan least-squares extractions. The margin and
+  /// completeness LPs run on the calling thread; null runs everything
+  /// there. Parallel runs are bit-identical to serial ones:
   /// probe points are generated serially from `rng`, evaluated wherever
   /// they are scheduled, and recorded in generation order, while per-plan
   /// extraction streams are forked from `rng` keyed by plan id. The oracle

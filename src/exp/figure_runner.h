@@ -103,8 +103,8 @@ class PairContext {
 
   /// Discovers the candidate optimal plans over `box`, probing through
   /// `oracle` (a runtime::ProbeChain stacked above stack().cache()) with
-  /// the probe stream seeded by `seed`; probes that miss the cache fan out
-  /// on `pool`.
+  /// the probe stream seeded by `seed`; every probe batch fans out on
+  /// `pool`.
   [[nodiscard]] Result<core::DiscoveryResult> Discover(
       core::FalliblePlanOracle& oracle, const core::Box& box, uint64_t seed,
       core::DiscoveryOptions options, runtime::ThreadPool& pool) const;
@@ -137,14 +137,13 @@ class PairContext {
 /// multiplicative error band, and evaluate worst-case global relative cost
 /// at each delta via the exact linear-fractional program.
 ///
-/// Optimizer work fans out over a runtime::ThreadPool at two
-/// granularities — across queries (AnalyzeMany) and within a query
-/// (discovery probes the cache cannot recall, least-squares
-/// extraction) — and every optimizer call goes through a sharded
-/// memoizing runtime::CachingOracle. Recalled probes and the LPs
-/// (margins, completeness witnesses, the worst-case series) run on the
-/// calling thread. Results are bit-identical for any thread count,
-/// including 1 (the serial path).
+/// Work fans out over a runtime::ThreadPool at two granularities —
+/// across queries (AnalyzeMany) and within a query (discovery probes,
+/// least-squares extraction) — and every optimizer call goes through a
+/// sharded memoizing runtime::CachingOracle. The LPs (margins,
+/// completeness witnesses, the worst-case series) run on the calling
+/// thread. Results are bit-identical for any thread count, including 1
+/// (the serial path).
 class FigureRunner {
  public:
   struct Options {

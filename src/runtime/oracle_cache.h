@@ -112,9 +112,11 @@ size_t ShardOfKey(const std::vector<uint64_t>& key, size_t shards);
 /// bit-identical regardless of thread count and probe order.
 ///
 /// Memory is flat: each distinct (plan_id, usage) reply is stored once per
-/// cache, and a resident entry is its quantized key, its total cost, a
-/// reply index and two LRU links in per-shard arrays, plus an
-/// open-addressing index slot — no per-entry heap allocation.
+/// cache, in one table under one mutex (a hit copies its reply out under
+/// it, after the shard lock is released), and a resident entry is its
+/// quantized key, its total cost, a reply index and two LRU links in
+/// per-shard arrays, plus an open-addressing index slot — no per-entry
+/// heap allocation.
 class CachingOracle : public core::PlanOracle {
  public:
   /// `base` is not owned and must outlive this.
@@ -124,12 +126,6 @@ class CachingOracle : public core::PlanOracle {
 
   core::OracleResult Optimize(const core::CostVector& c) override;
   size_t dims() const override { return dims_; }
-
-  /// On a hit, the interned reply by reference and the entry's total
-  /// cost, counted as Optimize(c) counts a hit (hits + 1, the entry
-  /// becomes most recent): one lookup under the shard lock, no copy, and
-  /// no cache-wide lock. A miss (or a malformed reply) changes nothing.
-  bool Recall(const core::CostVector& c, core::RecalledReply& out) override;
 
   OracleCacheStats stats() const;
 

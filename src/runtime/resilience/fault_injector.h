@@ -91,10 +91,6 @@ struct FaultLog {
 /// counter, so the *total* fault events at a key equal
 /// min(burst, attempts made there) no matter how concurrent callers
 /// interleave — fault logs are reproducible at any thread count.
-///
-/// Recall() keeps the default false even above a cache: a
-/// cached key can still fault or stall here, so runs with faults schedule
-/// every probe as optimizer work.
 class FaultInjectingOracle final : public core::FalliblePlanOracle {
  public:
   /// `base` is not owned and must outlive this. `clock` defaults to the

@@ -48,18 +48,6 @@ bool ResilientOracle::RunBudgetSpent() const {
          clock_.NowNanos() - run_start_ns_ >= options_.run_deadline_ns;
 }
 
-bool ResilientOracle::Recall(const core::CostVector& c,
-                             core::RecalledReply& out) {
-  if (RunBudgetSpent() || !base_.Recall(c, out)) return false;
-  // A base that hands up a malformed reply anyway has counted its lookup;
-  // TryOptimize then counts the rejected attempt as usual.
-  if (!core::WellFormedReply(out.reply->plan_id, out.total_cost)) return false;
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.calls;
-  ++stats_.attempts;
-  return true;
-}
-
 Result<core::OracleResult> ResilientOracle::TryOptimize(
     const core::CostVector& c) {
   // Admission: a spent run budget fails the call before any attempt.

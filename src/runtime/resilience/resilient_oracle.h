@@ -70,10 +70,6 @@ class ResilientOracle final : public core::FalliblePlanOracle {
 
   [[nodiscard]] Result<core::OracleResult> TryOptimize(const core::CostVector& c) override;
   size_t dims() const override { return base_.dims(); }
-  /// Forwards, counting one clean call and attempt. A spent run budget
-  /// declines before the lookup, so TryOptimize fails and counts that call
-  /// as it always has; a reply that fails validation is declined too.
-  bool Recall(const core::CostVector& c, core::RecalledReply& out) override;
 
   ResilienceStats stats() const;
 

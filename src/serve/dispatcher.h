@@ -44,8 +44,7 @@ struct DispatcherOptions {
   /// ManualClock; production servers leave the rate at 0). Requests never
   /// retry: a failed probe fails the request.
   runtime::resilience::FaultInjectionOptions faults;
-  /// Pool each request's optimizer work (discovery probes that miss the
-  /// shared cache) fans out on; memoized probes and the LPs run on the
+  /// Pool each request's discovery probes fan out on; the LPs run on the
   /// request's thread. null uses the process-global pool.
   runtime::ThreadPool* pool = nullptr;
   /// Clock for deadlines and latency faults; null = real steady clock.

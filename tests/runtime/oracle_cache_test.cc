@@ -1,9 +1,8 @@
 // Tests of the sharded memoizing oracle cache: hit/miss accounting,
 // quantized-key merging, the bounded-eviction guarantee, LRU recency,
-// Recall() (a hit by reference), reply interning, snapshot import
-// validation, a model-based check against a reference LRU, and
-// correctness under concurrent hammering from a thread pool and under
-// recalls racing new interned replies.
+// reply interning, snapshot import validation, a model-based check
+// against a reference LRU, and correctness under concurrent hammering
+// from a thread pool and under hits racing new interned replies.
 #include "runtime/oracle_cache.h"
 
 #include <gtest/gtest.h>
@@ -11,10 +10,8 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cmath>
 #include <list>
 #include <map>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -308,80 +305,6 @@ TEST(CachingOracleTest, InternedRepliesStayDistinct) {
   }
 }
 
-TEST(CachingOracleTest, RecallCountsAsAnOptimizeHitWithoutCopying) {
-  core::FakeOracle base(TwoPlans(), /*white_box=*/true);
-  OracleCacheOptions options;
-  options.shards = 1;
-  options.max_entries = 2;
-  CachingOracle cache(base, options);
-
-  const core::CostVector a{1.0, 2.0}, b{2.0, 1.0}, c{3.0, 1.0};
-  const core::OracleResult reply_a = cache.Optimize(a);  // miss: {a}
-  cache.Optimize(b);  // miss: {a, b}, a least recent
-
-  core::RecalledReply hit;
-  ASSERT_TRUE(cache.Recall(a, hit));  // a hit: a becomes most recent
-  EXPECT_TRUE(SameReply(
-      core::OracleResult{hit.reply->plan_id, hit.total_cost, hit.reply->usage},
-      reply_a));
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 2u);
-
-  // A miss and the wrong dimension change nothing.
-  core::RecalledReply untouched;
-  EXPECT_FALSE(cache.Recall(c, untouched));
-  EXPECT_FALSE(cache.Recall({1.0}, untouched));
-  EXPECT_EQ(untouched.reply, nullptr);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 2u);
-
-  cache.Optimize(c);  // miss: evicts b, the least recent since the Recall
-  EXPECT_EQ(base.calls(), 3u);
-  cache.Optimize(a);  // still resident: a hit
-  EXPECT_EQ(base.calls(), 3u);
-  cache.Optimize(b);  // evicted: computed again
-  EXPECT_EQ(base.calls(), 4u);
-
-  // The recalled reply is the interned one: it outlives eviction and
-  // Clear(), unchanged.
-  cache.Clear();
-  EXPECT_EQ(hit.reply->plan_id, reply_a.plan_id);
-  EXPECT_EQ(hit.reply->usage, reply_a.usage);
-}
-
-/// Replies a retry tier rejects: an empty plan id or a non-finite cost.
-class MalformedOracle : public core::PlanOracle {
- public:
-  core::OracleResult Optimize(const core::CostVector& c) override {
-    core::OracleResult r;
-    r.plan_id = c[0] < 2.0 ? "" : "p";
-    r.total_cost = c[0] < 3.0 ? 1.0 : std::nan("");
-    return r;
-  }
-  size_t dims() const override { return 2; }
-};
-
-TEST(CachingOracleTest, RecallDeclinesMalformedReplies) {
-  // A malformed reply takes Optimize's path, where the retry tier
-  // rejects and counts it; Recall hands it out neither by reference nor
-  // as a hit.
-  MalformedOracle base;
-  CachingOracle cache(base);
-  size_t resident = 0;
-  for (double x : {1.0, 3.0}) {
-    const core::CostVector c{x, 1.0};
-    cache.Optimize(c);
-    core::RecalledReply out;
-    EXPECT_EQ(cache.stats().entries, ++resident);  // cached all the same
-    EXPECT_FALSE(cache.Recall(c, out)) << x;
-  }
-  EXPECT_EQ(cache.stats().hits, 0u);
-  core::RecalledReply out;
-  cache.Optimize({2.0, 1.0});
-  EXPECT_TRUE(cache.Recall({2.0, 1.0}, out));
-  EXPECT_EQ(cache.stats().hits, 1u);
-}
-
 /// A distinct reply per cost point: plan id and usage follow the first
 /// coordinate, so every new point interns a new reply. Stateless, so safe
 /// to call from many threads.
@@ -397,15 +320,16 @@ class DistinctReplyOracle : public core::PlanOracle {
   size_t dims() const override { return 2; }
 };
 
-TEST(CachingOracleTest, RecallsStayExactWhileOtherThreadsIntern) {
-  // Four threads recall and re-optimize keys the cache already holds
-  // while four others miss on fresh keys, so the interned-reply store
-  // grows (and allocates new chunks) under the readers: the lock-free
-  // read path TSan checks here. Every reply must equal the base oracle's
-  // at the key's canonical point, which is what a serial run returns.
+TEST(CachingOracleTest, HitsStayExactWhileOtherThreadsIntern) {
+  // Four threads re-optimize keys the cache already holds while four
+  // others miss on fresh keys, so the interned-reply table grows under
+  // the readers' hits: the locked read path TSan checks here. Every reply
+  // must equal the base oracle's at the key's canonical point, which is
+  // what a serial run returns.
   DistinctReplyOracle base;
   CachingOracle cache(base);
   constexpr int kOld = 256;
+  constexpr int kRounds = 8;
   constexpr int kNewPerThread = 800;
   auto point = [](int i) {
     return core::CostVector{1.0 + i, 1.0 + 0.5 * (i % 3)};
@@ -422,25 +346,13 @@ TEST(CachingOracleTest, RecallsStayExactWhileOtherThreadsIntern) {
   for (int i = 0; i < kOld; ++i) cache.Optimize(point(i));
 
   std::atomic<int> wrong{0};
-  std::atomic<int> unrecalled{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
-      for (int round = 0; round < 8; ++round) {
+      for (int round = 0; round < kRounds; ++round) {
         for (int i = t; i < kOld; i += 4) {
           const core::CostVector c = point(i);
-          const core::OracleResult want = expected(c);
-          core::RecalledReply hit;
-          if (!cache.Recall(c, hit)) {
-            ++unrecalled;
-            continue;
-          }
-          const core::OracleResult got{hit.reply->plan_id, hit.total_cost,
-                                       hit.reply->usage};
-          if (!SameReply(got, want) ||
-              !SameReply(cache.Optimize(c), want)) {
-            ++wrong;
-          }
+          if (!SameReply(cache.Optimize(c), expected(c))) ++wrong;
         }
       }
     });
@@ -455,10 +367,12 @@ TEST(CachingOracleTest, RecallsStayExactWhileOtherThreadsIntern) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(wrong.load(), 0);
-  // The cache holds every key (far below its bound), so nothing the
-  // readers asked for was missing.
-  EXPECT_EQ(unrecalled.load(), 0);
-  EXPECT_EQ(cache.stats().entries, size_t{kOld + 4 * kNewPerThread});
+  // The cache holds every key (far below its bound), so every reader
+  // call was a hit and every writer call a miss.
+  const OracleCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, size_t{kRounds * kOld});
+  EXPECT_EQ(stats.misses, size_t{kOld + 4 * kNewPerThread});
+  EXPECT_EQ(stats.entries, size_t{kOld + 4 * kNewPerThread});
 }
 
 TEST(CachingOracleTest, ImportDropsEntriesOfTheWrongDimension) {

@@ -1,10 +1,9 @@
-// Which discovery work reaches the thread pool. Only probes that run the
-// optimizer fan out: probes the cache has memoized, white-box usage
-// resolution and the LPs run on the calling thread. So a fully warmed
-// discovery hands the pool's workers no loop, a half-warmed one still
-// does, and in every case the discovered set is bit-identical to a serial
-// run. A fault injector in the chain recalls nothing, so runs with faults
-// schedule exactly as they did before memoized probes ran inline.
+// How discovery schedules its work. Every probe batch fans out over the
+// pool, whatever the cache already holds; white-box usage resolution and
+// the LPs run on the calling thread. So a cold, a half-warm and a fully
+// warm discovery hand the pool's workers the same loops, and in every case
+// the discovered set is bit-identical to a serial cold run — with faults
+// injected too, where the fault log of a warm run equals the cold one's.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -42,22 +41,6 @@ core::Box Band() {
   return core::Box::MultiplicativeBand(core::CostVector(kDims, 1.0), 100.0);
 }
 
-/// Forwards probes but hides Recall(), so every probe schedules as
-/// optimizer work: discovery as it ran before memoized probes stayed on
-/// the calling thread.
-class HideRecall final : public core::FalliblePlanOracle {
- public:
-  explicit HideRecall(core::FalliblePlanOracle& base) : base_(base) {}
-  [[nodiscard]] Result<core::OracleResult> TryOptimize(
-      const core::CostVector& c) override {
-    return base_.TryOptimize(c);
-  }
-  size_t dims() const override { return base_.dims(); }
-
- private:
-  core::FalliblePlanOracle& base_;
-};
-
 struct Outcome {
   core::DiscoveryResult result;
   /// Loops the discovery handed to the pool's workers.
@@ -66,19 +49,14 @@ struct Outcome {
 };
 
 Outcome Discover(CachingOracle& cache, ThreadPool* pool,
-             const ProbeOptions& probe_options = {},
-             bool hide_recall = false) {
+                 const ProbeOptions& probe_options = {}) {
   ProbeChain chain(cache, probe_options);
-  HideRecall hidden(chain.oracle());
-  core::FalliblePlanOracle& oracle =
-      hide_recall ? static_cast<core::FalliblePlanOracle&>(hidden)
-                  : chain.oracle();
   core::DiscoveryOptions options = exp::QuickDiscovery();
   options.pool = pool;
   Rng rng(kSeed);
   const size_t before = pool != nullptr ? pool->stats().tasks_run : 0;
   Result<core::DiscoveryResult> d =
-      core::DiscoverCandidatePlans(oracle, Band(), rng, options);
+      core::DiscoverCandidatePlans(chain.oracle(), Band(), rng, options);
   EXPECT_TRUE(d.ok()) << d.status().ToString();
   Outcome run;
   if (d.ok()) run.result = *d;
@@ -131,7 +109,7 @@ core::DiscoveryResult Reference(core::FakeOracle& base) {
   return Discover(cold, nullptr).result;
 }
 
-TEST(SchedulingTest, WarmDiscoverySubmitsNoPoolTask) {
+TEST(SchedulingTest, WarmDiscoveryMatchesSerialAtAnyPool) {
   core::FakeOracle base(Plans(), /*white_box=*/true);
   const core::DiscoveryResult reference = Reference(base);
   ASSERT_GT(reference.plans.size(), 2u);
@@ -140,19 +118,17 @@ TEST(SchedulingTest, WarmDiscoverySubmitsNoPoolTask) {
   ThreadPool pool4(4);
   ThreadPool pool1(1);
   const Outcome cold = Discover(cache, &pool4);
-  EXPECT_GT(cold.tasks, 0u);  // misses run the optimizer on the pool
+  EXPECT_GT(cold.tasks, 0u);  // probes run on the pool
   ExpectSameDiscovery(cold.result, reference);
 
   const Outcome warm4 = Discover(cache, &pool4);
-  EXPECT_EQ(warm4.tasks, 0u);
+  EXPECT_EQ(warm4.tasks, cold.tasks);  // hits schedule as misses do
   ExpectSameDiscovery(warm4.result, reference);
-  const Outcome warm1 = Discover(cache, &pool1);
-  EXPECT_EQ(warm1.tasks, 0u);
-  ExpectSameDiscovery(warm1.result, reference);
+  ExpectSameDiscovery(Discover(cache, &pool1).result, reference);
   ExpectSameDiscovery(Discover(cache, nullptr).result, reference);
 }
 
-TEST(SchedulingTest, HalfWarmDiscoveryFansOutOnlyTheMisses) {
+TEST(SchedulingTest, HalfWarmDiscoveryMatchesSerialAtAnyPool) {
   core::FakeOracle base(Plans(), /*white_box=*/true);
   const core::DiscoveryResult reference = Reference(base);
   std::vector<OracleCacheEntry> half;
@@ -169,15 +145,11 @@ TEST(SchedulingTest, HalfWarmDiscoveryFansOutOnlyTheMisses) {
   for (ThreadPool* pool : {&pool4, &pool1, static_cast<ThreadPool*>(nullptr)}) {
     CachingOracle cache(base);
     ASSERT_EQ(cache.Import(half).inserted, half.size());
-    const Outcome run = Discover(cache, pool);
-    if (pool == &pool4) {
-      EXPECT_GT(run.tasks, 0u);
-    }
-    ExpectSameDiscovery(run.result, reference);
+    ExpectSameDiscovery(Discover(cache, pool).result, reference);
   }
 }
 
-TEST(SchedulingTest, FaultInjectorSchedulesEveryProbeOnThePool) {
+TEST(SchedulingTest, FaultedWarmDiscoveryMatchesFaultedCold) {
   core::FakeOracle base(Plans(), /*white_box=*/true);
   const core::DiscoveryResult reference = Reference(base);
   resilience::ManualClock clock;
@@ -192,22 +164,12 @@ TEST(SchedulingTest, FaultInjectorSchedulesEveryProbeOnThePool) {
   ASSERT_GT(cold.faults.faults, 0u);
   ExpectSameDiscovery(cold.result, reference);
 
-  // Even over a fully warm cache, nothing above the injector is memoized.
-  {
-    ProbeChain chain(cache, faulty);
-    core::RecalledReply recalled;
-    EXPECT_TRUE(cache.Recall(Band().Center(), recalled));
-    EXPECT_FALSE(chain.oracle().Recall(Band().Center(), recalled));
-  }
+  // A warm cache below the injector changes neither the faults nor the
+  // discovered set.
   const Outcome warm = Discover(cache, &pool4, faulty);
-  const Outcome unrecalled =
-      Discover(cache, &pool4, faulty, /*hide_recall=*/true);
-  EXPECT_GT(warm.tasks, 0u);
-  EXPECT_EQ(warm.tasks, unrecalled.tasks);
-  ExpectSameFaultLog(warm.faults, unrecalled.faults);
+  EXPECT_EQ(warm.tasks, cold.tasks);
   ExpectSameFaultLog(warm.faults, cold.faults);
   ExpectSameDiscovery(warm.result, reference);
-  ExpectSameDiscovery(unrecalled.result, reference);
 }
 
 }  // namespace

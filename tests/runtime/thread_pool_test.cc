@@ -198,7 +198,9 @@ std::vector<size_t> OuterIterationStartsNestedLoop(ThreadPool& pool,
       EXPECT_TRUE(AwaitFlag(worker_inside));
       return Status::Ok();
     }
-    worker_inside.store(true);
+    // Two workers may claim both iterations; only the first starts the
+    // nested loop, so no two loops write `results`.
+    if (worker_inside.exchange(true)) return Status::Ok();
     return pool.ParallelFor(inner, [&](size_t j) -> Status {
       if (std::this_thread::get_id() == caller) {
         by_caller.fetch_add(1);

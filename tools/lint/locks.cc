@@ -35,7 +35,7 @@
 /// component of the global acquired-before graph, suppressed only when an
 /// allow(R8, ...) sits on one of the cycle's acquisition/call sites; (b) a
 /// lock held across a call that is or reaches an oracle call
-/// (Optimize/TryOptimize/Recall) or a transport call (SendBurst/SendFrame/
+/// (Optimize/TryOptimize) or a transport call (SendBurst/SendFrame/
 /// RecvFrame, or Close on a FrameTransport-derived receiver); (c) re-acquiring an
 /// expression already held (guaranteed self-deadlock on std::mutex).
 /// Unresolvable chains contribute nothing — the pass is deliberately
@@ -981,8 +981,7 @@ void FileExtractor::HandleCall(size_t i, size_t e,
 // ---------------------------------------------------------------------------
 
 const std::set<std::string>& OracleCallees() {
-  static const std::set<std::string> kSet = {"Optimize", "TryOptimize",
-                                             "Recall"};
+  static const std::set<std::string> kSet = {"Optimize", "TryOptimize"};
   return kSet;
 }
 
@@ -1377,11 +1376,11 @@ std::vector<Finding> Analyzer::Run() {
         }
         std::string boundary;
         if (callee_oracle && callee_transport) {
-          boundary = "the oracle (Optimize/TryOptimize/Recall) and "
+          boundary = "the oracle (Optimize/TryOptimize) and "
                      "transport (SendBurst/SendFrame/RecvFrame/Close) "
                      "boundaries";
         } else if (callee_oracle) {
-          boundary = "the oracle boundary (Optimize/TryOptimize/Recall); "
+          boundary = "the oracle boundary (Optimize/TryOptimize); "
                      "blocking the optimizer under a lock serializes every "
                      "concurrent caller";
         } else {
